@@ -8,7 +8,10 @@ sigma level.
 The pmf estimator assigns every sample index its own fixed window of
 Philox counter-indexed uniforms and maps draws through inverse CDFs, so
 the aggregate counts are a pure function of (seed, n_samples) and the
-report does not depend on how many workers split the range.
+report does not depend on how many workers split the range.  Poisson
+jump totals are inverted exactly against the cdf and capped one past the
+box: a total that large already leaves the box, so every in-box draw is
+the uncapped inverse and no heavy-tailed clock value can stall the map.
 """
 
 import cmath
@@ -18,11 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
+from scipy.special import ndtri, pdtr
 
 from . import subordinators as subs
 from .variants import clock_spec, codifference, covariance, variant_pmf
 
 _TAIL_MASS = 1e-6
+_MIN_EXPECTED = 5.0
 _WINDOW_DOUBLES = 4_000_000
 
 
@@ -130,8 +135,37 @@ def _uniform_window(seed, lo, hi, m):
     return np.random.Generator(bit).random((hi - lo) * m).reshape(hi - lo, m)
 
 
-def _states_from_uniforms(v, rates, t, u):
-    """(rows, q) state draws as a pure function of the uniform window."""
+def _poisson_inverse(u, mu, cap):
+    """Elementwise min(cap, smallest k with pdtr(k, mu) >= u).
+
+    Starts from the Cornish-Fisher quantile clipped to [0, cap] and steps
+    with the exact cdf over the draws not yet settled, so each loop runs
+    at most cap times.  A NaN, infinite or huge mean guesses cap and
+    settles with one cdf call.
+    """
+    z = ndtri(u)
+    with np.errstate(invalid="ignore"):
+        guess = np.floor(mu + np.sqrt(mu) * z + (z * z - 1.0) / 6.0)
+    k = np.maximum(np.fmin(guess, cap), 0.0)
+    reached = pdtr(k, mu) >= u
+    down = np.flatnonzero(reached & (k > 0))
+    while down.size:
+        down = down[pdtr(k[down] - 1.0, mu[down]) >= u[down]]
+        k[down] -= 1.0
+        down = down[k[down] > 0]
+    up = np.flatnonzero(~reached & (k < cap))
+    while up.size:
+        k[up] += 1.0
+        up = up[(pdtr(k[up], mu[up]) < u[up]) & (k[up] < cap)]
+    return k.astype(np.int64)
+
+
+def _states_from_uniforms(v, rates, t, u, box):
+    """(rows, q) state draws as a pure function of the uniform window.
+
+    Jump totals are capped at box + 1 per component; every jump adds at
+    least 1, so a capped draw is outside the box either way.
+    """
     spec = clock_spec(v)
     if spec is None:
         operational = np.full(u.shape[0], float(t))
@@ -142,9 +176,9 @@ def _states_from_uniforms(v, rates, t, u):
     out = np.empty((u.shape[0], rates.q), dtype=np.int64)
     for i, row in enumerate(rates.rows):
         total = math.fsum(row)
-        remaining = stats.poisson.ppf(
-            subs._interior(u[:, col]), total * operational
-        ).astype(np.int64)
+        remaining = _poisson_inverse(
+            subs._interior(u[:, col]), total * operational, box[i] + 1
+        )
         col += 1
         counts = np.zeros(u.shape[0], dtype=np.int64)
         rest = total
@@ -165,8 +199,10 @@ def _states_from_uniforms(v, rates, t, u):
 
 
 def _pmf_counts(v, rates, t, seed, lo, hi, m, dims):
-    samples = _states_from_uniforms(v, rates, t, _uniform_window(seed, lo, hi, m))
     box = dims - 1
+    samples = _states_from_uniforms(
+        v, rates, t, _uniform_window(seed, lo, hi, m), box
+    )
     inside = np.all(samples <= box, axis=1)
     flat = np.ravel_multi_index(tuple(samples[inside].T), tuple(dims))
     counts = np.bincount(flat, minlength=int(dims.prod()))
@@ -176,8 +212,10 @@ def _pmf_counts(v, rates, t, seed, lo, hi, m, dims):
 def estimate_pmf(v, rates, t, box, n_samples, seed, workers=1, sigma=4.0):
     """Empirical pmf over the box vs variant_pmf, z-scored per cell.
 
-    Cells with analytic mass below 1e-6 are pooled with the outside-box
-    mass into one tail bucket so no z-score divides by a vanishing SE.
+    Cells with analytic mass below 1e-6, or fewer than 5 expected draws,
+    are pooled with the outside-box mass into one tail bucket, so no
+    z-score divides by a vanishing SE or leans on a normal approximation
+    to a near-empty cell.
     The worker count only sizes the thread pool; the counts, and hence
     the report, are identical for any workers value at a fixed seed.
     """
@@ -207,7 +245,7 @@ def estimate_pmf(v, rates, t, box, n_samples, seed, workers=1, sigma=4.0):
     for idx in np.ndindex(*dims):
         p = variant_pmf(v, rates, idx, t)
         c = int(counts[np.ravel_multi_index(idx, tuple(dims))])
-        if p < _TAIL_MASS:
+        if p < _TAIL_MASS or n_samples * p < _MIN_EXPECTED:
             tail_mass += p
             tail_count += c
             continue

@@ -6,14 +6,25 @@ seeds so the suite stays reproducible.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import pdtr
 
+import mgcp
+from mgcp import subordinators as subs
 from mgcp.gcp import RateMatrix, mgcp_mean, mgcp_pmf
 from mgcp.montecarlo import (
     EstimateReport,
+    _pmf_counts,
+    _poisson_inverse,
+    _uniform_budget,
+    _uniform_window,
     estimate_codifference,
     estimate_covariance,
     estimate_pmf,
@@ -31,6 +42,7 @@ from mgcp.variants import (
     Mgsfcp,
     Mgstfcp,
     Tempered,
+    clock_spec,
     codifference,
     covariance,
     variant_pgf,
@@ -141,6 +153,37 @@ class TestEstimatePmf:
         with pytest.raises(ValueError):
             estimate_pmf(Mgcp(), FIG1, 1.0, (3, 3), 2000, seed=1, workers=0)
 
+    def test_near_empty_cells_pool_into_tail(self):
+        # cell (6,1) expects 0.6 draws, too few for a normal z-score
+        report = estimate_pmf(Tempered(0.6, 1.0), FIG1, 1.0, (6, 6), 10**5, seed=41)
+        assert report.passed
+        for label, analytic, est, se, z in report.cells[:-1]:
+            assert 10**5 * analytic >= 5.0
+
+    def test_huge_mean_lands_in_tail(self):
+        # at a Poisson mean of 1e12 every jump total lands on the box cap
+        report = estimate_pmf(Mgcp(), ONE, 1e12, (3,), 1000, seed=1)
+        assert report.cells == (("tail", 1.0, 1.0, 0.0, 0.0),)
+        assert report.passed
+
+    def test_heavy_stable_clock_finishes(self):
+        # alpha=0.2 clock values reach Poisson means near 1e18; a stall
+        # there must fail the suite, not hang it, so the call runs in a
+        # child under a timeout
+        code = (
+            "from mgcp import Mgsfcp, RateMatrix, estimate_pmf\n"
+            "r = estimate_pmf(Mgsfcp(0.2), RateMatrix([[0.5], [0.5, 0.5]]),"
+            " 1.0, (3, 3), 10**4, seed=1)\n"
+            "assert r.passed, r.max_abs_z\n"
+        )
+        src = str(Path(mgcp.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, timeout=60, capture_output=True
+        )
+        assert done.returncode == 0, done.stderr.decode()
+
     def test_report_to_dict(self):
         report = estimate_pmf(Mgcp(), ONE, 0.5, (3,), 2000, seed=3)
         doc = report.to_dict()
@@ -150,6 +193,84 @@ class TestEstimatePmf:
         assert {"label", "analytic", "estimate", "se", "z"} == set(
             doc["cells"][0]
         )
+
+
+U_GRID = (1e-300, 1e-8, 0.3, 0.5, 0.999, 1.0 - 1e-16)
+MU_GRID = (0.0, 1e-3, 0.5, 1.5, 30.0, 1e3, 1e6)
+
+
+class TestPoissonInverse:
+    @pytest.mark.parametrize("cap", [1, 8, 40, 10**4])
+    def test_matches_scipy_ppf(self, cap):
+        u, mu = (np.array(g, dtype=float).ravel() for g in np.meshgrid(U_GRID, MU_GRID))
+        want = stats.poisson.ppf(u, mu)
+        assert np.all(np.isfinite(want))
+        got = _poisson_inverse(u, mu, cap)
+        np.testing.assert_array_equal(got, np.minimum(want, cap))
+
+    def test_smallest_k_reaching_u(self):
+        u, mu = (np.array(g, dtype=float).ravel() for g in np.meshgrid(U_GRID, MU_GRID))
+        k = _poisson_inverse(u, mu, 10**8)
+        assert np.all(pdtr(k, mu) >= u)
+        assert np.all((k == 0) | (pdtr(k - 1, mu) < u))
+
+    def test_huge_or_infinite_mean_is_capped(self):
+        mu = np.array([1e12, 1e19, np.inf, np.nan])
+        for u in U_GRID:
+            got = _poisson_inverse(np.full(mu.size, u), mu, 4)
+            np.testing.assert_array_equal(got, 4)
+
+
+def _scipy_states(v, rates, t, u):
+    """The state map as it stood on scipy's Poisson ppf, uncapped."""
+    spec = clock_spec(v)
+    if spec is None:
+        operational = np.full(u.shape[0], float(t))
+        col = 0
+    else:
+        col = subs.clock_budget(spec, t)
+        operational = subs.clock_from_uniforms(spec, t, u[:, :col])
+    out = np.empty((u.shape[0], rates.q), dtype=np.int64)
+    for i, row in enumerate(rates.rows):
+        total = math.fsum(row)
+        remaining = stats.poisson.ppf(
+            subs._interior(u[:, col]), total * operational
+        ).astype(np.int64)
+        col += 1
+        counts = np.zeros(u.shape[0], dtype=np.int64)
+        rest = total
+        live = [j for j, lam in enumerate(row, start=1) if lam > 0.0]
+        for j in live[:-1]:
+            lam = row[j - 1]
+            taken = stats.binom.ppf(
+                subs._interior(u[:, col]), remaining, lam / rest
+            ).astype(np.int64)
+            col += 1
+            counts += j * taken
+            remaining -= taken
+            rest -= lam
+        if live:
+            counts += live[-1] * remaining
+        out[:, i] = counts
+    return out
+
+
+@pytest.mark.parametrize(
+    "v", [Mgcp(), Mgsfcp(0.7), Tempered(0.6, 1.0), GammaTC(1.0, 2.0)],
+    ids=lambda v: type(v).__name__,
+)
+@pytest.mark.parametrize("box", [(6, 6), (1, 3)])
+def test_counts_match_scipy_ppf_mapping(v, box):
+    dims = np.asarray(box, dtype=np.int64) + 1
+    m = _uniform_budget(v, FIG1, 1.0)
+    lo, hi = 300, 5300
+    samples = _scipy_states(v, FIG1, 1.0, _uniform_window(17, lo, hi, m))
+    inside = np.all(samples < dims, axis=1)
+    flat = np.ravel_multi_index(tuple(samples[inside].T), tuple(dims))
+    want = np.bincount(flat, minlength=int(dims.prod()))
+    counts, outside = _pmf_counts(v, FIG1, 1.0, 17, lo, hi, m, dims)
+    np.testing.assert_array_equal(counts, want)
+    assert outside == hi - lo - inside.sum()
 
 
 class TestEstimateCovariance:
