@@ -21,10 +21,9 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .compositions import joint_compositions
-from .gcp import pgf_symbol
+from .gcp import _check_state, pgf_symbol
 from .specfun import mittag_leffler
-from .variants import _joint_weight
+from .variants import _profile_sum
 from . import subordinators as subs
 
 _NAMED_CLOCKS = (subs.Stable, subs.TemperedStable, subs.GammaSub, subs.InverseGaussian)
@@ -196,29 +195,22 @@ def tcgcp_transition_rate(rates, m, lbar):
     rate = sum over compositions of prod(lam^x / x!) * I_Z with
     I_Z = int e^(-lam r) r^Z mu(dr), Z the total jump count.
     """
-    if len(lbar) != rates.q:
-        raise ValueError("state vector length must equal q")
-    if any(n < 0 for n in lbar):
-        raise ValueError("state entries must be non-negative")
+    _check_state(rates, lbar)
     if not any(lbar):
         raise ValueError("lbar must be a non-zero jump")
     lam = rates.total
     mu = _density_fn(m)
     tail_top = _tail_top(m)
-    cache = {}
-    total = 0.0
-    for joint in joint_compositions(rates.ks, lbar):
-        w, z = _joint_weight(rates.rows, joint, 1.0)
-        if w == 0.0:
-            continue
-        if z not in cache:
-            cache[z] = _integral(
-                lambda r: math.exp(-lam * r) * r**z * mu(r),
-                _origin_exponent(m, z),
-                tail_top,
-            )
-        total += w * cache[z]
-    return total
+
+    def ktilde(z):
+        i_z = _integral(
+            lambda r: math.exp(-lam * r) * r**z * mu(r),
+            _origin_exponent(m, z),
+            tail_top,
+        )
+        return i_z * lam**z / math.factorial(z)
+
+    return _profile_sum(rates, lbar, ktilde)
 
 
 def tcgcp_pgf(rates, m, ubar, t):

@@ -1,10 +1,19 @@
-"""Weighted-composition index sets.
+"""Weighted-composition index sets and the jump-count profile.
 
-Omega(k, n) = {(x_1, ..., x_k) : sum_j j*x_j = n} indexes every pmf
-series in this package: x_j counts jumps of size j.
+Omega(k, n) = {(x_1, ..., x_k) : sum_j j*x_j = n}: x_j counts jumps of
+size j.  Every pmf, Levy atom and shock-model series in this package is
+a sum over joint compositions that depends on them only through
+prod (c lambda_ij)^x / x! and the total jump count Z; jump_profile
+collapses that sum to a sum over Z.  enumerate_compositions and
+joint_compositions list the sets themselves, for tests and callers
+that need them.
 """
 
 import itertools
+import math
+from functools import lru_cache
+
+import numpy as np
 
 
 def enumerate_compositions(k, n):
@@ -36,3 +45,70 @@ def joint_compositions(ks, ns):
         raise ValueError("ks and ns must have equal length")
     per = [tuple(enumerate_compositions(k, n)) for k, n in zip(ks, ns)]
     return itertools.product(*per)
+
+
+def _table_size(z):
+    """Tables come in powers of two, so deeper states reuse them."""
+    return max(32, 1 << (z - 1).bit_length())
+
+
+@lru_cache(maxsize=32)
+def _powers(probs, zmax):
+    """(lo, hi, P) with P[z][m] = S[z * lo + m, z] for one row of jump probabilities.
+
+    S[n, z] = sum_j probs[j-1] * S[n-j, z-1], S[0, 0] = 1, is the chance
+    that z jumps drawn from probs add up to n: the coefficient of s^n in
+    (sum_j probs[j-1] s^j)^z.  Power z, z <= zmax, is kept on its support
+    n = z*lo .. z*hi, lo and hi the smallest and largest sizes with
+    positive probability, so a row with one jump size costs O(zmax).
+    Power z does not depend on zmax: every table size agrees bit for bit.
+    """
+    sizes = [j for j, p in enumerate(probs, start=1) if p > 0.0]
+    lo, hi = sizes[0], sizes[-1]
+    step = np.array(probs[lo - 1 : hi])
+    powers = [np.ones(1)]
+    for _ in range(zmax):
+        powers.append(np.convolve(powers[-1], step))
+    for power in powers:
+        power.flags.writeable = False
+    return lo, hi, tuple(powers)
+
+
+@lru_cache(maxsize=4096)
+def _column(row, n):
+    """(z0, v) with S[n, z0 + m] = v[m], the row's own rates as probabilities."""
+    total = math.fsum(row)
+    lo, hi, powers = _powers(tuple(x / total for x in row), _table_size(n))
+    z0, z1 = -(-n // hi), n // lo
+    return z0, tuple(powers[z].item(n - z * lo) for z in range(z0, z1 + 1))
+
+
+def jump_profile(rates, nbar):
+    """The scaled jump-count profile of the state nbar, as (z0, S).
+
+    S[m] = z! * sum over the joint compositions of nbar with z = z0 + m
+    jumps of prod (lambda_ij / Lambda)^x / x!, Lambda the total rate: the
+    chance that z jumps drawn with probabilities lambda_ij / Lambda land
+    on nbar.  It lies in [0, 1] and forms no factorial, so deep states
+    neither overflow nor underflow to a spurious zero.  Any composition
+    sum of prod (c lambda_ij)^x / x! * K(Z) equals
+    sum_z S[z] * (c Lambda)^z K(z) / z!.
+
+    Each component's column comes from the table of its own row; columns
+    join by the binomial convolution S[z] = sum_y C(z, y) p^(z-y)
+    (1-p)^y S_a[z-y] S_b[y], p the rate share joined so far, whose weights
+    are the table of the two-size row (p, 1-p).
+    """
+    z0, out, mass = 0, (1.0,), 0.0
+    for row, total, n in zip(rates.rows, rates.row_totals, nbar):
+        c0, col = _column(row, n)
+        if mass:
+            shares = (mass / (mass + total), total / (mass + total))
+            _, _, binom = _powers(shares, _table_size(z0 + c0 + len(out) + len(col)))
+            joined = [0.0] * max(0, len(out) + len(col) - 1)
+            for m, a in enumerate(out):
+                for k, b in enumerate(col):
+                    joined[m + k] += binom[z0 + m + c0 + k].item(c0 + k) * a * b
+            col = joined
+        z0, out, mass = z0 + c0, col, mass + total
+    return z0, out

@@ -8,12 +8,15 @@ laws.
 
 The series over threshold values needs the pmf aggregated over all
 states with a given total.  That aggregate is built from a signed table
-B[n, Z] (total count n, total jump count Z, scaled by Z! so entries
-stay in [-1, 1]) folded together with the finite-difference table
-D[x, Z] = sum_y (-1)^y C(x,y) C(alpha y, Z); both depend only on
-(rates, alpha) and are cached.
+B[n, Z] (total count n, total jump count Z): (-1)^Z times the
+jump-count profile of the one-row rates pooled by jump size, so entries
+stay in [-1, 1].  It is folded together with the
+finite-difference table D[x, Z] = sum_y (-1)^y C(x,y) C(alpha y, Z);
+both depend only on (rates, alpha) and are cached.  hazard_rate runs
+the same profile against its own double sum per jump count.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,8 +26,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .gcp import RateMatrix
-from .compositions import joint_compositions
+from .gcp import RateMatrix, _check_state
+from .compositions import jump_profile
 from .specfun import (
     TruncationWarning,
     falling_factorial,
@@ -32,7 +35,7 @@ from .specfun import (
     generalized_sine_integral,
     incomplete_beta,
 )
-from .variants import Mgsfcp, _joint_weight, variant_pmf, variant_transition_rate
+from .variants import Mgsfcp, _profile_sum, variant_pmf, variant_transition_rate
 
 _NMAX_START = 32
 _NMAX_CAP = 512
@@ -151,32 +154,21 @@ def _tables(rates, alpha, nmax):
     """(B, D, U): the scaled level table and finite-difference tables.
 
     B[n, Z] = Z! * sum over mixed compositions of total n with Z jumps
-    of prod (-lam_ij/lam)^x / x!; |B| <= 1 by the multinomial theorem.
+    of prod (-lam_ij/lam)^x / x!: (-1)^Z times the jump-count profile of
+    the rates pooled by jump size, so |B| <= 1.
     D[x, Z] = sum_y (-1)^y C(x,y) C(alpha y, Z), exactly zero for x > Z.
     U[Z] = sum_x D[x, Z].
     """
     size = nmax + 1
-    b = np.zeros((size, size))
-    b[0, 0] = 1.0
-    lam = rates.total
+    by_size = itertools.zip_longest(*rates.rows, fillvalue=0.0)
+    pooled = RateMatrix([map(math.fsum, by_size)])
     zs = np.arange(size)
-    for row in rates.rows:
-        for j, rate in enumerate(row, start=1):
-            if rate == 0.0:
-                continue
-            rho = rate / lam
-            out = np.zeros_like(b)
-            for m in range(nmax // j + 1):
-                if m > nmax:
-                    break
-                cols = zs[m:]
-                binom = np.exp(
-                    gammaln(cols + 1) - gammaln(m + 1) - gammaln(cols - m + 1)
-                )
-                out[j * m :, m:] += ((-rho) ** m * binom) * b[
-                    : size - j * m, : size - m
-                ]
-            b = out
+    signs = np.where(zs % 2 == 0, 1.0, -1.0)
+    b = np.zeros((size, size))
+    for n in range(size):
+        z0, col = jump_profile(pooled, (n,))
+        b[n, z0 : z0 + len(col)] = col
+    b *= signs
     # C(alpha y, Z) by the column recurrence C(x, Z) = C(x, Z-1)(x-Z+1)/Z
     steps = (alpha * zs[:, None] - zs[None, :-1]) / zs[None, 1:]
     cb = np.ones((size, size))
@@ -186,7 +178,7 @@ def _tables(rates, alpha, nmax):
     for x in range(1, size):
         pascal[x, 0] = 1.0
         pascal[x, 1:] = pascal[x - 1, 1:] + pascal[x - 1, :-1]
-    signed = pascal * np.where(zs[None, :] % 2 == 0, 1.0, -1.0)
+    signed = pascal * signs
     d = np.triu(signed @ cb)
     return b, d, d.sum(axis=0)
 
@@ -242,14 +234,11 @@ def hazard_rate(model, i, l, nbar, t):
         raise ValueError("jump size out of range")
     if t <= 0:
         raise ValueError("t must be positive")
+    _check_state(rates, nbar)
     alpha = model.alpha
-    lam = rates.total
-    a = lam**alpha * t
-    total = 0.0
-    for joint in joint_compositions(rates.ks, nbar):
-        w, z = _joint_weight(rates.rows, joint, -1.0 / lam)
-        if w == 0.0:
-            continue
+    a = rates.total**alpha * t
+
+    def ktilde(z):
         inner = 0.0
         apow = 1.0
         for x in range(z + 1):
@@ -260,7 +249,9 @@ def hazard_rate(model, i, l, nbar, t):
                 )
             inner += apow * diff
             apow *= a / (x + 1.0)
-        total += w * inner
+        return (-1.0) ** z * inner / math.factorial(z)
+
+    total = _profile_sum(rates, nbar, ktilde)
     numer = _jump_rates(rates, alpha, i)[0][l - 1] * math.exp(-a) * total
     denom = variant_pmf(Mgsfcp(alpha), rates, nbar, t)
     if denom <= 0.0:

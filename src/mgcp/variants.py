@@ -1,8 +1,11 @@
 """Time-changed MGCP variants: pmf, pgf, rates, covariance, codifference.
 
-Seven variants share one composition machinery.  The four driven by
-Levy clocks (space-fractional, tempered, gamma, inverse Gaussian) have
-constant transition rates and atomic Levy measures; the two driven by
+Every pmf and transition rate here is a sum over the jump compositions
+of the state that depends on them only through the total jump count z;
+compositions.jump_profile collapses it to a sum over z, and each route
+supplies its own kernel K(z).  The four variants driven by Levy clocks
+(space-fractional, tempered, gamma, inverse Gaussian) have constant
+transition rates and atomic Levy measures; the two driven by
 inverse-stable clocks (time-fractional and space-time-fractional) do
 not, and only offer pmf/pgf/codifference.
 
@@ -16,10 +19,13 @@ from dataclasses import dataclass
 
 from scipy.special import gammaln
 
-from .compositions import joint_compositions
-from .gcp import component_symbol, mgcp_pmf, pgf_symbol
+from .compositions import jump_profile
+from .gcp import _check_state, component_symbol, mgcp_pmf, pgf_symbol
 from .specfun import _Accumulator, _config, falling_factorial, mittag_leffler, wright_1_1
 from . import subordinators as subs
+
+# largest z with z! in double range
+_MAX_FACTORIAL = 170
 
 
 @dataclass(frozen=True)
@@ -140,53 +146,32 @@ def clock_spec(v):
     raise ValueError("unknown variant %r" % (v,))
 
 
-def _check_state(rates, nbar):
-    if len(nbar) != rates.q:
-        raise ValueError("state vector length must equal q")
-    if any(n < 0 for n in nbar):
-        raise ValueError("state entries must be non-negative")
+def _profile_sum(rates, nbar, ktilde):
+    """sum_z S[nbar, z] * ktilde(z) over the jump counts the state admits.
 
-
-def _joint_weight(rows, joint, c):
-    """prod over components and sizes of (c*lambda_ij)^x / x!, plus total jumps Z."""
-    w = 1.0
-    z = 0
-    for row, comp in zip(rows, joint):
-        for lam, x in zip(row, comp):
-            if x:
-                if lam == 0.0:
-                    return 0.0, 0
-                if x > 170:
-                    # x! leaves double range; don't build the big int
-                    raise OverflowError("factorial overflow")
-                w *= (c * lam) ** x / math.factorial(x)
-                z += x
-    return w, z
-
-
-def _log_weight(rows, joint, log_c):
-    """log |_joint_weight| for compositions too deep for the float path."""
-    s = 0.0
-    z = 0
-    for row, comp in zip(rows, joint):
-        for lam, x in zip(row, comp):
-            if x:
-                if lam == 0.0:
-                    return None, 0
-                s += x * (log_c + math.log(lam)) - gammaln(x + 1.0)
-                z += x
-    return s, z
+    ktilde(z) = (c Lambda)^z K(z) / z! is the scaled jump-count kernel of
+    a composition sum with weights (c lambda_ij)^x / x!.
+    """
+    z0, s = jump_profile(rates, nbar)
+    return math.fsum(v * ktilde(z0 + m) for m, v in enumerate(s) if v)
 
 
 def _state_series(a, z, slope, beta_denom, cfg, label):
-    """sum_r (-a)^r / Gamma(beta_denom r + 1) * (slope r)_z  (falling factorial).
+    """sum_r (-a)^r / Gamma(beta_denom r + 1) * C(slope r, z)  (binomial).
 
-    The inner r-series of the fractional pmfs, per fixed composition.
+    The inner r-series of the fractional pmfs, per jump count z: the
+    falling factorial (slope r)_z over z!, divided once while z! is a
+    double and spread over the factors past that.
     """
+    zfact = float(math.factorial(z)) if z <= _MAX_FACTORIAL else None
     acc = _Accumulator(cfg, label)
     base = 1.0
     for r in range(cfg.max_terms):
-        term = base * falling_factorial(slope * r, z)
+        x = slope * r
+        if zfact:
+            term = base * falling_factorial(x, z) / zfact
+        else:
+            term = base * math.prod((x - m) / (m + 1) for m in range(z))
         if acc.add(term):
             break
         u = beta_denom * r + 1.0
@@ -197,9 +182,9 @@ def _state_series(a, z, slope, beta_denom, cfg, label):
 def variant_pmf(v, rates, nbar, t, cfg=None):
     """P{variant state = nbar at time t} by the closed-form series.
 
-    The series carries z! against 1/z! weights, so very deep states
-    (total jump count past roughly 170) leave double range; those
-    raise ValueError rather than returning garbage.
+    States that need more than 170 jumps in one component raise
+    ValueError, as does the time-fractional route once 1/Gamma(beta z + 1)
+    leaves double range: no value is better than garbage there.
     """
     _check_state(rates, nbar)
     if t < 0:
@@ -218,39 +203,32 @@ def _pmf_series(v, rates, nbar, t, cfg):
     v = _reduce(v)
     if isinstance(v, Mgcp):
         return mgcp_pmf(rates, nbar, t)
+    for row, n in zip(rates.rows, nbar):
+        smallest = next(j for j, lam in enumerate(row, start=1) if lam > 0.0)
+        if n // smallest > _MAX_FACTORIAL:
+            raise OverflowError("more than %d jumps in one component" % _MAX_FACTORIAL)
     lam = rates.total
-    rows = rates.rows
-    joints = joint_compositions(rates.ks, nbar)
 
     if isinstance(v, Mgfcp):
         b = v.beta
-        arg = -lam * t**b
-        cache = {}
-        total = 0.0
-        for joint in joints:
-            w, z = _joint_weight(rows, joint, t**b)
-            if w == 0.0:
-                continue
-            if z not in cache:
-                cache[z] = math.factorial(z) * mittag_leffler(
-                    b, b * z + 1.0, z + 1.0, arg, cfg
-                )
-            total += w * cache[z]
-        return total
+        x = lam * t**b
+
+        def ktilde(z):
+            if b * z > _MAX_FACTORIAL:
+                raise OverflowError("1/Gamma(beta z + 1) underflows")
+            return x**z * mittag_leffler(b, b * z + 1.0, z + 1.0, -x, cfg)
+
+        return _profile_sum(rates, nbar, ktilde)
 
     if isinstance(v, GammaTC):
         r = lam + v.a
         bt = v.b * t
-        cache = {}
-        total = 0.0
-        for joint in joints:
-            w, z = _joint_weight(rows, joint, 1.0 / r)
-            if w == 0.0:
-                continue
-            if z not in cache:
-                # rising factorial (bt)(bt+1)...(bt+z-1)
-                cache[z] = math.exp(gammaln(bt + z) - gammaln(bt))
-            total += w * cache[z]
+
+        def ktilde(z):
+            # (lam/r)^z (bt)(bt+1)...(bt+z-1) / z!
+            return math.prod((bt + k) * lam / (r * (k + 1)) for k in range(z))
+
+        total = _profile_sum(rates, nbar, ktilde)
         return total * math.exp(bt * (math.log(v.a) - math.log(r)))
 
     if isinstance(v, Mgsfcp):
@@ -272,16 +250,10 @@ def _pmf_series(v, rates, nbar, t, cfg):
     else:
         raise ValueError("unknown variant %r" % (v,))
 
-    cache = {}
-    total = 0.0
-    for joint in joints:
-        w, z = _joint_weight(rows, joint, c)
-        if w == 0.0:
-            continue
-        if z not in cache:
-            cache[z] = _state_series(a, z, slope, bden, cfg, "variant_pmf")
-        total += w * cache[z]
-    return pref * total
+    def ktilde(z):
+        return (c * lam) ** z * _state_series(a, z, slope, bden, cfg, "variant_pmf")
+
+    return pref * _profile_sum(rates, nbar, ktilde)
 
 
 def variant_pmf_wright(v, rates, nbar, t, cfg=None):
@@ -310,16 +282,12 @@ def variant_pmf_wright(v, rates, nbar, t, cfg=None):
     else:
         raise ValueError("Wright form exists only for Mgsfcp and Tempered")
     arg = -(denom**alpha) * t
-    cache = {}
-    total = 0.0
-    for joint in joint_compositions(rates.ks, nbar):
-        w, z = _joint_weight(rates.rows, joint, -1.0 / denom)
-        if w == 0.0:
-            continue
-        if z not in cache:
-            cache[z] = wright_1_1(1.0, alpha, 1.0 - z, alpha, arg, cfg)
-        total += w * cache[z]
-    return pref * total
+
+    def ktilde(z):
+        kz = wright_1_1(1.0, alpha, 1.0 - z, alpha, arg, cfg)
+        return kz * (-lam / denom) ** z / math.factorial(z)
+
+    return pref * _profile_sum(rates, nbar, ktilde)
 
 
 def _transform(v, w, t):
@@ -367,68 +335,33 @@ def variant_transition_rate(v, rates, mbar):
         i, j = hot[0]
         return rates.rows[i][j - 1] if j <= rates.ks[i] else 0.0
 
-    if isinstance(v, (Mgsfcp, Tempered)):
-        denom = rates.total + (v.theta if isinstance(v, Tempered) else 0.0)
-        alpha = v.alpha
+    lam = rates.total
+    if isinstance(v, GammaTC):
 
-        def zfac(z):
-            return -(denom**alpha) * falling_factorial(alpha, z)
+        def ktilde(z):
+            # (lam / (lam + a))^z b (z-1)! / z!
+            return v.b * (lam / (lam + v.a)) ** z / z
 
-        def log_zfac(z):
-            # |-(denom^a) a (a-1) ... (a-z+1)|; its sign (-1)^z cancels
-            # against the (-1)^z carried by c^z, so terms are positive
-            return (
-                alpha * math.log(denom)
-                + math.log(alpha)
-                + gammaln(z - alpha)
-                - gammaln(1.0 - alpha)
-            )
+    elif isinstance(v, (Mgsfcp, Tempered, IgTC)):
+        # jump law r^(-1-alpha) e^(-tilt r) up to a scale; the inverse
+        # Gaussian clock is the alpha = 1/2 case
+        if isinstance(v, IgTC):
+            alpha, tilt, scale = 0.5, 0.5 * v.gamma**2, v.delta * math.sqrt(2.0)
+        else:
+            alpha, scale = v.alpha, 1.0
+            tilt = v.theta if isinstance(v, Tempered) else 0.0
+        denom = lam + tilt
+        # scale denom^alpha (lam/denom)^z |C(alpha, z)| with
+        # |C(alpha, z)| = alpha Gamma(z - alpha) / (Gamma(1 - alpha) z!)
+        front = scale * denom**alpha * alpha / math.gamma(1.0 - alpha)
+        log_ratio = math.log(lam / denom)
 
-        c = -1.0 / denom
-    elif isinstance(v, GammaTC):
-        denom = rates.total + v.a
+        def ktilde(z):
+            return front * math.exp(z * log_ratio + gammaln(z - alpha) - gammaln(z + 1.0))
 
-        def zfac(z):
-            return v.b * math.factorial(z - 1)
-
-        def log_zfac(z):
-            return math.log(v.b) + gammaln(z)
-
-        c = 1.0 / denom
-    elif isinstance(v, IgTC):
-        s2 = 2.0 * rates.total + v.gamma**2
-        front = v.delta * math.sqrt(s2) / (2.0 * math.sqrt(math.pi))
-
-        def zfac(z):
-            return front * math.exp(gammaln(z - 0.5))
-
-        def log_zfac(z):
-            return math.log(front) + gammaln(z - 0.5)
-
-        c = 2.0 / s2
     else:
         raise ValueError("unknown variant %r" % (v,))
-
-    # every composition contributes a positive term (the sign of c^z
-    # matches the sign of zfac), so deep jumps can drop to log space
-    # without tracking cancellation
-    log_c = math.log(abs(c))
-    total = 0.0
-    for joint in joint_compositions(rates.ks, mbar):
-        try:
-            w, z = _joint_weight(rates.rows, joint, c)
-            if w == 0.0:
-                continue
-            term = w * zfac(z)
-            if not math.isfinite(term):
-                raise OverflowError("term overflow")
-        except OverflowError:
-            logw, z = _log_weight(rates.rows, joint, log_c)
-            if logw is None:
-                continue
-            term = math.exp(logw + log_zfac(z))
-        total += term
-    return total
+    return _profile_sum(rates, mbar, ktilde)
 
 
 def holding_rate(v, rates):

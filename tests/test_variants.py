@@ -13,6 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from mgcp.compositions import enumerate_compositions
 from mgcp.gcp import RateMatrix, component_symbol, mgcp_pmf
 from mgcp.specfun import mittag_leffler
 from mgcp.subordinators import (
@@ -253,6 +254,65 @@ def test_deep_state_raises_cleanly():
         variant_pmf(Mgsfcp(0.7), ONE, (300,), 1.0)
     with pytest.raises(ValueError, match="too deep"):
         variant_pmf(GammaTC(1.0, 1.0), ONE, (400,), 1.0)
+
+
+def _mp_composition_sum(rates, nbar, c, kernel):
+    """sum over joint compositions of prod (c lam)^x / x! * kernel(Z) in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    total = mpmath.mpf(0)
+    per = [list(enumerate_compositions(k, n)) for k, n in zip(rates.ks, nbar)]
+    for joint in itertools.product(*per):
+        w, z = mpmath.mpf(1), 0
+        for row, comp in zip(rates.rows, joint):
+            for lam, x in zip(row, comp):
+                if x:
+                    w *= (c * mpmath.mpf(lam)) ** x / mpmath.factorial(x)
+                    z += x
+        total += w * kernel(z)
+    return total
+
+
+@pytest.mark.parametrize("mbar", [(150, 150), (0, 300)])
+def test_deep_stable_atom_matches_mpmath(mbar):
+    """Deep mixed compositions: each float weight underflows, the atom does not."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lam, a = mpmath.mpf(FIG1.total), mpmath.mpf("0.7")
+        want = _mp_composition_sum(
+            FIG1, mbar, -1 / lam, lambda z: -(lam**a) * mpmath.ff(a, z)
+        )
+        got = variant_transition_rate(Mgsfcp(0.7), FIG1, mbar)
+        assert abs(got - want) <= 1e-10 * want
+
+
+def test_deep_gamma_pmf_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        r = mpmath.mpf(FIG1.total) + 1
+        want = _mp_composition_sum(
+            FIG1, (100, 100), 1 / r, lambda z: mpmath.rf(2, z)
+        ) / r**2
+        got = variant_pmf(GammaTC(1.0, 2.0), FIG1, (100, 100), 1.0)
+        assert abs(got - want) <= 1e-10 * want
+
+
+def test_deep_series_pmf_frozen():
+    # mpmath at 50 digits: the sum over the joint compositions of
+    # (150, 150) of prod (-lam_ij/1.5)^x / x! * K(Z) with
+    # K(Z) = sum_{r<400} (-1.5^0.7)^r / r! * ff(0.7 r, Z)
+    want = 2.8913648483074278e-22
+    got = variant_pmf(Mgsfcp(0.7), FIG1, (150, 150), 1.0)
+    assert abs(got - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize(
+    "v", [Mgsfcp(0.7), Tempered(0.6, 1.0), GammaTC(1.0, 2.0), IgTC(1.0, 1.5)],
+    ids=vid,
+)
+def test_no_zero_atom_in_deep_sweep(v):
+    for n in range(1, 301):
+        for mbar in ((n, 0), (0, n), (n, n)):
+            assert variant_transition_rate(v, FIG1, mbar) > 0.0, mbar
 
 
 def test_pgf_validates_arguments():
