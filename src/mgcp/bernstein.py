@@ -26,8 +26,6 @@ from .specfun import mittag_leffler
 from .variants import _profile_sum
 from . import subordinators as subs
 
-_NAMED_CLOCKS = (subs.Stable, subs.TemperedStable, subs.GammaSub, subs.InverseGaussian)
-
 
 class QuadratureError(RuntimeError):
     """An integral against the Levy measure could not be trusted."""
@@ -35,13 +33,28 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class Named:
-    """A measure belonging to one of the four Levy clocks."""
+    """A measure belonging to one of the four Levy clocks.
+
+    It offers density, singularity_exponent and decay_rate as Custom
+    does, read off the clock; decay_rate is None, so tails run to
+    infinity.
+    """
 
     spec: object
+    decay_rate = None
 
     def __post_init__(self):
-        if not isinstance(self.spec, _NAMED_CLOCKS):
-            raise ValueError("spec must be a Levy subordinator with a density")
+        try:
+            subs.levy_singularity_exponent(self.spec)
+        except ValueError as exc:
+            raise ValueError("spec must be a Levy subordinator with a density") from exc
+
+    @property
+    def singularity_exponent(self):
+        return subs.levy_singularity_exponent(self.spec)
+
+    def density(self, s):
+        return subs.levy_density(self.spec, s)
 
 
 @dataclass(frozen=True)
@@ -66,13 +79,11 @@ class Custom:
         if self.decay_rate is not None and self.decay_rate <= 0:
             raise ValueError("decay rate must be positive")
         # the defining requirement int (1 ^ s) mu(ds) < inf
-        exponent = None
-        if self.singularity_exponent is not None:
-            exponent = -self.singularity_exponent
-        tail_top = 1.0 + 40.0 / self.decay_rate if self.decay_rate else np.inf
         try:
-            head, head_err = _head(lambda s: s * self.density(s), exponent)
-            tail, tail_err = _quad(self.density, 1.0, tail_top)
+            head, head_err = _head(
+                lambda s: s * self.density(s), _origin_exponent(self, 1)
+            )
+            tail, tail_err = _quad(self.density, 1.0, _tail_top(self))
         except (QuadratureError, OverflowError) as exc:
             raise ValueError("density is not an integrable Levy measure") from exc
         total = head + tail
@@ -80,26 +91,14 @@ class Custom:
             raise ValueError("density is not an integrable Levy measure")
 
 
-def _density_fn(m):
-    if isinstance(m, Named):
-        spec = m.spec
-        return lambda s: subs.levy_density(spec, s)
-    return m.density
-
-
 def _origin_exponent(m, power):
-    """Exponent e with integrand ~ s^e at 0, or None when undeclared."""
-    if isinstance(m, Named):
-        return power - 1.0 - subs.levy_singularity_exponent(m.spec)
-    if m.singularity_exponent is not None:
-        return power - 1.0 - m.singularity_exponent
-    return None
+    """Exponent e with s^power * density ~ s^e at 0, or None when undeclared."""
+    rho = m.singularity_exponent
+    return None if rho is None else power - 1.0 - rho
 
 
 def _tail_top(m):
-    if isinstance(m, Custom) and m.decay_rate:
-        return 1.0 + 40.0 / m.decay_rate
-    return np.inf
+    return 1.0 + 40.0 / m.decay_rate if m.decay_rate else np.inf
 
 
 def _quad(fn, lo, hi):
@@ -163,7 +162,7 @@ def bernstein_f(m, s):
         return 0.0
     if isinstance(m, Named):
         return subs.laplace_exponent(m.spec, s)
-    mu = _density_fn(m)
+    mu = m.density
     return _integral(
         lambda r: -math.expm1(-s * r) * mu(r), _origin_exponent(m, 1), _tail_top(m)
     )
@@ -183,7 +182,7 @@ def g_lambda_u(rates, m, ubar):
     w = pgf_symbol(rates, ubar)
     if w == 0.0:
         return 0.0
-    mu = _density_fn(m)
+    mu = m.density
     return _integral(
         lambda r: -math.expm1(-w * r) * mu(r), _origin_exponent(m, 1), _tail_top(m)
     )
@@ -199,7 +198,7 @@ def tcgcp_transition_rate(rates, m, lbar):
     if not any(lbar):
         raise ValueError("lbar must be a non-zero jump")
     lam = rates.total
-    mu = _density_fn(m)
+    mu = m.density
     tail_top = _tail_top(m)
 
     def ktilde(z):

@@ -53,26 +53,25 @@ def _parse_model(text):
         raise ValueError("model: %s" % exc) from exc
 
 
+# --variant name -> (its parameter flags in constructor order, constructor)
+_VARIANTS = {
+    "mgcp": ((), variants.Mgcp),
+    "mgsfcp": (("alpha",), variants.Mgsfcp),
+    "mgfcp": (("beta",), variants.Mgfcp),
+    "mgstfcp": (("alpha", "beta"), variants.Mgstfcp),
+    "tempered": (("alpha", "theta"), variants.Tempered),
+    "gamma": (("a", "b"), variants.GammaTC),
+    "ig": (("delta", "gamma"), variants.IgTC),
+}
+
+
 def _build_variant(args):
     name = args.variant
+    flags, make = _VARIANTS[name]
     try:
-        if name == "mgcp":
-            return variants.Mgcp()
-        if name == "mgsfcp":
-            return variants.Mgsfcp(_req(args, "alpha"))
-        if name == "mgfcp":
-            return variants.Mgfcp(_req(args, "beta"))
-        if name == "mgstfcp":
-            return variants.Mgstfcp(_req(args, "alpha"), _req(args, "beta"))
-        if name == "tempered":
-            return variants.Tempered(_req(args, "alpha"), _req(args, "theta"))
-        if name == "gamma":
-            return variants.GammaTC(_req(args, "a"), _req(args, "b"))
-        if name == "ig":
-            return variants.IgTC(_req(args, "delta"), _req(args, "gamma"))
+        return make(*[_req(args, flag) for flag in flags])
     except ValueError as exc:
         raise ValueError("variant %s: %s" % (name, exc)) from exc
-    raise ValueError("unknown variant %r" % name)
 
 
 def _req(args, name):
@@ -367,18 +366,10 @@ def _add_common(p, t_default=1.0):
 
 
 def _add_variant_flags(p):
-    p.add_argument(
-        "--variant",
-        choices=("mgcp", "mgsfcp", "mgfcp", "mgstfcp", "tempered", "gamma", "ig"),
-        default="mgcp",
-    )
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--gamma", type=float)
+    p.add_argument("--variant", choices=tuple(_VARIANTS), default="mgcp")
+    # each parameter flag once, in order of first use
+    for flag in dict.fromkeys(f for flags, _ in _VARIANTS.values() for f in flags):
+        p.add_argument("--" + flag, type=float)
 
 
 def _build_parser():

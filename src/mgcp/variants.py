@@ -1,16 +1,17 @@
 """Time-changed MGCP variants: pmf, pgf, rates, covariance, codifference.
 
+Every variant is the base process run at a random clock (clock_spec):
+a Levy clock, optionally run at inverse beta-stable time, and every
+formula here follows from that clock.  A Levy clock with Laplace
+exponent f gives the pgf exp(-t f(w)), the holding rate f(Lambda),
+constant transition rates and an atomic Levy measure; at inverse-stable
+time the pgf becomes E_beta(-t^beta f(w)) and only pmf, pgf and
+codifference remain.
+
 Every pmf and transition rate here is a sum over the jump compositions
 of the state that depends on them only through the total jump count z;
 compositions.jump_profile collapses it to a sum over z, and each route
-supplies its own kernel K(z).  The four variants driven by Levy clocks
-(space-fractional, tempered, gamma, inverse Gaussian) have constant
-transition rates and atomic Levy measures; the two driven by
-inverse-stable clocks (time-fractional and space-time-fractional) do
-not, and only offer pmf/pgf/codifference.
-
-alpha = 1 and beta = 1 are exact branch points and dispatch to the
-underlying non-fractional formulas.
+supplies its own kernel K(z).
 """
 
 import cmath
@@ -107,38 +108,24 @@ class IgTC:
             raise ValueError("delta and gamma must be positive")
 
 
-def _reduce(v):
-    """Collapse alpha=1 / beta=1 branch points to the simpler variant."""
-    if isinstance(v, Mgsfcp) and v.alpha == 1.0:
-        return Mgcp()
-    if isinstance(v, Mgfcp) and v.beta == 1.0:
-        return Mgcp()
-    if isinstance(v, Mgstfcp):
-        if v.alpha == 1.0 and v.beta == 1.0:
-            return Mgcp()
-        if v.beta == 1.0:
-            return Mgsfcp(v.alpha)
-        if v.alpha == 1.0:
-            return Mgfcp(v.beta)
-    if isinstance(v, Tempered) and v.alpha == 1.0:
-        # Psi(s) = (s + theta) - theta = s: the clock is the identity
-        return Mgcp()
-    return v
-
-
 def clock_spec(v):
-    """The random clock driving the (reduced) variant; None for Mgcp."""
-    v = _reduce(v)
-    if isinstance(v, Mgcp):
-        return None
-    if isinstance(v, Mgsfcp):
-        return subs.Stable(v.alpha)
-    if isinstance(v, Mgfcp):
-        return subs.InverseStable(v.beta)
-    if isinstance(v, Mgstfcp):
-        return subs.StableTimeInverseStable(v.alpha, v.beta)
+    """The random clock driving the variant; None for the identity clock.
+
+    The one place that reads variant fields.  alpha = 1 and beta = 1 are
+    exact branch points: a stable or tempered clock at alpha = 1 is the
+    identity, and inverse-stable time at beta = 1 is plain time.
+    """
+    if isinstance(v, (Mgcp, Mgsfcp, Mgfcp, Mgstfcp)):
+        # each is Mgstfcp with its missing parameters at 1
+        alpha, beta = getattr(v, "alpha", 1.0), getattr(v, "beta", 1.0)
+        if beta == 1.0:
+            return None if alpha == 1.0 else subs.Stable(alpha)
+        if alpha == 1.0:
+            return subs.InverseStable(beta)
+        return subs.StableTimeInverseStable(alpha, beta)
     if isinstance(v, Tempered):
-        return subs.TemperedStable(v.alpha, v.theta)
+        # Psi(s) = (s + theta) - theta = s at alpha = 1
+        return None if v.alpha == 1.0 else subs.TemperedStable(v.alpha, v.theta)
     if isinstance(v, GammaTC):
         return subs.GammaSub(v.a, v.b)
     if isinstance(v, IgTC):
@@ -146,14 +133,45 @@ def clock_spec(v):
     raise ValueError("unknown variant %r" % (v,))
 
 
+def _split(v):
+    """(Levy clock or None for the identity, beta) of the variant's clock."""
+    clock = clock_spec(v)
+    if isinstance(clock, subs.InverseStable):
+        return None, clock.beta
+    if isinstance(clock, subs.StableTimeInverseStable):
+        return subs.Stable(clock.alpha), clock.beta
+    return clock, 1.0
+
+
+def _stable_form(clock):
+    """(alpha, tilt, scale) of a tempered-stable family clock, else None.
+
+    Exponent scale ((s + tilt)^alpha - tilt^alpha); the inverse Gaussian
+    clock is the tempered 1/2-stable one at scale delta sqrt(2).
+    """
+    if isinstance(clock, subs.Stable):
+        return clock.alpha, 0.0, 1.0
+    if isinstance(clock, subs.TemperedStable):
+        return clock.alpha, clock.theta, 1.0
+    if isinstance(clock, subs.InverseGaussian):
+        return 0.5, 0.5 * clock.gamma**2, clock.delta * math.sqrt(2.0)
+    return None
+
+
 def _profile_sum(rates, nbar, ktilde):
     """sum_z S[nbar, z] * ktilde(z) over the jump counts the state admits.
 
     ktilde(z) = (c Lambda)^z K(z) / z! is the scaled jump-count kernel of
-    a composition sum with weights (c lambda_ij)^x / x!.
+    a composition sum with weights (c lambda_ij)^x / x!.  A kernel that
+    leaves double range makes the state too deep: ValueError.
     """
     z0, s = jump_profile(rates, nbar)
-    return math.fsum(v * ktilde(z0 + m) for m, v in enumerate(s) if v)
+    try:
+        return math.fsum(v * ktilde(z0 + m) for m, v in enumerate(s) if v)
+    except OverflowError as exc:
+        raise ValueError(
+            "state %r is too deep for the double-precision series" % (nbar,)
+        ) from exc
 
 
 def _state_series(a, z, slope, beta_denom, cfg, label):
@@ -186,74 +204,7 @@ def variant_pmf(v, rates, nbar, t, cfg=None):
     ValueError, as does the time-fractional route once 1/Gamma(beta z + 1)
     leaves double range: no value is better than garbage there.
     """
-    _check_state(rates, nbar)
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if t == 0:
-        return 1.0 if not any(nbar) else 0.0
-    try:
-        return _pmf_series(v, rates, nbar, t, _config(cfg))
-    except OverflowError as exc:
-        raise ValueError(
-            "state %r is too deep for the double-precision pmf series" % (nbar,)
-        ) from exc
-
-
-def _pmf_series(v, rates, nbar, t, cfg):
-    v = _reduce(v)
-    if isinstance(v, Mgcp):
-        return mgcp_pmf(rates, nbar, t)
-    for row, n in zip(rates.rows, nbar):
-        smallest = next(j for j, lam in enumerate(row, start=1) if lam > 0.0)
-        if n // smallest > _MAX_FACTORIAL:
-            raise OverflowError("more than %d jumps in one component" % _MAX_FACTORIAL)
-    lam = rates.total
-
-    if isinstance(v, Mgfcp):
-        b = v.beta
-        x = lam * t**b
-
-        def ktilde(z):
-            if b * z > _MAX_FACTORIAL:
-                raise OverflowError("1/Gamma(beta z + 1) underflows")
-            return x**z * mittag_leffler(b, b * z + 1.0, z + 1.0, -x, cfg)
-
-        return _profile_sum(rates, nbar, ktilde)
-
-    if isinstance(v, GammaTC):
-        r = lam + v.a
-        bt = v.b * t
-
-        def ktilde(z):
-            # (lam/r)^z (bt)(bt+1)...(bt+z-1) / z!
-            return math.prod((bt + k) * lam / (r * (k + 1)) for k in range(z))
-
-        total = _profile_sum(rates, nbar, ktilde)
-        return total * math.exp(bt * (math.log(v.a) - math.log(r)))
-
-    if isinstance(v, Mgsfcp):
-        c, a, slope, bden, pref = -1.0 / lam, lam**v.alpha * t, v.alpha, 1.0, 1.0
-    elif isinstance(v, Mgstfcp):
-        c = -1.0 / lam
-        a = lam**v.alpha * t**v.beta
-        slope, bden, pref = v.alpha, v.beta, 1.0
-    elif isinstance(v, Tempered):
-        lt = lam + v.theta
-        c, a = -1.0 / lt, lt**v.alpha * t
-        slope, bden = v.alpha, 1.0
-        pref = math.exp(t * v.theta**v.alpha)
-    elif isinstance(v, IgTC):
-        s2 = 2.0 * lam + v.gamma**2
-        c, a = -2.0 / s2, v.delta * t * math.sqrt(s2)
-        slope, bden = 0.5, 1.0
-        pref = math.exp(v.delta * v.gamma * t)
-    else:
-        raise ValueError("unknown variant %r" % (v,))
-
-    def ktilde(z):
-        return (c * lam) ** z * _state_series(a, z, slope, bden, cfg, "variant_pmf")
-
-    return pref * _profile_sum(rates, nbar, ktilde)
+    return _pmf(_pmf_series, v, rates, nbar, t, cfg)
 
 
 def variant_pmf_wright(v, rates, nbar, t, cfg=None):
@@ -262,26 +213,82 @@ def variant_pmf_wright(v, rates, nbar, t, cfg=None):
     Only the space-fractional and tempered variants have this
     representation; it must agree with variant_pmf.
     """
+    return _pmf(_wright_series, v, rates, nbar, t, cfg)
+
+
+def _pmf(route, v, rates, nbar, t, cfg):
+    """The checks both pmf routes share; route(clock, beta, ...) does the rest."""
     _check_state(rates, nbar)
     if t < 0:
         raise ValueError("t must be non-negative")
     if t == 0:
         return 1.0 if not any(nbar) else 0.0
-    cfg = _config(cfg)
-    v = _reduce(v)
-    if isinstance(v, Mgcp):
-        return mgcp_pmf(rates, nbar, t)
+    clock, beta = _split(v)
+    try:
+        if clock is None and beta == 1.0:
+            return mgcp_pmf(rates, nbar, t)
+        return route(clock, beta, rates, nbar, t, _config(cfg))
+    except OverflowError as exc:
+        raise ValueError(
+            "state %r is too deep for the double-precision pmf series" % (nbar,)
+        ) from exc
+
+
+def _pmf_series(clock, beta, rates, nbar, t, cfg):
+    for row, n in zip(rates.rows, nbar):
+        smallest = next(j for j, lam in enumerate(row, start=1) if lam > 0.0)
+        if n // smallest > _MAX_FACTORIAL:
+            raise OverflowError("more than %d jumps in one component" % _MAX_FACTORIAL)
     lam = rates.total
-    if isinstance(v, Mgsfcp):
-        alpha, denom, pref = v.alpha, lam, 1.0
-    elif isinstance(v, Tempered):
-        alpha, denom = v.alpha, lam + v.theta
-        # the exp(t theta^alpha) prefactor is required for the two pmf
-        # routes to agree (check the empty state against the pgf)
-        pref = math.exp(t * v.theta**v.alpha)
-    else:
+    form = _stable_form(clock)
+
+    if clock is None:
+        # plain clock at inverse-stable time: K(z) = E^(z+1)_(beta, beta z + 1)(-x)
+        x = lam * t**beta
+
+        def ktilde(z):
+            if beta * z > _MAX_FACTORIAL:
+                raise OverflowError("1/Gamma(beta z + 1) underflows")
+            return x**z * mittag_leffler(beta, beta * z + 1.0, z + 1.0, -x, cfg)
+
+        return _profile_sum(rates, nbar, ktilde)
+
+    if form is None:
+        # the gamma clock: a negative binomial in z
+        r = lam + clock.a
+        bt = clock.b * t
+
+        def ktilde(z):
+            # (lam/r)^z (bt)(bt+1)...(bt+z-1) / z!
+            return math.prod((bt + k) * lam / (r * (k + 1)) for k in range(z))
+
+        total = _profile_sum(rates, nbar, ktilde)
+        return total * math.exp(bt * (math.log(clock.a) - math.log(r)))
+
+    # the tempered-stable family, at inverse-stable time when beta < 1
+    # (tilt > 0 only occurs at beta = 1)
+    alpha, tilt, scale = form
+    denom = lam + tilt
+    c = -1.0 / denom
+    a = scale * denom**alpha * t**beta
+    pref = math.exp(t * scale * tilt**alpha)
+
+    def ktilde(z):
+        return (c * lam) ** z * _state_series(a, z, alpha, beta, cfg, "variant_pmf")
+
+    return pref * _profile_sum(rates, nbar, ktilde)
+
+
+def _wright_series(clock, beta, rates, nbar, t, cfg):
+    if beta != 1.0 or not isinstance(clock, (subs.Stable, subs.TemperedStable)):
         raise ValueError("Wright form exists only for Mgsfcp and Tempered")
-    arg = -(denom**alpha) * t
+    alpha, tilt, scale = _stable_form(clock)
+    lam = rates.total
+    denom = lam + tilt
+    arg = -scale * denom**alpha * t
+    # the exp(t theta^alpha) prefactor is required for the two pmf
+    # routes to agree (check the empty state against the pgf)
+    pref = math.exp(t * scale * tilt**alpha)
 
     def ktilde(z):
         kz = wright_1_1(1.0, alpha, 1.0 - z, alpha, arg, cfg)
@@ -290,34 +297,24 @@ def variant_pmf_wright(v, rates, nbar, t, cfg=None):
     return pref * _profile_sum(rates, nbar, ktilde)
 
 
-def _transform(v, w, t):
-    """E[exp(-w * clock(t))] style transform applied to the pgf symbol w."""
-    if isinstance(v, Mgcp):
-        return math.exp(-t * w)
-    if isinstance(v, Mgsfcp):
-        return math.exp(-t * w**v.alpha)
-    if isinstance(v, Mgfcp):
-        return mittag_leffler(v.beta, 1.0, 1.0, -(t**v.beta) * w)
-    if isinstance(v, Mgstfcp):
-        return mittag_leffler(v.beta, 1.0, 1.0, -(t**v.beta) * w**v.alpha)
-    if isinstance(v, Tempered):
-        return math.exp(-t * ((w + v.theta) ** v.alpha - v.theta**v.alpha))
-    if isinstance(v, GammaTC):
-        return (1.0 + w / v.a) ** (-v.b * t)
-    if isinstance(v, IgTC):
-        return math.exp(
-            -v.delta * t * (math.sqrt(2.0 * w + v.gamma**2) - v.gamma)
-        )
-    raise ValueError("unknown variant %r" % (v,))
-
-
 def variant_pgf(v, rates, ubar, t):
-    """E[prod u_i^{N_i(t)}] for the variant; closed form in every case."""
+    """E[prod u_i^{N_i(t)}] for the variant; closed form in every case.
+
+    exp(-t f(w)) for a Levy clock with exponent f and w the pgf symbol,
+    E_beta(-t^beta f(w)) at inverse beta-stable time.
+    """
     if any(abs(u) > 1.0 + 1e-12 for u in ubar):
         raise ValueError("need |u_i| <= 1")
     if t < 0:
         raise ValueError("t must be non-negative")
-    return _transform(_reduce(v), pgf_symbol(rates, ubar), t)
+    # the accepted slack past |u| = 1 would make the symbol negative
+    ubar = [min(max(u, -1.0), 1.0) for u in ubar]
+    clock, beta = _split(v)
+    w = pgf_symbol(rates, ubar)
+    f = w if clock is None else subs.laplace_exponent(clock, w)
+    if beta == 1.0:
+        return math.exp(-t * f)
+    return mittag_leffler(beta, 1.0, 1.0, -(t**beta) * f)
 
 
 def variant_transition_rate(v, rates, mbar):
@@ -325,60 +322,39 @@ def variant_transition_rate(v, rates, mbar):
     _check_state(rates, mbar)
     if not any(mbar):
         raise ValueError("mbar must be a non-zero jump")
-    v = _reduce(v)
-    if isinstance(v, (Mgfcp, Mgstfcp)):
+    clock, beta = _split(v)
+    if beta != 1.0:
         raise ValueError("inverse-stable clocks give no constant rates")
-    if isinstance(v, Mgcp):
-        hot = [(i, n) for i, n in enumerate(mbar) if n > 0]
-        if len(hot) != 1:
-            return 0.0
-        i, j = hot[0]
-        return rates.rows[i][j - 1] if j <= rates.ks[i] else 0.0
-
     lam = rates.total
-    if isinstance(v, GammaTC):
+    if clock is None:
+        # the base process makes one jump at a time: the z = 1 kernel
+        return _profile_sum(rates, mbar, lambda z: lam if z == 1 else 0.0)
+    form = _stable_form(clock)
+    if form is None:
+        # the gamma clock: (lam / (lam + a))^z b (z-1)! / z!
+        ratio = lam / (lam + clock.a)
+        return _profile_sum(rates, mbar, lambda z: clock.b * ratio**z / z)
+    # jump law scale r^(-1-alpha) e^(-tilt r) up to a constant
+    alpha, tilt, scale = form
+    denom = lam + tilt
+    # scale denom^alpha (lam/denom)^z |C(alpha, z)| with
+    # |C(alpha, z)| = alpha Gamma(z - alpha) / (Gamma(1 - alpha) z!)
+    front = scale * denom**alpha * alpha / math.gamma(1.0 - alpha)
+    log_ratio = math.log(lam / denom)
 
-        def ktilde(z):
-            # (lam / (lam + a))^z b (z-1)! / z!
-            return v.b * (lam / (lam + v.a)) ** z / z
+    def ktilde(z):
+        return front * math.exp(z * log_ratio + gammaln(z - alpha) - gammaln(z + 1.0))
 
-    elif isinstance(v, (Mgsfcp, Tempered, IgTC)):
-        # jump law r^(-1-alpha) e^(-tilt r) up to a scale; the inverse
-        # Gaussian clock is the alpha = 1/2 case
-        if isinstance(v, IgTC):
-            alpha, tilt, scale = 0.5, 0.5 * v.gamma**2, v.delta * math.sqrt(2.0)
-        else:
-            alpha, scale = v.alpha, 1.0
-            tilt = v.theta if isinstance(v, Tempered) else 0.0
-        denom = lam + tilt
-        # scale denom^alpha (lam/denom)^z |C(alpha, z)| with
-        # |C(alpha, z)| = alpha Gamma(z - alpha) / (Gamma(1 - alpha) z!)
-        front = scale * denom**alpha * alpha / math.gamma(1.0 - alpha)
-        log_ratio = math.log(lam / denom)
-
-        def ktilde(z):
-            return front * math.exp(z * log_ratio + gammaln(z - alpha) - gammaln(z + 1.0))
-
-    else:
-        raise ValueError("unknown variant %r" % (v,))
     return _profile_sum(rates, mbar, ktilde)
 
 
 def holding_rate(v, rates):
-    """Total escape rate out of any state (Levy variants only)."""
-    v = _reduce(v)
+    """Total escape rate out of any state (Levy variants only): f(Lambda)."""
+    clock, beta = _split(v)
+    if beta != 1.0:
+        raise ValueError("inverse-stable clocks give no holding rate")
     lam = rates.total
-    if isinstance(v, Mgcp):
-        return lam
-    if isinstance(v, Mgsfcp):
-        return lam**v.alpha
-    if isinstance(v, Tempered):
-        return (lam + v.theta) ** v.alpha - v.theta**v.alpha
-    if isinstance(v, GammaTC):
-        return v.b * math.log1p(lam / v.a)
-    if isinstance(v, IgTC):
-        return v.delta * (math.sqrt(2.0 * lam + v.gamma**2) - v.gamma)
-    raise ValueError("inverse-stable clocks give no holding rate")
+    return lam if clock is None else subs.laplace_exponent(clock, lam)
 
 
 def variant_levy_measure(v, rates, nbar):
@@ -413,63 +389,51 @@ def covariance(v, rates, i, l, t):
         raise ValueError("component index out of range")
     if t < 0:
         raise ValueError("t must be non-negative")
+    if not isinstance(v, (Mgfcp, Tempered)):
+        raise ValueError("covariance formula exists only for Mgfcp and Tempered")
     m_i = rates.mean_rate(i)
     m_l = rates.mean_rate(l)
-    if isinstance(v, Mgfcp):
-        b = v.beta
+    clock, b = _split(v)
+    if clock is None:
+        # plain clock at inverse b-stable time
         bracket = 2.0 / math.gamma(2.0 * b + 1.0) - 1.0 / math.gamma(b + 1.0) ** 2
         out = m_i * m_l * t ** (2.0 * b) * bracket
         if i == l:
             out += rates.second_moment_rate(i) * t**b / math.gamma(b + 1.0)
         return out
-    if isinstance(v, Tempered):
-        a, th = v.alpha, v.theta
-        out = t * a * (1.0 - a) * th ** (a - 2.0) * m_i * m_l
-        if i == l:
-            out += t * a * th ** (a - 1.0) * rates.second_moment_rate(i)
-        return out
-    raise ValueError("covariance formula exists only for Mgfcp and Tempered")
+    a, th = clock.alpha, clock.theta
+    out = t * a * (1.0 - a) * th ** (a - 2.0) * m_i * m_l
+    if i == l:
+        out += t * a * th ** (a - 1.0) * rates.second_moment_rate(i)
+    return out
 
 
 def codifference(v, rates, i, l, t, cfg=None):
-    """Codifference tau(N_i(t), N_l(t)); complex, principal log branch.
+    """Codifference tau(N_i(t), N_l(t)); complex.
 
     tau = ln E e^(w(Ni-Nl)) - ln E e^(w Ni) - ln E e^(-w Nl) with w the
-    imaginary unit.
+    imaginary unit.  Under a Levy clock each log is -t f at the complex
+    symbol; at inverse-stable time it is the principal log of E_beta.
     """
     if not (0 <= i < rates.q and 0 <= l < rates.q):
         raise ValueError("component index out of range")
     if t < 0:
         raise ValueError("t must be non-negative")
+    if not isinstance(v, (Mgfcp, Mgstfcp, Tempered)):
+        raise ValueError("codifference formula exists only for Mgfcp, Mgstfcp, Tempered")
     cfg = _config(cfg)
     w_i = complex(component_symbol(rates.rows[i], cmath.exp(1j)))
     w_l = complex(component_symbol(rates.rows[l], cmath.exp(-1j)))
+    clock, beta = _split(v)
+    # the identity clock is the alpha = 1 stable one
+    alpha, tilt, scale = _stable_form(clock) or (1.0, 0.0, 1.0)
 
-    if isinstance(v, Mgfcp):
-        b = v.beta
+    def lncf(warg):
+        # ln E exp(-warg D(t)) through the clock exponent at complex warg
+        f = scale * ((warg + tilt) ** alpha - tilt**alpha)
+        if beta == 1.0:
+            return -t * f
+        return cmath.log(mittag_leffler(beta, 1.0, 1.0, -(t**beta) * f, cfg))
 
-        def lncf(warg):
-            return cmath.log(mittag_leffler(b, 1.0, 1.0, -(t**b) * warg, cfg))
-
-        joint = 0.0 if i == l else lncf(w_i + w_l)
-        return joint - lncf(w_i) - lncf(w_l)
-
-    if isinstance(v, Mgstfcp):
-        a, b = v.alpha, v.beta
-
-        def lncf(warg):
-            return cmath.log(mittag_leffler(b, 1.0, 1.0, -(t**b) * warg**a, cfg))
-
-        joint = 0.0 if i == l else lncf(w_i + w_l)
-        return joint - lncf(w_i) - lncf(w_l)
-
-    if isinstance(v, Tempered):
-        a, th = v.alpha, v.theta
-
-        def psi(warg):
-            return (warg + th) ** a - th**a
-
-        joint = 0.0 if i == l else -t * psi(w_i + w_l)
-        return joint + t * psi(w_i) + t * psi(w_l)
-
-    raise ValueError("codifference formula exists only for Mgfcp, Mgstfcp, Tempered")
+    joint = 0.0 if i == l else lncf(w_i + w_l)
+    return joint - lncf(w_i) - lncf(w_l)

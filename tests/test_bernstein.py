@@ -19,6 +19,7 @@ from mgcp.bernstein import (
     tcgcp_pgf_fractional,
     tcgcp_transition_rate,
 )
+from mgcp import subordinators
 from mgcp.gcp import RateMatrix, pgf_symbol
 from mgcp.specfun import mittag_leffler
 from mgcp.subordinators import (
@@ -204,3 +205,31 @@ class TestFractionalPgf:
             tcgcp_pgf_fractional(FIG1, m, 1.5, (0.5, 0.5), 1.0)
         with pytest.raises(ValueError):
             tcgcp_pgf_fractional(FIG1, m, 0.5, (0.5, 0.5), -1.0)
+
+
+def test_deep_quadrature_rate_raises_cleanly():
+    with pytest.raises(ValueError, match="too deep"):
+        tcgcp_transition_rate(RateMatrix([[1.0]]), Named(Stable(0.7)), (200,))
+
+
+@pytest.mark.parametrize("spec", NAMED_SPECS, ids=sid)
+def test_quadrature_route_never_uses_the_closed_form_exponent(spec, monkeypatch):
+    """The quadrature side of each cross-check stays independent code."""
+    m = Named(spec)
+    ubar = (0.4, 0.8)
+    want = (
+        [tcgcp_transition_rate(FIG1, m, lbar) for lbar in ((1, 0), (1, 2))],
+        g_lambda_u(FIG1, m, ubar),
+        tcgcp_pgf(FIG1, m, ubar, 1.5),
+    )
+
+    def closed_form(*args):
+        raise AssertionError("laplace_exponent called")
+
+    monkeypatch.setattr(subordinators, "laplace_exponent", closed_form)
+    got = (
+        [tcgcp_transition_rate(FIG1, m, lbar) for lbar in ((1, 0), (1, 2))],
+        g_lambda_u(FIG1, m, ubar),
+        tcgcp_pgf(FIG1, m, ubar, 1.5),
+    )
+    assert got == want

@@ -9,8 +9,12 @@ from mgcp.cli import main
 from mgcp.gcp import RateMatrix, mgcp_component_variance, mgcp_mean
 from mgcp.variants import (
     GammaTC,
+    IgTC,
+    Mgcp,
     Mgfcp,
     Mgsfcp,
+    Mgstfcp,
+    Tempered,
     covariance,
     holding_rate,
     variant_levy_measure,
@@ -320,3 +324,45 @@ class TestOutputFiles:
         )
         assert code == 0
         assert (tmp_path / "nested" / "dir" / "out.csv").exists()
+
+
+# every --variant name with its flags; mgstfcp's are given in reverse order
+# so a table that bound flags by position would build Mgstfcp(0.6, 0.7)
+CLI_VARIANTS = [
+    ("mgcp", [], Mgcp()),
+    ("mgsfcp", ["--alpha", "0.7"], Mgsfcp(0.7)),
+    ("mgfcp", ["--beta", "0.6"], Mgfcp(0.6)),
+    ("mgstfcp", ["--beta", "0.6", "--alpha", "0.7"], Mgstfcp(0.7, 0.6)),
+    ("tempered", ["--alpha", "0.6", "--theta", "0.9"], Tempered(0.6, 0.9)),
+    ("gamma", ["--a", "1.2", "--b", "0.8"], GammaTC(1.2, 0.8)),
+    ("ig", ["--delta", "1.1", "--gamma", "0.7"], IgTC(1.1, 0.7)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, flags, v", CLI_VARIANTS, ids=[c[0] for c in CLI_VARIANTS]
+)
+def test_variant_table_builds_the_library_variant(capsys, name, flags, v):
+    code, out, _ = run(
+        capsys,
+        ["pgf", "--model", MODEL, "--variant", name, *flags, "--u", "0.4,0.3",
+         "--t", "1.3"],
+    )
+    assert code == 0
+    _, rows = csv_rows(out)
+    # repr round-trips, so the match is exact
+    assert float(rows[0][2]) == variant_pgf(v, FIG1, (0.4, 0.3), 1.3)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["mgsfcp", "--alpha", "0.7"], ["mgstfcp", "--alpha", "0.7", "--beta", "0.6"]],
+)
+def test_pgf_accepts_the_slack_past_one(capsys, flags):
+    code, out, err = run(
+        capsys,
+        ["pgf", "--model", MODEL, "--variant", *flags, "--u", "1.0000000000001,1"],
+    )
+    assert code == 0, err
+    _, rows = csv_rows(out)
+    assert float(rows[0][2]) == 1.0

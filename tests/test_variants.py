@@ -13,6 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from mgcp.bernstein import Named, g_lambda_u
 from mgcp.compositions import enumerate_compositions
 from mgcp.gcp import RateMatrix, component_symbol, mgcp_pmf
 from mgcp.specfun import mittag_leffler
@@ -443,6 +444,16 @@ class TestHoldingRate:
                 rtol=1e-14,
             )
 
+    @pytest.mark.parametrize("v", LEVY_VARIANTS, ids=vid)
+    def test_equals_quadrature_exponent(self, v):
+        # g(lambda; 0) integrates 1 - exp(-Lambda r) against the clock's
+        # Levy density, never its closed-form exponent
+        assert_allclose(
+            holding_rate(v, FIG1),
+            g_lambda_u(FIG1, Named(clock_spec(v)), (0.0,) * FIG1.q),
+            rtol=1e-8,
+        )
+
 
 def test_levy_mass_sums_to_holding_rate_light_tails():
     """Atoms decay geometrically for the tempered/gamma/IG clocks.
@@ -569,3 +580,23 @@ class TestCodifference:
             codifference(Mgcp(), FIG1, 0, 1, 1.0)
         with pytest.raises(ValueError):
             codifference(Mgfcp(0.8), FIG1, 0, 5, 1.0)
+
+
+EVEN = RateMatrix([[0.0, 0.5]])
+
+
+@pytest.mark.parametrize("v", ALL_VARIANTS, ids=vid)
+def test_pgf_inside_the_accepted_slack(v):
+    """|u| <= 1 + 1e-12 is accepted, so it must give a real value there."""
+    got = variant_pgf(v, FIG1, (1.0 + 1e-13, 1.0), 1.0)
+    assert type(got) is float
+    assert got == variant_pgf(v, FIG1, (1.0, 1.0), 1.0)
+    # only even jumps: the symbol at u = -1 is 0 and just past it negative
+    got = variant_pgf(v, EVEN, (-1.0 - 1e-13,), 1.0)
+    assert type(got) is float
+    assert got == variant_pgf(v, EVEN, (-1.0,), 1.0)
+
+
+def test_deep_wright_state_raises_cleanly():
+    with pytest.raises(ValueError, match="too deep"):
+        variant_pmf_wright(Mgsfcp(0.7), ONE, (200,), 1.0)
