@@ -8,6 +8,8 @@ with closed-form distributions, exact simulation and a shock-model
 reliability application on top.
 """
 
+from importlib import import_module as _import_module
+
 from .specfun import (
     CancellationWarning,
     NumericsWarning,
@@ -72,16 +74,6 @@ from .variants import (
     variant_pmf_wright,
     variant_transition_rate,
 )
-from .bernstein import (
-    Custom,
-    Named,
-    QuadratureError,
-    bernstein_f,
-    g_lambda_u,
-    tcgcp_pgf,
-    tcgcp_pgf_fractional,
-    tcgcp_transition_rate,
-)
 from .shock import (
     CustomThreshold,
     Geometric,
@@ -98,15 +90,47 @@ from .shock import (
     threshold_pmf,
     threshold_tail,
 )
-from .montecarlo import (
-    EstimateReport,
-    estimate_codifference,
-    estimate_covariance,
-    estimate_pmf,
-    sample_mgcp,
-    sample_mgcp_many,
-    sample_variant,
-    sample_variant_many,
-)
 
 __version__ = "0.1.0"
+
+# The quadrature layer and the Monte Carlo layer load scipy.integrate and
+# scipy.stats, which the closed-form paths never touch, so their names
+# are looked up on first use (PEP 562).  Each access reads the submodule
+# attribute afresh rather than caching it here, so a later rebinding of
+# that attribute is what the package name returns.
+_LAZY = {
+    "bernstein": (
+        "Custom",
+        "Named",
+        "QuadratureError",
+        "bernstein_f",
+        "g_lambda_u",
+        "tcgcp_pgf",
+        "tcgcp_pgf_fractional",
+        "tcgcp_transition_rate",
+    ),
+    "montecarlo": (
+        "EstimateReport",
+        "estimate_codifference",
+        "estimate_covariance",
+        "estimate_pmf",
+        "sample_mgcp",
+        "sample_mgcp_many",
+        "sample_variant",
+        "sample_variant_many",
+    ),
+}
+_LAZY_MODULE = {name: mod for mod, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return _import_module("." + name, __name__)
+    mod = _LAZY_MODULE.get(name)
+    if mod is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(_import_module("." + mod, __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_LAZY_MODULE))

@@ -177,7 +177,7 @@ def g_lambda_u(rates, m, ubar):
     never shortcuts to closed forms, so it can sit on the other side of
     an equality test.
     """
-    if any(abs(u) > 1.0 + 1e-12 for u in ubar):
+    if not all(abs(u) <= 1.0 + 1e-12 for u in ubar):
         raise ValueError("need |u_i| <= 1")
     w = pgf_symbol(rates, ubar)
     if w == 0.0:
@@ -214,7 +214,7 @@ def tcgcp_transition_rate(rates, m, lbar):
 
 def tcgcp_pgf(rates, m, ubar, t):
     """pgf exp(-t g(lambda; u)); solves dG/dt = -g G, G(0) = 1."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
     return math.exp(-t * g_lambda_u(rates, m, ubar))
 
@@ -223,7 +223,7 @@ def tcgcp_pgf_fractional(rates, m, beta, ubar, t):
     """Time-fractional pgf E_beta(-t^beta g(lambda; u))."""
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
     g = g_lambda_u(rates, m, ubar)
     if beta == 1.0:

@@ -7,13 +7,14 @@ dropped).  Floats are written with repr() so every value round-trips.
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
 
 import numpy as np
 
-from . import montecarlo, shock, variants
+from . import shock, variants
 from .gcp import (
     RateMatrix,
     default_box,
@@ -121,6 +122,8 @@ def _parse_grid(text):
     if len(parts) != 3:
         raise ValueError("tgrid: expected start:stop:step")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError("tgrid: need finite numbers")
     if step <= 0 or stop < start:
         raise ValueError("tgrid: need stop >= start and step > 0")
     out = []
@@ -280,6 +283,8 @@ def _cmd_moments(args):
 
 
 def _cmd_simulate(args):
+    from . import montecarlo
+
     rates = _parse_model(_req(args, "model"))
     v = _build_variant(args)
     rng = stream_rng(args.seed, 0)
@@ -290,6 +295,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_estimate(args):
+    from . import montecarlo
+
     rates = _parse_model(_req(args, "model"))
     v = _build_variant(args)
     if args.stat == "pmf":

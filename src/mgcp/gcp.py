@@ -105,7 +105,7 @@ def gcp_pmf(rates_row, n, t):
     """P{GCP(t) = n} = sum over Omega(k, n) of prod_j Poisson factors."""
     if n < 0:
         return 0.0
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
     row = [float(x) for x in rates_row]
     lam = math.fsum(row)
@@ -149,7 +149,7 @@ def mgcp_pmf_recurrence(rates, nbar, t):
     _check_state(rates, nbar)
     if any(n < 1 for n in nbar):
         raise ValueError("recurrence needs every n_i >= 1")
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     lam = rates.total
     memo = {}
@@ -203,9 +203,9 @@ def _product(lists):
 
 def mgcp_pgf(rates, ubar, t):
     """E[prod u_i^{N_i(t)}] = exp(-t sum_ij lambda_ij (1 - u_i^j))."""
-    if any(abs(u) > 1.0 + 1e-12 for u in ubar):
+    if not all(abs(u) <= 1.0 + 1e-12 for u in ubar):
         raise ValueError("need |u_i| <= 1")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
     return math.exp(-t * pgf_symbol(rates, ubar))
 

@@ -109,7 +109,7 @@ def sample_variant(v, rates, t, rng):
 
 
 def sample_variant_many(v, rates, t, rng, size):
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
     spec = clock_spec(v)
     if spec is None:

@@ -232,7 +232,7 @@ def hazard_rate(model, i, l, nbar, t):
         raise ValueError("component index out of range")
     if not 1 <= l <= rates.ks[i]:
         raise ValueError("jump size out of range")
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     _check_state(rates, nbar)
     alpha = model.alpha
@@ -293,7 +293,7 @@ def _series_over_threshold(model, fn, first_n):
 
 def reliability(model, t):
     """Survival probability L(t) = sum_n q_n P{total shock count = n}."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
 
     def fn(nmax):
@@ -317,7 +317,7 @@ def failure_density(model, i, t):
     rates = model.rates
     if not 0 <= i < rates.q:
         raise ValueError("component index out of range")
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     ki = rates.ks[i]
     suffix = _jump_rates(rates, model.alpha, i)[1]

@@ -11,7 +11,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.integrate import quad
 from scipy.special import gammaln, gammasgn
 from scipy.special import rgamma as _rgamma
 
@@ -212,7 +211,11 @@ def incomplete_beta(x, p, q):
                 return total + term * x / (1.0 - x)
             xm *= x
             m += 1.0
-    # QAWS handles the algebraic t^(p-1) endpoint weight exactly.
+    # QAWS handles the algebraic t^(p-1) endpoint weight exactly; scipy's
+    # integrate package is loaded here, its one use in this module, so
+    # that importing mgcp does not pay for it
+    from scipy.integrate import quad
+
     val, err = quad(
         lambda t: (1.0 - t) ** (q - 1.0),
         0.0,

@@ -165,7 +165,7 @@ def inverse_stable_moment(beta, n, t):
         raise ValueError("beta must lie in (0, 1)")
     if n < 0:
         raise ValueError("n must be non-negative")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
     if n == 0:
         return 1.0
@@ -237,7 +237,7 @@ def _tempered_stable(alpha, theta, t, rng, size):
 
 def sample_many(spec, t, rng, size):
     """Vectorized clock draws; returns an ndarray of shape (size,)."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
     if t == 0:
         return np.zeros(size)
@@ -262,7 +262,7 @@ def sample_many(spec, t, rng, size):
 
 def sample(spec, t, rng):
     """One exact draw of the clock at time t."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     return float(sample_many(spec, t, rng, 1)[0])
 

@@ -158,6 +158,22 @@ def _stable_form(clock):
     return None
 
 
+def _tilt_prefactor(t, scale, tilt, alpha):
+    """exp(t scale tilt^alpha), which undoes the tempering of the series.
+
+    Its overflow is a property of t, not of the state, so it raises its
+    own ValueError rather than the "too deep" one.
+    """
+    x = t * scale * tilt**alpha
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise ValueError(
+            "t = %r is too large for the pmf series: its prefactor "
+            "exp(t scale tilt^alpha) = exp(%.6g) overflows" % (t, x)
+        ) from None
+
+
 def _profile_sum(rates, nbar, ktilde):
     """sum_z S[nbar, z] * ktilde(z) over the jump counts the state admits.
 
@@ -219,7 +235,7 @@ def variant_pmf_wright(v, rates, nbar, t, cfg=None):
 def _pmf(route, v, rates, nbar, t, cfg):
     """The checks both pmf routes share; route(clock, beta, ...) does the rest."""
     _check_state(rates, nbar)
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
     if t == 0:
         return 1.0 if not any(nbar) else 0.0
@@ -271,7 +287,7 @@ def _pmf_series(clock, beta, rates, nbar, t, cfg):
     denom = lam + tilt
     c = -1.0 / denom
     a = scale * denom**alpha * t**beta
-    pref = math.exp(t * scale * tilt**alpha)
+    pref = _tilt_prefactor(t, scale, tilt, alpha)
 
     def ktilde(z):
         return (c * lam) ** z * _state_series(a, z, alpha, beta, cfg, "variant_pmf")
@@ -288,7 +304,7 @@ def _wright_series(clock, beta, rates, nbar, t, cfg):
     arg = -scale * denom**alpha * t
     # the exp(t theta^alpha) prefactor is required for the two pmf
     # routes to agree (check the empty state against the pgf)
-    pref = math.exp(t * scale * tilt**alpha)
+    pref = _tilt_prefactor(t, scale, tilt, alpha)
 
     def ktilde(z):
         kz = wright_1_1(1.0, alpha, 1.0 - z, alpha, arg, cfg)
@@ -303,9 +319,9 @@ def variant_pgf(v, rates, ubar, t):
     exp(-t f(w)) for a Levy clock with exponent f and w the pgf symbol,
     E_beta(-t^beta f(w)) at inverse beta-stable time.
     """
-    if any(abs(u) > 1.0 + 1e-12 for u in ubar):
+    if not all(abs(u) <= 1.0 + 1e-12 for u in ubar):
         raise ValueError("need |u_i| <= 1")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
     # the accepted slack past |u| = 1 would make the symbol negative
     ubar = [min(max(u, -1.0), 1.0) for u in ubar]
@@ -387,7 +403,7 @@ def covariance(v, rates, i, l, t):
     """
     if not (0 <= i < rates.q and 0 <= l < rates.q):
         raise ValueError("component index out of range")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
     if not isinstance(v, (Mgfcp, Tempered)):
         raise ValueError("covariance formula exists only for Mgfcp and Tempered")
@@ -417,7 +433,7 @@ def codifference(v, rates, i, l, t, cfg=None):
     """
     if not (0 <= i < rates.q and 0 <= l < rates.q):
         raise ValueError("component index out of range")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
     if not isinstance(v, (Mgfcp, Mgstfcp, Tempered)):
         raise ValueError("codifference formula exists only for Mgfcp, Mgstfcp, Tempered")

@@ -233,3 +233,13 @@ def test_quadrature_route_never_uses_the_closed_form_exponent(spec, monkeypatch)
         tcgcp_pgf(FIG1, m, ubar, 1.5),
     )
     assert got == want
+
+
+def test_nan_time_and_argument_are_rejected():
+    m = Named(Stable(0.7))
+    with pytest.raises(ValueError, match="non-negative"):
+        tcgcp_pgf(FIG1, m, (0.5, 0.5), math.nan)
+    with pytest.raises(ValueError, match="non-negative"):
+        tcgcp_pgf_fractional(FIG1, m, 0.8, (0.5, 0.5), math.nan)
+    with pytest.raises(ValueError, match=r"\|u_i\| <= 1"):
+        g_lambda_u(FIG1, m, (math.nan, 0.5))

@@ -1,9 +1,13 @@
 """Command-line layer: parsing, output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mgcp
 from mgcp import shock
 from mgcp.cli import main
 from mgcp.gcp import RateMatrix, mgcp_component_variance, mgcp_mean
@@ -366,3 +370,64 @@ def test_pgf_accepts_the_slack_past_one(capsys, flags):
     assert code == 0, err
     _, rows = csv_rows(out)
     assert float(rows[0][2]) == 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pmf", "--variant", "gamma", "--a", "1", "--b", "2", "--box", "1,1"],
+        ["pgf", "--variant", "mgfcp", "--beta", "0.8", "--u", "0.5,0.5"],
+        ["moments", "--variant", "mgfcp", "--beta", "0.8"],
+        ["simulate", "--variant", "mgsfcp", "--alpha", "0.7"],
+        ["estimate", "--variant", "mgsfcp", "--alpha", "0.7", "--box", "1,1",
+         "--samples", "1000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_nan_time_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv + ["--model", MODEL, "--t", "nan"])
+    assert (code, out) == (2, "")
+    assert err == "error: t must be non-negative\n"
+
+
+def test_nan_pgf_argument_exits_2(capsys):
+    code, out, err = run(
+        capsys,
+        ["pgf", "--model", MODEL, "--variant", "mgsfcp", "--alpha", "0.7",
+         "--u", "nan,0.5"],
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: need |u_i| <= 1\n"
+
+
+def test_large_t_prefactor_overflow_is_not_a_deep_state(capsys):
+    code, out, err = run(
+        capsys,
+        ["pmf", "--model", MODEL, "--variant", "tempered", "--alpha", "0.6",
+         "--theta", "1", "--t", "800", "--box", "0,0"],
+    )
+    assert (code, out) == (2, "")
+    assert "t = 800.0 is too large" in err
+    assert "too deep" not in err
+
+
+def _limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_tgrid_must_be_finite():
+    # a NaN or infinite grid never ends the grid loop, so each case runs
+    # in a child under a memory cap and a timeout
+    base = ["-m", "mgcp", "reliability", "--case", "fig1", "--alpha", "0.9",
+            "--threshold", "geometric:0.5", "--tgrid"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mgcp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for bad in ("0:nan:1", "0:inf:1", "nan:1:0.5", "0:1:inf"):
+        proc = subprocess.run(
+            [sys.executable, *base, bad], env=env, capture_output=True,
+            text=True, timeout=60, preexec_fn=_limit_memory,
+        )
+        assert proc.returncode == 2, bad
+        assert proc.stderr == "error: tgrid: need finite numbers\n"

@@ -207,3 +207,17 @@ def test_default_box_covers_mass():
         for nbar in itertools.product(*[range(b + 1) for b in box])
     )
     assert total >= 1.0 - 1e-9
+
+
+def test_nan_time_is_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        mgcp_pmf(FIG1, (1, 1), math.nan)
+    with pytest.raises(ValueError, match="non-negative"):
+        mgcp_pgf(FIG1, (0.5, 0.5), math.nan)
+    with pytest.raises(ValueError, match="positive"):
+        mgcp_pmf_recurrence(FIG1, (1, 1), math.nan)
+
+
+def test_nan_pgf_argument_is_rejected():
+    with pytest.raises(ValueError, match=r"\|u_i\| <= 1"):
+        mgcp_pgf(FIG1, (0.5, math.nan), 1.0)

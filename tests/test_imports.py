@@ -1,0 +1,153 @@
+"""Import graph: what `import mgcp` and each CLI command load.
+
+The closed-form layers never touch scipy.integrate or scipy.stats, so
+neither `import mgcp` nor the closed-form CLI commands may load them;
+the quadrature (`bernstein`) and Monte Carlo (`montecarlo`) layers load
+on first use, and the package names they export still resolve.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import mgcp
+
+MODEL = '{"rates": [[0.5], [0.5, 0.5]]}'
+HEAVY = ("scipy.integrate", "scipy.stats", "mgcp.bernstein", "mgcp.montecarlo")
+
+# every name the package namespace exported while all layers loaded eagerly
+EXPORTS = {
+    "specfun": (
+        "CancellationWarning", "NumericsWarning", "SeriesConfig",
+        "TruncationWarning", "caputo_derivative_numeric", "falling_factorial",
+        "generalized_incomplete_gamma", "generalized_sine_integral",
+        "incomplete_beta", "mittag_leffler", "reciprocal_gamma", "wright_1_1",
+    ),
+    "compositions": ("enumerate_compositions", "joint_compositions"),
+    "gcp": (
+        "RateMatrix", "component_symbol", "default_box", "gcp_pmf",
+        "mgcp_component_variance", "mgcp_levy_measure", "mgcp_mean",
+        "mgcp_pgf", "mgcp_pmf", "mgcp_pmf_recurrence", "pgf_symbol",
+        "preset_rates",
+    ),
+    "subordinators": (
+        "GammaSub", "InverseGaussian", "InverseStable", "Stable",
+        "StableTimeInverseStable", "TemperedStable", "gamma_density",
+        "ig_density", "inverse_stable_moment", "laplace_exponent",
+        "levy_density", "levy_singularity_exponent", "sample", "sample_many",
+        "stream_rng",
+    ),
+    "variants": (
+        "GammaTC", "IgTC", "Mgcp", "Mgfcp", "Mgsfcp", "Mgstfcp", "Tempered",
+        "clock_spec", "codifference", "covariance", "holding_rate",
+        "variant_levy_measure", "variant_pgf", "variant_pmf",
+        "variant_pmf_wright", "variant_transition_rate",
+    ),
+    "bernstein": (
+        "Custom", "Named", "QuadratureError", "bernstein_f", "g_lambda_u",
+        "tcgcp_pgf", "tcgcp_pgf_fractional", "tcgcp_transition_rate",
+    ),
+    "shock": (
+        "CustomThreshold", "Geometric", "IncGamma", "Logarithmic",
+        "ShockModel", "SineIntegral", "failure_density", "figure_rates",
+        "hazard_rate", "prob_failure_type", "reliability", "reliability_curve",
+        "threshold_pmf", "threshold_tail",
+    ),
+    "montecarlo": (
+        "EstimateReport", "estimate_codifference", "estimate_covariance",
+        "estimate_pmf", "sample_mgcp", "sample_mgcp_many", "sample_variant",
+        "sample_variant_many",
+    ),
+}
+EXPORTED = [(mod, name) for mod, names in EXPORTS.items() for name in names]
+
+
+def _child(args):
+    """Run python with args in a fresh interpreter that finds this mgcp."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mgcp.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def _heavy(modules):
+    """The HEAVY modules, or submodules of them, among the names given."""
+    return {m for m in modules for h in HEAVY if m == h or m.startswith(h + ".")}
+
+
+def _cli_modules(argv):
+    """sys.modules after `python -m mgcp argv` in a fresh child."""
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['mgcp'] + sys.argv[1:]\n"
+        "try:\n"
+        "    runpy.run_module('mgcp', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code in (0, 3), exc.code\n"
+        "sys.stderr.write('\\n'.join(sys.modules))\n"
+    )
+    proc = _child(["-c", script, *argv])
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def test_import_leaves_heavy_layers_unloaded():
+    proc = _child(["-c", "import sys, mgcp; print('\\n'.join(sys.modules))"])
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "mgcp.variants" in loaded
+    assert not _heavy(loaded)
+
+
+def test_presets_leaves_heavy_layers_unloaded():
+    loaded = _cli_modules(["presets"])
+    assert "mgcp.cli" in loaded
+    assert not _heavy(loaded)
+
+
+def test_estimate_loads_montecarlo():
+    loaded = _cli_modules(
+        ["estimate", "--model", MODEL, "--variant", "mgsfcp", "--alpha", "0.7",
+         "--samples", "2000", "--box", "1,1"]
+    )
+    assert {"mgcp.montecarlo", "scipy.stats"} <= loaded
+
+
+def test_exported_names_are_the_submodule_attributes():
+    wrong = [
+        (mod, name)
+        for mod, name in EXPORTED
+        if getattr(mgcp, name) is not getattr(importlib.import_module("mgcp." + mod), name)
+    ]
+    assert wrong == []
+    assert mgcp.bernstein is importlib.import_module("mgcp.bernstein")
+    assert mgcp.montecarlo is importlib.import_module("mgcp.montecarlo")
+
+
+def test_dir_lists_every_export():
+    listed = set(dir(mgcp))
+    assert {name for _, name in EXPORTED} <= listed
+    assert set(EXPORTS) <= listed
+
+
+def test_lazy_names_follow_a_rebound_submodule_attribute(monkeypatch):
+    from mgcp import bernstein, montecarlo
+
+    for module, name in ((bernstein, "tcgcp_pgf"), (montecarlo, "estimate_pmf")):
+        stand_in = object()
+        monkeypatch.setattr(module, name, stand_in)
+        assert getattr(mgcp, name) is stand_in
+        # resolved on each access, never cached in the package namespace
+        assert name not in vars(mgcp)
+    monkeypatch.undo()
+    assert mgcp.tcgcp_pgf is bernstein.tcgcp_pgf
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mgcp.no_such_name

@@ -369,3 +369,8 @@ def test_report_equality_is_by_value():
     a = EstimateReport("pmf", 10, 1, 4.0, 0.5, True, ((("0", 0.1, 0.1, 0.01, 0.0)),))
     b = EstimateReport("pmf", 10, 1, 4.0, 0.5, True, ((("0", 0.1, 0.1, 0.01, 0.0)),))
     assert a == b
+
+
+def test_nan_time_is_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_variant_many(Mgsfcp(0.7), FIG1, math.nan, stream_rng(1, 0), 10)

@@ -273,3 +273,12 @@ class TestFigurePresets:
             for a in (0.3, 0.6, 0.9)
         ]
         assert vals[0] < vals[1] < vals[2]
+
+
+def test_nan_time_is_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        reliability(MODEL, math.nan)
+    with pytest.raises(ValueError, match="positive"):
+        failure_density(MODEL, 0, math.nan)
+    with pytest.raises(ValueError, match="positive"):
+        hazard_rate(MODEL, 0, 1, (0, 0), math.nan)

@@ -307,3 +307,13 @@ def test_gamma_clock_from_uniforms_is_inverse_cdf():
     draws = clock_from_uniforms(spec, t, u)
     want = stats.gamma.ppf(u[:, 0], spec.b * t, scale=1.0 / spec.a)
     assert_allclose(draws, want, rtol=1e-12)
+
+
+def test_nan_time_is_rejected():
+    rng = stream_rng(1, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_many(Stable(0.6), math.nan, rng, 4)
+    with pytest.raises(ValueError, match="positive"):
+        sample(Stable(0.6), math.nan, rng)
+    with pytest.raises(ValueError, match="non-negative"):
+        inverse_stable_moment(0.7, 2, math.nan)

@@ -600,3 +600,47 @@ def test_pgf_inside_the_accepted_slack(v):
 def test_deep_wright_state_raises_cleanly():
     with pytest.raises(ValueError, match="too deep"):
         variant_pmf_wright(Mgsfcp(0.7), ONE, (200,), 1.0)
+
+
+@pytest.mark.parametrize("v", ALL_VARIANTS, ids=repr)
+def test_nan_time_is_rejected(v):
+    with pytest.raises(ValueError, match="non-negative"):
+        variant_pmf(v, FIG1, (1, 1), math.nan)
+    with pytest.raises(ValueError, match="non-negative"):
+        variant_pgf(v, FIG1, (0.5, 0.5), math.nan)
+
+
+@pytest.mark.parametrize("v", [Mgsfcp(0.7), Tempered(0.6, 0.9)], ids=repr)
+def test_nan_time_is_rejected_by_the_wright_route(v):
+    with pytest.raises(ValueError, match="non-negative"):
+        variant_pmf_wright(v, FIG1, (1, 1), math.nan)
+
+
+@pytest.mark.parametrize("v", ALL_VARIANTS, ids=repr)
+def test_nan_pgf_argument_is_rejected(v):
+    with pytest.raises(ValueError, match=r"\|u_i\| <= 1"):
+        variant_pgf(v, FIG1, (math.nan, 0.5), 1.0)
+
+
+@pytest.mark.parametrize(
+    "v, route",
+    [
+        (Tempered(0.6, 1.0), variant_pmf),
+        (Tempered(0.6, 1.0), variant_pmf_wright),
+        (IgTC(1.0, 1.0), variant_pmf),
+    ],
+)
+def test_large_t_prefactor_overflow_names_t(v, route):
+    # exp(t theta^alpha) = exp(800) (IgTC: exp(t delta gamma)) overflows at
+    # every state, the empty one included: a fault of t, not of depth
+    with pytest.raises(ValueError, match=r"t = 800\.0 .*prefactor") as info:
+        route(v, FIG1, (0, 0), 800.0)
+    assert "too deep" not in str(info.value)
+    assert "exp(800)" in str(info.value)
+
+
+def test_nan_time_is_rejected_by_the_moments():
+    with pytest.raises(ValueError, match="non-negative"):
+        covariance(Mgfcp(0.8), FIG1, 0, 1, math.nan)
+    with pytest.raises(ValueError, match="non-negative"):
+        codifference(Tempered(0.6, 0.9), FIG1, 0, 1, math.nan)
