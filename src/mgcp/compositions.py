@@ -4,7 +4,9 @@ Omega(k, n) = {(x_1, ..., x_k) : sum_j j*x_j = n}: x_j counts jumps of
 size j.  Every pmf, Levy atom and shock-model series in this package is
 a sum over joint compositions that depends on them only through
 prod (c lambda_ij)^x / x! and the total jump count Z; jump_profile
-collapses that sum to a sum over Z.  enumerate_compositions and
+collapses that sum to a sum over Z.  Its profile is the law of the
+state given Z jumps, so a pmf is also sum_z S[z] P{Z_t = z} wherever
+the law of Z_t is known.  enumerate_compositions and
 joint_compositions list the sets themselves, for tests and callers
 that need them.
 """
@@ -92,7 +94,8 @@ def jump_profile(rates, nbar):
     on nbar.  It lies in [0, 1] and forms no factorial, so deep states
     neither overflow nor underflow to a spurious zero.  Any composition
     sum of prod (c lambda_ij)^x / x! * K(Z) equals
-    sum_z S[z] * (c Lambda)^z K(z) / z!.
+    sum_z S[z] * (c Lambda)^z K(z) / z!; at c = 1 / Lambda and
+    K(z) = z! P{Z_t = z} that is the pmf sum_z S[z] P{Z_t = z}.
 
     Each component's column comes from the table of its own row; columns
     join by the binomial convolution S[z] = sum_y C(z, y) p^(z-y)

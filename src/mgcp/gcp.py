@@ -212,11 +212,15 @@ def mgcp_pgf(rates, ubar, t):
 
 def mgcp_mean(rates, i, t):
     """E[N_i(t)] = t * sum_j j lambda_ij."""
+    if not t >= 0:
+        raise ValueError("t must be non-negative")
     return t * rates.mean_rate(i)
 
 
 def mgcp_component_variance(rates, i, t):
     """Var[N_i(t)] = t * sum_j j^2 lambda_ij."""
+    if not t >= 0:
+        raise ValueError("t must be non-negative")
     return t * rates.second_moment_rate(i)
 
 

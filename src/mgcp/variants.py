@@ -16,6 +16,7 @@ supplies its own kernel K(z).
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 from scipy.special import gammaln
@@ -27,6 +28,9 @@ from . import subordinators as subs
 
 # largest z with z! in double range
 _MAX_FACTORIAL = 170
+# the jump-count recursion rescales its values past this bound
+_RESCALE = 2.0**512
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -158,6 +162,59 @@ def _stable_form(clock):
     return None
 
 
+def _stable_atom(form, lam):
+    """nu_1(z): rate at which a tempered-stable family clock fires z base jumps at once.
+
+    With exponent scale ((s + tilt)^alpha - tilt^alpha) and base rate lam,
+    f(lam (1 - u)) = f(lam) - sum_z nu_1(z) u^z, where nu_1(z) =
+    scale (lam + tilt)^alpha (lam / (lam + tilt))^z |C(alpha, z)| and
+    |C(alpha, z)| = alpha Gamma(z - alpha) / (Gamma(1 - alpha) z!).
+    """
+    alpha, tilt, scale = form
+    denom = lam + tilt
+    front = scale * denom**alpha * alpha / math.gamma(1.0 - alpha)
+    log_ratio = math.log(lam / denom)
+
+    def atom(z):
+        return front * math.exp(z * log_ratio + gammaln(z - alpha) - gammaln(z + 1.0))
+
+    return atom
+
+
+def _jump_count_law(atom, t, h, zmax):
+    """(q, lg) with P{Z_t = z} = q[z] exp(lg), z = 0..zmax.
+
+    Z_t counts the base jumps by time t under a Levy clock: compound
+    Poisson with atoms atom(k) and total rate h, so P{Z_t = 0} = exp(-t h)
+    and Panjer's recursion z q(z) = t sum_k k atom(k) q(z - k) gives the
+    rest in nonnegative terms.  It starts from q(0) = 1 and scales its
+    values down by an exact power of two whenever one passes 2^512, so
+    neither a large t nor the factor exp(-t h) leaves double range.
+    """
+    katoms = [k * atom(k) for k in range(1, zmax + 1)]
+    q, lg = [1.0], -t * h
+    for z in range(1, zmax + 1):
+        x = t * (math.fsum(map(operator.mul, katoms[:z], reversed(q))) / z)
+        if x == math.inf:
+            raise ValueError("t = %r is too large for the jump-count recursion" % (t,))
+        q.append(x)
+        if x > _RESCALE:
+            e = math.frexp(x)[1]
+            q = [math.ldexp(y, -e) for y in q]
+            lg += e * _LN2
+    return q, lg
+
+
+def _times_exp(y, lg):
+    """y exp(lg) for 0 <= y < 2^600, also where exp(lg) alone leaves double range."""
+    if -700.0 < lg < 700.0:
+        return y * math.exp(lg)
+    if lg < -2000.0:
+        return 0.0
+    k = math.floor(lg / _LN2)
+    return math.ldexp(y * math.exp(lg - k * _LN2), k)
+
+
 def _tilt_prefactor(t, scale, tilt, alpha):
     """exp(t scale tilt^alpha), which undoes the tempering of the series.
 
@@ -214,7 +271,16 @@ def _state_series(a, z, slope, beta_denom, cfg, label):
 
 
 def variant_pmf(v, rates, nbar, t, cfg=None):
-    """P{variant state = nbar at time t} by the closed-form series.
+    """P{variant state = nbar at time t}.
+
+    sum_z S[z] q_t(z), S the state's jump-count profile and q_t the law
+    of the total jump count Z_t.  Under a Levy clock Z_t is compound
+    Poisson: q_t is a negative binomial for the gamma clock and comes
+    from Panjer's recursion, whose terms are all nonnegative, for the
+    tempered-stable family (stable, tempered, inverse Gaussian), so the
+    value is exact at any t.  At inverse-stable time q_t is the
+    Mittag-Leffler series (Mgfcp) or the paper's alternating r-series
+    (Mgstfcp), which cancel as t grows.
 
     States that need more than 170 jumps in one component raise
     ValueError, as does the time-fractional route once 1/Gamma(beta z + 1)
@@ -281,18 +347,24 @@ def _pmf_series(clock, beta, rates, nbar, t, cfg):
         total = _profile_sum(rates, nbar, ktilde)
         return total * math.exp(bt * (math.log(clock.a) - math.log(r)))
 
-    # the tempered-stable family, at inverse-stable time when beta < 1
-    # (tilt > 0 only occurs at beta = 1)
-    alpha, tilt, scale = form
-    denom = lam + tilt
-    c = -1.0 / denom
-    a = scale * denom**alpha * t**beta
-    pref = _tilt_prefactor(t, scale, tilt, alpha)
+    if beta == 1.0:
+        # a Levy clock of the tempered-stable family: the jump count is
+        # compound Poisson with the clock's atoms
+        z0, prof = jump_profile(rates, nbar)
+        q, lg = _jump_count_law(
+            _stable_atom(form, lam), t, subs.laplace_exponent(clock, lam), z0 + len(prof) - 1
+        )
+        return _times_exp(math.fsum(s * x for s, x in zip(prof, q[z0:]) if s), lg)
+
+    # the stable clock at inverse-stable time (tilt 0, scale 1)
+    alpha = form[0]
+    c = -1.0 / lam
+    a = lam**alpha * t**beta
 
     def ktilde(z):
         return (c * lam) ** z * _state_series(a, z, alpha, beta, cfg, "variant_pmf")
 
-    return pref * _profile_sum(rates, nbar, ktilde)
+    return _profile_sum(rates, nbar, ktilde)
 
 
 def _wright_series(clock, beta, rates, nbar, t, cfg):
@@ -350,18 +422,7 @@ def variant_transition_rate(v, rates, mbar):
         # the gamma clock: (lam / (lam + a))^z b (z-1)! / z!
         ratio = lam / (lam + clock.a)
         return _profile_sum(rates, mbar, lambda z: clock.b * ratio**z / z)
-    # jump law scale r^(-1-alpha) e^(-tilt r) up to a constant
-    alpha, tilt, scale = form
-    denom = lam + tilt
-    # scale denom^alpha (lam/denom)^z |C(alpha, z)| with
-    # |C(alpha, z)| = alpha Gamma(z - alpha) / (Gamma(1 - alpha) z!)
-    front = scale * denom**alpha * alpha / math.gamma(1.0 - alpha)
-    log_ratio = math.log(lam / denom)
-
-    def ktilde(z):
-        return front * math.exp(z * log_ratio + gammaln(z - alpha) - gammaln(z + 1.0))
-
-    return _profile_sum(rates, mbar, ktilde)
+    return _profile_sum(rates, mbar, _stable_atom(form, lam))
 
 
 def holding_rate(v, rates):

@@ -1,6 +1,7 @@
 """Command-line layer: parsing, output formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -390,6 +391,13 @@ def test_nan_time_exits_2(capsys, argv):
     assert err == "error: t must be non-negative\n"
 
 
+@pytest.mark.parametrize("t", ["nan", "-1"])
+def test_mgcp_moments_reject_bad_time(capsys, t):
+    code, out, err = run(capsys, ["moments", "--model", MODEL, "--t", t])
+    assert (code, out) == (2, "")
+    assert err == "error: t must be non-negative\n"
+
+
 def test_nan_pgf_argument_exits_2(capsys):
     code, out, err = run(
         capsys,
@@ -400,15 +408,17 @@ def test_nan_pgf_argument_exits_2(capsys):
     assert err == "error: need |u_i| <= 1\n"
 
 
-def test_large_t_prefactor_overflow_is_not_a_deep_state(capsys):
+def test_large_t_pmf_prints_the_pgf_value(capsys):
+    # p(0, 0) = exp(-t H) = e^-586.3 is a normal double at t = 800
     code, out, err = run(
         capsys,
         ["pmf", "--model", MODEL, "--variant", "tempered", "--alpha", "0.6",
          "--theta", "1", "--t", "800", "--box", "0,0"],
     )
-    assert (code, out) == (2, "")
-    assert "t = 800.0 is too large" in err
-    assert "too deep" not in err
+    assert (code, err) == (0, "")
+    want = variant_pgf(Tempered(0.6, 1.0), FIG1, (0.0, 0.0), 800.0)
+    assert csv_rows(out) == (["n1", "n2", "p"], [["0", "0", repr(want)]])
+    assert math.log(want) == pytest.approx(-800.0 * (2.5**0.6 - 1.0), rel=1e-14)
 
 
 def _limit_memory():

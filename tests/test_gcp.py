@@ -170,6 +170,14 @@ def test_moments_against_brute_sums():
         )
 
 
+@pytest.mark.parametrize("t", [math.nan, -1.0])
+def test_moments_reject_bad_time(t):
+    with pytest.raises(ValueError, match="non-negative"):
+        mgcp_mean(FIG1, 0, t)
+    with pytest.raises(ValueError, match="non-negative"):
+        mgcp_component_variance(FIG1, 1, t)
+
+
 def test_levy_measure_atoms_and_total():
     atoms = mgcp_levy_measure(FIG1)
     assert atoms == {(0, 1): 0.5, (1, 1): 0.5, (1, 2): 0.5}

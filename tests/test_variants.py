@@ -306,6 +306,124 @@ def test_deep_series_pmf_frozen():
     assert abs(got - want) <= 1e-10 * want
 
 
+Q3 = RateMatrix([[0.4, 0.2], [0.3, 0.3, 0.1], [0.5]])
+
+# (variant, (alpha, tilt, scale) of its clock exponent
+# scale ((s + tilt)^alpha - tilt^alpha)), written out for the oracles
+LARGE_T = [
+    (Mgsfcp(0.7), lambda mp: (mp.mpf(0.7), 0, 1)),
+    (Tempered(0.6, 1.0), lambda mp: (mp.mpf(0.6), 1, 1)),
+    (IgTC(1.0, 1.5), lambda mp: (mp.mpf(0.5), mp.mpf(1.5) ** 2 / 2, mp.sqrt(2))),
+]
+
+
+def _mp_jump_count_law(mpmath, form, lam, t, zmax):
+    """P{Z_t = z}, z <= zmax, for the jump count at a tempered-stable clock.
+
+    The r-series of exp(-t f(lam (1 - u))) = exp(t scale tilt^alpha)
+    exp(-a (1 - rho u)^alpha): coefficient z of (1 - rho u)^(alpha r) is
+    C(alpha r, z) (-rho)^z, with alpha r formed in mpf.  The terms peak
+    near e^a, so the caller needs about 2a / ln 10 digits.
+    """
+    alpha, tilt, scale = form
+    lam, t = mpmath.mpf(lam), mpmath.mpf(t)
+    a, rho = t * scale * (lam + tilt) ** alpha, lam / (lam + tilt)
+    sums = [mpmath.mpf(0)] * (zmax + 1)
+    floor = mpmath.exp(-a) * mpmath.mpf(10) ** -40
+    r, weight = 0, mpmath.mpf(1)  # (-a)^r / r!
+    while True:
+        binom, largest = mpmath.mpf(1), mpmath.mpf(0)  # C(alpha r, z)
+        for z in range(zmax + 1):
+            if z:
+                binom = binom * (alpha * r - z + 1) / z
+            sums[z] += weight * binom
+            largest = max(largest, abs(weight * binom))
+        if r > a and largest < floor:
+            break
+        r += 1
+        weight = weight * -a / r
+    return [mpmath.exp(t * scale * tilt**alpha) * (-rho) ** z * x for z, x in enumerate(sums)]
+
+
+@pytest.mark.parametrize("t", [20.0, 60.0])
+@pytest.mark.parametrize("rates, box", [(FIG1, (6, 6)), (Q3, (3, 3, 3))], ids=["fig1", "q3"])
+@pytest.mark.parametrize("v, form", [pytest.param(v, f, id=vid(v)) for v, f in LARGE_T])
+def test_large_t_pmf_matches_mpmath(v, form, rates, box, t):
+    """Cells checked against the r-series summed in mpmath at enough digits."""
+    mpmath = pytest.importorskip("mpmath")
+    form = form(mpmath)
+    a = t * float(form[2]) * (rates.total + float(form[1])) ** float(form[0])
+    with mpmath.workdps(int(2 * a / math.log(10)) + 40):
+        law = _mp_jump_count_law(mpmath, form, rates.total, t, sum(box))
+        for n in itertools.product(*(range(b + 1) for b in box)):
+            want = _mp_composition_sum(
+                rates, n, 1 / mpmath.mpf(rates.total), lambda z: mpmath.factorial(z) * law[z]
+            )
+            got = variant_pmf(v, rates, n, t)
+            assert abs(got - want) <= 1e-13 * want, n
+
+
+@pytest.mark.parametrize("t", [20.0, 60.0])
+@pytest.mark.parametrize("rates, box", [(FIG1, (12, 12)), (Q3, (5, 5, 5))], ids=["fig1", "q3"])
+@pytest.mark.parametrize("v", [v for v, _ in LARGE_T], ids=vid)
+def test_large_t_box_is_a_probability_table(v, rates, box, t):
+    cells = [
+        variant_pmf(v, rates, n, t)
+        for n in itertools.product(*(range(b + 1) for b in box))
+    ]
+    pgf0 = variant_pgf(v, rates, (0.0,) * rates.q, t)
+    assert cells[0] == pytest.approx(pgf0, rel=1e-13)
+    assert all(0.0 <= p <= 1.0 for p in cells)
+    assert math.fsum(cells) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "v, want",
+    [
+        pytest.param(v, want, id=vid(v))
+        for v, want in [
+            (Mgsfcp(0.7), 2.907e-12),
+            (Tempered(0.6, 1.0), 4.310e-7),
+            (IgTC(1.0, 1.0), 2.061e-9),
+        ]
+    ],
+)
+def test_t20_empty_state_values(v, want):
+    got = variant_pmf(v, FIG1, (0, 0), 20.0)
+    assert got == variant_pgf(v, FIG1, (0, 0), 20.0)
+    assert got == pytest.approx(want, rel=2e-4)
+
+
+def _mp_ig_kernel(mpmath, delta, gamma, lam, t):
+    """z! P{Z_t = z} at an inverse Gaussian clock, a Poisson mixture in closed form.
+
+    D_t has density t delta e^(t delta gamma) / sqrt(2 pi) x^(-3/2)
+    exp(-(t^2 delta^2 / x + gamma^2 x) / 2), and
+    int x^(nu-1) e^(-b x - c / x) dx = 2 (c / b)^(nu/2) K_nu(2 sqrt(b c)).
+    """
+    delta, gamma, lam, t = (mpmath.mpf(x) for x in (delta, gamma, lam, t))
+    b, c = lam + gamma**2 / 2, (t * delta) ** 2 / 2
+    front = 2 * t * delta * mpmath.exp(t * delta * gamma) / mpmath.sqrt(2 * mpmath.pi)
+
+    def kernel(z):
+        nu = z - mpmath.mpf(0.5)
+        return lam**z * front * (c / b) ** (nu / 2) * mpmath.besselk(nu, 2 * mpmath.sqrt(b * c))
+
+    return kernel
+
+
+def test_underflowing_empty_state_spares_deep_cells():
+    # IgTC(1, 1) at t = 800: P{Z = 0} = e^-800 = 3.7e-348 underflows, yet
+    # p(40, 40) = 1.4e-256 is a normal double and must not come back as 0
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        kernel = _mp_ig_kernel(mpmath, 1, 1, FIG1.total, 800)
+        assert kernel(0) == pytest.approx(mpmath.exp(-800), rel=1e-30)
+        want = _mp_composition_sum(FIG1, (40, 40), 1 / mpmath.mpf(FIG1.total), kernel)
+    got = variant_pmf(IgTC(1.0, 1.0), FIG1, (40, 40), 800.0)
+    assert abs(got - want) <= 1e-12 * want
+
+
 @pytest.mark.parametrize(
     "v", [Mgsfcp(0.7), Tempered(0.6, 1.0), GammaTC(1.0, 2.0), IgTC(1.0, 1.5)],
     ids=vid,
@@ -625,18 +743,35 @@ def test_nan_pgf_argument_is_rejected(v):
 @pytest.mark.parametrize(
     "v, route",
     [
-        (Tempered(0.6, 1.0), variant_pmf),
         (Tempered(0.6, 1.0), variant_pmf_wright),
-        (IgTC(1.0, 1.0), variant_pmf),
     ],
 )
 def test_large_t_prefactor_overflow_names_t(v, route):
-    # exp(t theta^alpha) = exp(800) (IgTC: exp(t delta gamma)) overflows at
-    # every state, the empty one included: a fault of t, not of depth
+    # exp(t theta^alpha) = exp(800) overflows at every state, the empty
+    # one included: a fault of t, not of depth
     with pytest.raises(ValueError, match=r"t = 800\.0 .*prefactor") as info:
         route(v, FIG1, (0, 0), 800.0)
     assert "too deep" not in str(info.value)
     assert "exp(800)" in str(info.value)
+
+
+@pytest.mark.parametrize("v", [Tempered(0.6, 1.0), IgTC(1.0, 1.0)], ids=vid)
+def test_large_t_empty_state_equals_pgf(v):
+    # p(0, 0) = exp(-t f(Lambda)) at any t: e^-586.3 for Tempered, and
+    # 0.0 for IgTC, whose true 3.7e-348 lies below the subnormal range
+    got = variant_pmf(v, FIG1, (0, 0), 800.0)
+    assert got == variant_pgf(v, FIG1, (0, 0), 800.0)
+    if isinstance(v, Tempered):
+        assert math.log(got) == pytest.approx(-800.0 * (2.5**0.6 - 1.0), rel=1e-14)
+    else:
+        assert got == 0.0
+
+
+def test_infinite_time_names_t():
+    # P{Z = 0} = exp(-inf) is 0, but the recursion cannot scale t = inf
+    assert variant_pmf(Mgsfcp(0.7), FIG1, (0, 0), math.inf) == 0.0
+    with pytest.raises(ValueError, match="t = inf is too large"):
+        variant_pmf(Mgsfcp(0.7), FIG1, (1, 0), math.inf)
 
 
 def test_nan_time_is_rejected_by_the_moments():
