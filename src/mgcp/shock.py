@@ -6,14 +6,15 @@ module computes hazard rates, per-type failure densities, failure-type
 probabilities and the survival function, plus the four named threshold
 laws.
 
-The series over threshold values needs the pmf aggregated over all
-states with a given total.  That aggregate is built from a signed table
-B[n, Z] (total count n, total jump count Z): (-1)^Z times the
-jump-count profile of the one-row rates pooled by jump size, so entries
-stay in [-1, 1].  It is folded together with the
-finite-difference table D[x, Z] = sum_y (-1)^y C(x,y) C(alpha y, Z);
-both depend only on (rates, alpha) and are cached.  hazard_rate runs
-the same profile against its own double sum per jump count.
+The series over threshold values needs the level pmf P{total count = n}.
+The total count is a one-dimensional compound Poisson process: the
+joint jumps of the MGSFCP, pooled by their total size, give its level
+jumps, which come at rate Lambda^alpha with size law pi.  So the level
+pmf is sum_m Pois(Lambda^alpha t; m) pi^{*m}(n), a sum of nonnegative
+terms.  The table of the convolution powers pi^{*m} depends only on
+(rates, alpha) and is cached, as are the tails of each threshold law.
+hazard_rate keeps the paper's finite-difference double sum per jump
+count, so its numerator is an independent route.
 """
 
 import itertools
@@ -21,7 +22,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -35,12 +35,20 @@ from .specfun import (
     generalized_sine_integral,
     incomplete_beta,
 )
-from .variants import Mgsfcp, _profile_sum, variant_pmf, variant_transition_rate
+from .variants import (
+    Mgsfcp,
+    _profile_sum,
+    _stable_atom,
+    variant_pmf,
+    variant_transition_rate,
+)
 
 _NMAX_START = 32
 _NMAX_CAP = 512
 _TERM_TOL = 1e-12
 _TAIL_TOL = 1e-8
+# reliability stops once the mass it drops is below this share of L(t)
+_MASS_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -151,41 +159,45 @@ class ShockModel:
 
 @lru_cache(maxsize=32)
 def _tables(rates, alpha, nmax):
-    """(B, D, U): the scaled level table and finite-difference tables.
+    """(L, G): the level-jump convolution table and its time integrals.
 
-    B[n, Z] = Z! * sum over mixed compositions of total n with Z jumps
-    of prod (-lam_ij/lam)^x / x!: (-1)^Z times the jump-count profile of
-    the rates pooled by jump size, so |B| <= 1.
-    D[x, Z] = sum_y (-1)^y C(x,y) C(alpha y, Z), exactly zero for x > Z.
-    U[Z] = sum_x D[x, Z].
+    The total shock count is compound Poisson.  Its level jumps come at
+    rate Lambda^alpha, and one has size k with probability
+    pi(k) = sum_z S_k[z] nu_1(z) / Lambda^alpha: nu_1 the stable clock's
+    atoms (z base jumps at once) and S_k the jump-count profile of k
+    under the rates pooled by jump size.  L[n, m] = pi^{*m}(n) is the
+    chance that m level jumps add up to n, zero for m > n, so
+    P{total = n at t} = sum_m L[n, m] Pois(Lambda^alpha t; m).
+    G[n] = sum_m L[n, m] / Lambda^alpha is that pmf integrated over
+    t in (0, inf).  Every entry is a sum of nonnegative terms.
     """
     size = nmax + 1
     by_size = itertools.zip_longest(*rates.rows, fillvalue=0.0)
     pooled = RateMatrix([map(math.fsum, by_size)])
-    zs = np.arange(size)
-    signs = np.where(zs % 2 == 0, 1.0, -1.0)
-    b = np.zeros((size, size))
-    for n in range(size):
-        z0, col = jump_profile(pooled, (n,))
-        b[n, z0 : z0 + len(col)] = col
-    b *= signs
-    # C(alpha y, Z) by the column recurrence C(x, Z) = C(x, Z-1)(x-Z+1)/Z
-    steps = (alpha * zs[:, None] - zs[None, :-1]) / zs[None, 1:]
-    cb = np.ones((size, size))
-    cb[:, 1:] = np.cumprod(steps, axis=1)
-    pascal = np.zeros((size, size))
-    pascal[0, 0] = 1.0
-    for x in range(1, size):
-        pascal[x, 0] = 1.0
-        pascal[x, 1:] = pascal[x - 1, 1:] + pascal[x - 1, :-1]
-    signed = pascal * signs
-    d = np.triu(signed @ cb)
-    return b, d, d.sum(axis=0)
+    rate = rates.total**alpha
+    atom = _stable_atom((alpha, 0.0, 1.0), rates.total)
+    nu = np.array([0.0] + [atom(z) for z in range(1, size)]) / rate
+    pi = np.zeros(size)
+    for k in range(1, size):
+        z0, col = jump_profile(pooled, (k,))
+        pi[k] = np.dot(col, nu[z0 : z0 + len(col)])
+    table = np.zeros((size, size))
+    table[0, 0] = 1.0
+    for m in range(1, size):
+        # column m is column m - 1 convolved with pi, kept on n >= m
+        step = np.convolve(table[m - 1 : -1, m - 1], pi[1 : size - m + 1])
+        table[m:, m] = step[: size - m]
+    return table, table.sum(axis=1) / rate
 
 
 def _level_pmf(model, t, nmax):
-    """Vector P[n] = sum over states with total n of the MGSFCP pmf."""
-    b, d, _ = _tables(model.rates, model.alpha, nmax)
+    """Vector P[n] = P{total shock count = n at t}, n = 0..nmax.
+
+    L @ Pois(Lambda^alpha t), with the Poisson weights formed in log
+    space: every term is nonnegative, so each P[n] keeps its relative
+    accuracy at any t, down to the underflow of its weights.
+    """
+    table, _ = _tables(model.rates, model.alpha, nmax)
     a = model.rates.total**model.alpha * t
     xs = np.arange(nmax + 1)
     if a == 0.0:
@@ -193,11 +205,7 @@ def _level_pmf(model, t, nmax):
         pois[0] = 1.0
     else:
         pois = np.exp(-a + xs * np.log(a) - gammaln(xs + 1))
-    # |B| <= 1 and |D| <= 1 (each column of |D| sums to 1: D[x, Z] is the
-    # w^Z coefficient of (1 - (1+w)^alpha)^x, whose expansion in -w has
-    # nonnegative coefficients with total 1), so both contractions are
-    # absolutely stable for any t.
-    return b @ (pois @ d)
+    return table @ pois
 
 
 @lru_cache(maxsize=32)
@@ -215,8 +223,10 @@ def _jump_rates(rates, alpha, i):
     return tuple(js), tuple(suffix)
 
 
-def _tail_values(model, upto):
-    return [threshold_tail(model.threshold, n) for n in range(upto + 1)]
+@lru_cache
+def _tail_values(threshold, upto):
+    """(q_0, ..., q_upto): the law's tails, computed once per law and length."""
+    return tuple(threshold_tail(threshold, n) for n in range(upto + 1))
 
 
 def hazard_rate(model, i, l, nbar, t):
@@ -259,52 +269,72 @@ def hazard_rate(model, i, l, nbar, t):
     return numer / denom
 
 
-def _series_over_threshold(model, fn, first_n):
-    """sum_n fn(n, tails) with the adaptive table and truncation rule."""
+def _failure_series(model, i, levels):
+    """sum_n p_n sum_{S=max(0,n-k_i)}^{n-1} V[S] sum_{l=n-S}^{k_i} J_i(l).
+
+    V = levels(nmax) is a level vector: the level pmf at t for the
+    failure density, its time integral G for the failure-type split.
+    The inner sum is the convolution of V with the suffix sums of J_i.
+    The series stops after three consecutive terms below 1e-12 whose
+    tails are below 1e-8; nmax doubles from 32 and stops at 512 with a
+    TruncationWarning.
+    """
+    suffix = _jump_rates(model.rates, model.alpha, i)[1]
     nmax = _NMAX_START
-    tails = _tail_values(model, nmax)
-    refresh = fn(nmax)
-    total = 0.0
-    small = 0
-    n = first_n
     while True:
-        if n > nmax:
-            if nmax >= _NMAX_CAP:
-                warnings.warn(
-                    "threshold series not converged by n=%d" % nmax,
-                    TruncationWarning,
-                    stacklevel=3,
-                )
-                break
-            nmax = min(2 * nmax, _NMAX_CAP)
-            tails = _tail_values(model, nmax)
-            refresh = fn(nmax)
-        term = refresh(n, tails)
-        total += term
-        if abs(term) < _TERM_TOL and tails[n] < _TAIL_TOL:
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-        n += 1
-    return total
+        tails = np.array(_tail_values(model.threshold, nmax))
+        # terms[n - 1] is term n, n = 1..nmax
+        terms = -np.diff(tails) * np.convolve(levels(nmax), suffix)[:nmax]
+        small = (np.abs(terms) < _TERM_TOL) & (tails[1:] < _TAIL_TOL)
+        stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
+        if stops.size:
+            return math.fsum(terms[: stops[0] + 3])
+        if nmax >= _NMAX_CAP:
+            warnings.warn(
+                "threshold series not converged by n=%d" % nmax,
+                TruncationWarning,
+                stacklevel=3,
+            )
+            return math.fsum(terms)
+        nmax = min(2 * nmax, _NMAX_CAP)
 
 
 def reliability(model, t):
-    """Survival probability L(t) = sum_n q_n P{total shock count = n}."""
-    if not t >= 0:
-        raise ValueError("t must be non-negative")
+    """Survival probability L(t) = sum_n q_n P{total shock count = n}.
 
-    def fn(nmax):
+    The sum over n <= N drops at most q_(N+1) P{total > N}, since the
+    tails do not increase.  N doubles from 32 until that bound is below
+    1e-13 L(t); past n = 512 the sum stops with a TruncationWarning that
+    states the bound.  Where even the bound exceeds the sum, as when the
+    level pmf has moved past n = 512 (large t), the value is unknown:
+    ValueError naming t.
+    """
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be non-negative and finite, got t = %r" % (t,))
+    nmax = _NMAX_START
+    while True:
         plevel = _level_pmf(model, t, nmax)
-
-        def term(n, tails):
-            return tails[n] * plevel[n]
-
-        return term
-
-    return _series_over_threshold(model, fn, 0)
+        tails = np.array(_tail_values(model.threshold, nmax + 1))
+        total = float(tails[:-1] @ plevel)
+        dropped = tails[-1] * max(0.0, 1.0 - plevel.sum())
+        if dropped <= _MASS_TOL * total:
+            return total
+        if nmax >= _NMAX_CAP:
+            break
+        nmax = min(2 * nmax, _NMAX_CAP)
+    if dropped > total:
+        raise ValueError(
+            "t = %r is too large for the threshold series: the levels "
+            "up to n = %d give %.6g, and the mass past them may be up to %.6g"
+            % (t, nmax, total, dropped)
+        )
+    warnings.warn(
+        "threshold series not converged by n=%d: the dropped mass is at "
+        "most %.3g of L(t)" % (nmax, dropped / total),
+        TruncationWarning,
+        stacklevel=2,
+    )
+    return total
 
 
 def failure_density(model, i, t):
@@ -317,26 +347,9 @@ def failure_density(model, i, t):
     rates = model.rates
     if not 0 <= i < rates.q:
         raise ValueError("component index out of range")
-    if not t > 0:
-        raise ValueError("t must be positive")
-    ki = rates.ks[i]
-    suffix = _jump_rates(rates, model.alpha, i)[1]
-
-    def fn(nmax):
-        plevel = _level_pmf(model, t, nmax)
-
-        def term(n, tails):
-            pn = tails[n - 1] - tails[n]
-            if pn == 0.0:
-                return 0.0
-            acc = 0.0
-            for s in range(max(0, n - ki), n):
-                acc += plevel[s] * suffix[n - s - 1]
-            return pn * acc
-
-        return term
-
-    return _series_over_threshold(model, fn, 1)
+    if not 0 < t < math.inf:
+        raise ValueError("t must be positive and finite, got t = %r" % (t,))
+    return _failure_series(model, i, lambda nmax: _level_pmf(model, t, nmax))
 
 
 def prob_failure_type(model, i):
@@ -349,26 +362,7 @@ def prob_failure_type(model, i):
     rates = model.rates
     if not 0 <= i < rates.q:
         raise ValueError("component index out of range")
-    ki = rates.ks[i]
-    suffix = _jump_rates(rates, model.alpha, i)[1]
-    inv_rate = rates.total ** -model.alpha
-
-    def fn(nmax):
-        b, _, u = _tables(rates, model.alpha, nmax)
-        glevel = inv_rate * (b @ u)
-
-        def term(n, tails):
-            pn = tails[n - 1] - tails[n]
-            if pn == 0.0:
-                return 0.0
-            acc = 0.0
-            for s in range(max(0, n - ki), n):
-                acc += glevel[s] * suffix[n - s - 1]
-            return pn * acc
-
-        return term
-
-    return _series_over_threshold(model, fn, 1)
+    return _failure_series(model, i, lambda nmax: _tables(rates, model.alpha, nmax)[1])
 
 
 _FIG_FAMILY = {

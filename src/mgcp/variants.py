@@ -305,6 +305,12 @@ def _pmf(route, v, rates, nbar, t, cfg):
         raise ValueError("t must be non-negative")
     if t == 0:
         return 1.0 if not any(nbar) else 0.0
+    if t == math.inf:
+        # every clock grows without bound, so p(0) -> 0; the series of the
+        # other states need a finite t
+        if any(nbar):
+            raise ValueError("t = inf is too large for a pmf of a non-empty state")
+        return 0.0
     clock, beta = _split(v)
     try:
         if clock is None and beta == 1.0:

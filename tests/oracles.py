@@ -1,0 +1,111 @@
+"""Oracles that only serve the tests: independent routes to check src/ against.
+
+The shock model's level pmf P[n] = P{total shock count = n at t} in the
+paper's own form.  It is a signed table B[n, Z] (total count n, total
+jump count Z): (-1)^Z times the jump-count profile of the rates pooled
+by jump size.  B is folded with the finite-difference table
+D[x, Z] = sum_y (-1)^y C(x, y) C(alpha y, Z) and the Poisson weights of
+x.  The inner sum over x alternates, so in doubles the route is only
+good while Lambda^alpha t stays small (t <= 10 or so); mp_level_pmf
+evaluates the same formula in mpmath, with alpha y formed in mpf.
+"""
+
+import itertools
+import math
+
+import numpy as np
+from scipy.special import gammaln
+
+from mgcp.compositions import enumerate_compositions, jump_profile
+from mgcp.gcp import RateMatrix
+
+
+def pooled_row(rates):
+    """The one-row rate matrix of the rates pooled by jump size."""
+    by_size = itertools.zip_longest(*rates.rows, fillvalue=0.0)
+    return RateMatrix([map(math.fsum, by_size)])
+
+
+def signed_level_tables(rates, alpha, nmax):
+    """(B, D, U): the paper's signed level table and finite-difference tables.
+
+    B[n, Z] = Z! * sum over mixed compositions of total n with Z jumps
+    of prod (-lam_ij/lam)^x / x!, so |B| <= 1.
+    D[x, Z] = sum_y (-1)^y C(x,y) C(alpha y, Z), exactly zero for x > Z.
+    U[Z] = sum_x D[x, Z].
+    """
+    size = nmax + 1
+    pooled = pooled_row(rates)
+    zs = np.arange(size)
+    signs = np.where(zs % 2 == 0, 1.0, -1.0)
+    b = np.zeros((size, size))
+    for n in range(size):
+        z0, col = jump_profile(pooled, (n,))
+        b[n, z0 : z0 + len(col)] = col
+    b *= signs
+    # C(alpha y, Z) by the column recurrence C(x, Z) = C(x, Z-1)(x-Z+1)/Z
+    steps = (alpha * zs[:, None] - zs[None, :-1]) / zs[None, 1:]
+    cb = np.ones((size, size))
+    cb[:, 1:] = np.cumprod(steps, axis=1)
+    pascal = np.zeros((size, size))
+    pascal[0, 0] = 1.0
+    for x in range(1, size):
+        pascal[x, 0] = 1.0
+        pascal[x, 1:] = pascal[x - 1, 1:] + pascal[x - 1, :-1]
+    d = np.triu((pascal * signs) @ cb)
+    return b, d, d.sum(axis=0)
+
+
+def signed_level_pmf(rates, alpha, t, nmax):
+    """P[n], n <= nmax, as B @ (Pois(Lambda^alpha t) @ D), in doubles."""
+    b, d, _ = signed_level_tables(rates, alpha, nmax)
+    a = rates.total**alpha * t
+    xs = np.arange(nmax + 1)
+    pois = np.exp(-a + xs * np.log(a) - gammaln(xs + 1))
+    return b @ (pois @ d)
+
+
+def signed_level_integrals(rates, alpha, nmax):
+    """int_0^inf P[n](t) dt = Lambda^-alpha (B @ U)[n].
+
+    Each Poisson weight of x integrates to Lambda^-alpha over t.
+    """
+    b, _, u = signed_level_tables(rates, alpha, nmax)
+    return rates.total**-alpha * (b @ u)
+
+
+def mp_level_pmf(mpmath, rates, alpha, t, nmax):
+    """The paper's level pmf in mpmath at the caller's precision.
+
+    The profile comes from an enumeration of the compositions of each
+    level under the pooled row, not from jump_profile.  The x-sum
+    cancels as a = Lambda^alpha t grows: at a = 20 doubles keep only three
+    digits at level 32, while 40 and 80 digits agree to the last double.
+    """
+    pooled = [mpmath.mpf(lam) for lam in pooled_row(rates).rows[0]]
+    lam, alpha = mpmath.fsum(pooled), mpmath.mpf(alpha)
+    a = lam**alpha * mpmath.mpf(t)
+    pois = [mpmath.exp(-a) * a**x / mpmath.factorial(x) for x in range(nmax + 1)]
+    # kz[Z] = sum_x Pois(a; x) D[x, Z], D formed with alpha y in mpf
+    kz = [
+        mpmath.fsum(
+            pois[x]
+            * mpmath.fsum(
+                (-1) ** y * mpmath.binomial(x, y) * mpmath.binomial(alpha * y, z)
+                for y in range(x + 1)
+            )
+            for x in range(z + 1)
+        )
+        for z in range(nmax + 1)
+    ]
+    out = []
+    for n in range(nmax + 1):
+        total = mpmath.mpf(0)
+        for comp in enumerate_compositions(len(pooled), n):
+            z = sum(comp)
+            w = mpmath.factorial(z) * (-1) ** z
+            for p, x in zip(pooled, comp):
+                w *= (p / lam) ** x / mpmath.factorial(x)
+            total += w * kz[z]
+        out.append(total)
+    return out

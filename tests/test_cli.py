@@ -297,6 +297,31 @@ class TestReliabilityCommand:
         assert doc["threshold"] == {"law": "incgamma", "a": 0.0, "p": 0.5}
         assert doc["case"] == "fig3"
 
+    @pytest.mark.parametrize("alpha", ["0.5", "0.9"])
+    def test_large_t_matches_the_geometric_closed_form(self, capsys, alpha):
+        # L(t) = exp(-t (Lambda - sum_j pooled_j u^j)^alpha), u = 1 - p:
+        # exp(-t 0.875^alpha) at the figure-1 rates
+        code, out, err = run(
+            capsys,
+            ["reliability", "--case", "fig1", "--alpha", alpha, "--threshold",
+             "geometric:0.5", "--tgrid", "30:200:170"],
+        )
+        assert (code, err) == (0, "")
+        _, rows = csv_rows(out)
+        assert [float(r[0]) for r in rows] == [30.0, 200.0]
+        for t, got in ((float(r[0]), float(r[1])) for r in rows):
+            want = math.exp(-t * 0.875 ** float(alpha))
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_unresolvable_t_exits_2_naming_t(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["reliability", "--case", "fig1", "--alpha", "0.5", "--threshold",
+             "geometric:0.5", "--tgrid", "100000:100000:1"],
+        )
+        assert (code, out) == (2, "")
+        assert "t = 100000.0 is too large" in err
+
 
 class TestPresetsCommand:
     def test_listing(self, capsys):
@@ -419,6 +444,18 @@ def test_large_t_pmf_prints_the_pgf_value(capsys):
     want = variant_pgf(Tempered(0.6, 1.0), FIG1, (0.0, 0.0), 800.0)
     assert csv_rows(out) == (["n1", "n2", "p"], [["0", "0", repr(want)]])
     assert math.log(want) == pytest.approx(-800.0 * (2.5**0.6 - 1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "flags", [["--variant", "mgcp"], ["--variant", "gamma", "--a", "1", "--b", "2"]]
+)
+def test_infinite_t_pmf_exits_2_naming_t(capsys, flags):
+    # the box holds non-empty states, which have no value at t = inf
+    code, out, err = run(
+        capsys, ["pmf", "--model", MODEL, *flags, "--t", "inf", "--box", "1,1"]
+    )
+    assert (code, out) == (2, "")
+    assert "t = inf" in err
 
 
 def _limit_memory():

@@ -2,17 +2,21 @@
 
 IncGamma frozen values come from /root/notes/oracles.py (mpmath at 50
 digits); the other laws are checked against classical closed forms or
-direct quadrature.
+direct quadrature.  The level pmf is checked against the paper's signed
+formula (tests/oracles.py) in doubles at small t and in mpmath at large t.
 """
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+import oracles
+from mgcp import shock
 from mgcp.gcp import RateMatrix
 from mgcp.shock import (
     CustomThreshold,
@@ -30,6 +34,7 @@ from mgcp.shock import (
     threshold_pmf,
     threshold_tail,
     _level_pmf,
+    _tables,
 )
 from mgcp.specfun import TruncationWarning
 from mgcp.variants import Mgsfcp, variant_pmf, variant_transition_rate
@@ -145,6 +150,63 @@ def test_level_pmf_normalizes_at_zero_time():
     assert_allclose(plevel[1:], 0.0, atol=1e-15)
 
 
+class TestLevelTables:
+    """The nonnegative level table against the paper's signed formula."""
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.9))
+    def test_level_pmf_matches_the_signed_formula_at_small_t(self, alpha):
+        # the signed route is good in doubles while Lambda^alpha t is small
+        for t in (0.5, 2.0, 10.0):
+            model = ShockModel(FIG1, alpha, Geometric(0.5))
+            want = oracles.signed_level_pmf(FIG1, alpha, t, 32)
+            assert_allclose(_level_pmf(model, t, 32), want, rtol=1e-10)
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.9))
+    def test_integrals_match_the_signed_formula(self, alpha):
+        _, g = _tables(FIG1, alpha, 32)
+        assert_allclose(g, oracles.signed_level_integrals(FIG1, alpha, 32), rtol=1e-10)
+
+    @pytest.mark.parametrize("alpha, t", [(0.05, 20.0), (0.3, 20.0), (0.5, 50.0)])
+    def test_level_pmf_matches_mpmath_at_large_t(self, alpha, t):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = [float(p) for p in oracles.mp_level_pmf(mpmath, FIG1, alpha, t, 32)]
+        got = _level_pmf(ShockModel(FIG1, alpha, Geometric(0.5)), t, 32)
+        assert_allclose(got, want, rtol=1e-13)
+        if alpha == 0.05:
+            # the signed route in doubles cancels: 1.1e-3 off at level 32
+            signed = oracles.signed_level_pmf(FIG1, alpha, t, 32)
+            assert abs(signed[32] - want[32]) > 1e-4 * want[32]
+
+    def test_entries_are_probabilities(self):
+        table, g = _tables(figure_rates(2), 0.4, 64)
+        assert table.min() >= 0.0 and g.min() > 0.0
+        # column m is the law of m level jumps, cut at level 64
+        assert np.all(table.sum(axis=0) <= 1.0 + 1e-15)
+        assert np.all(np.triu(table, 1) == 0.0)
+
+    def test_table_cache_keeps_its_statistics(self):
+        # the benchmark reads the table cache statistics on every pass
+        info = shock._tables.cache_info()
+        assert info.maxsize == 32
+
+    def test_tails_are_computed_once_per_law(self, monkeypatch):
+        calls = []
+
+        def counting(d, n):
+            calls.append(n)
+            return threshold_tail(d, n)
+
+        monkeypatch.setattr(shock, "threshold_tail", counting)
+        shock._tail_values.cache_clear()
+        model = ShockModel(FIG1, 0.7, Logarithmic(0.37))
+        first = reliability_curve(model, range(11)), prob_failure_type(model, 0)
+        assert calls
+        del calls[:]
+        again = reliability_curve(model, range(11)), prob_failure_type(model, 0)
+        assert again == first and calls == []
+
+
 class TestHazardRate:
     def test_constant_in_state_and_time(self):
         for i, l in ((0, 1), (1, 1), (1, 2)):
@@ -199,6 +261,39 @@ class TestReliability:
     def test_domain(self):
         with pytest.raises(ValueError):
             reliability(MODEL, -0.5)
+
+    @pytest.mark.parametrize("which", (1, 2))
+    @pytest.mark.parametrize("alpha", (0.5, 0.9))
+    def test_matches_the_geometric_closed_form_at_large_t(self, which, alpha):
+        # L(t) = pgf of the total count at u = 1 - p:
+        # exp(-t (Lambda - sum_j pooled_j u^j)^alpha)
+        rates = figure_rates(which)
+        pooled = oracles.pooled_row(rates).rows[0]
+        model = ShockModel(rates, alpha, Geometric(0.5))
+        symbol = rates.total - sum(lam * 0.5**j for j, lam in enumerate(pooled, start=1))
+        for t in (30.0, 50.0, 200.0):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = reliability(model, t)
+            assert got == pytest.approx(math.exp(-t * symbol**alpha), rel=1e-12, abs=0.0)
+            # the bound q_513 P{total > 512} on the dropped mass is 2e-11
+            # of L(200) at the figure-2 rates with alpha = 0.9: only that
+            # sum stops at the cap, and it says so
+            capped = (which, alpha, t) == (2, 0.9, 200.0)
+            assert [w.category for w in caught] == [TruncationWarning] * capped
+
+    def test_value_below_double_range(self):
+        # at t = 1e5 the level pmf lies past the largest table: the sum
+        # over n <= 512 underflows to 0 while the mass it cannot see may
+        # be up to q_513, so the value is unknown and the call names t
+        with pytest.raises(ValueError, match=r"t = 100000\.0 is too large"):
+            reliability(ShockModel(FIG1, 0.5, Geometric(0.5)), 1e5)
+        # a threshold with q_1 = 0 leaves nothing past n = 0: L(t) is
+        # P{no shock} = exp(-t Lambda^alpha), which underflows to 0.0
+        assert reliability(ShockModel(FIG1, 0.5, Geometric(1.0)), 1e5) == 0.0
+        assert reliability(ShockModel(FIG1, 0.5, Geometric(1.0)), 400.0) == pytest.approx(
+            math.exp(-400.0 * 1.5**0.5), rel=1e-13, abs=0.0
+        )
 
     def test_slow_threshold_warns_at_cap(self):
         model = ShockModel(FIG1, 0.9, Geometric(1e-4))
@@ -273,6 +368,13 @@ class TestFigurePresets:
             for a in (0.3, 0.6, 0.9)
         ]
         assert vals[0] < vals[1] < vals[2]
+
+
+def test_infinite_time_is_rejected_naming_t():
+    with pytest.raises(ValueError, match="t = inf"):
+        reliability(MODEL, math.inf)
+    with pytest.raises(ValueError, match="t = inf"):
+        failure_density(MODEL, 0, math.inf)
 
 
 def test_nan_time_is_rejected():

@@ -774,6 +774,21 @@ def test_infinite_time_names_t():
         variant_pmf(Mgsfcp(0.7), FIG1, (1, 0), math.inf)
 
 
+@pytest.mark.parametrize(
+    "pmf, v",
+    [(variant_pmf, v) for v in ALL_VARIANTS]
+    + [(variant_pmf_wright, v) for v in ALL_VARIANTS if isinstance(v, (Mgsfcp, Tempered))],
+    ids=lambda x: getattr(x, "__name__", repr(x)),
+)
+def test_infinite_time_is_zero_or_raises_for_every_variant(pmf, v):
+    # every clock grows without bound, so p(0, 0) -> 0; the series of the
+    # other states need a finite t
+    assert pmf(v, FIG1, (0, 0), math.inf) == 0.0
+    for nbar in ((1, 0), (0, 2), (3, 3)):
+        with pytest.raises(ValueError, match="t = inf"):
+            pmf(v, FIG1, nbar, math.inf)
+
+
 def test_nan_time_is_rejected_by_the_moments():
     with pytest.raises(ValueError, match="non-negative"):
         covariance(Mgfcp(0.8), FIG1, 0, 1, math.nan)
