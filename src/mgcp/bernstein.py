@@ -216,7 +216,10 @@ def tcgcp_pgf(rates, m, ubar, t):
     """pgf exp(-t g(lambda; u)); solves dG/dt = -g G, G(0) = 1."""
     if not t >= 0:
         raise ValueError("t must be non-negative")
-    return math.exp(-t * g_lambda_u(rates, m, ubar))
+    g = g_lambda_u(rates, m, ubar)
+    if t == math.inf:
+        return 1.0 if g == 0 else 0.0
+    return math.exp(-t * g)
 
 
 def tcgcp_pgf_fractional(rates, m, beta, ubar, t):
@@ -226,6 +229,8 @@ def tcgcp_pgf_fractional(rates, m, beta, ubar, t):
     if not t >= 0:
         raise ValueError("t must be non-negative")
     g = g_lambda_u(rates, m, ubar)
+    if t == math.inf:
+        return 1.0 if g == 0 else 0.0
     if beta == 1.0:
         return math.exp(-t * g)
     return mittag_leffler(beta, 1.0, 1.0, -(t**beta) * g)

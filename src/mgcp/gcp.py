@@ -207,7 +207,10 @@ def mgcp_pgf(rates, ubar, t):
         raise ValueError("need |u_i| <= 1")
     if not t >= 0:
         raise ValueError("t must be non-negative")
-    return math.exp(-t * pgf_symbol(rates, ubar))
+    w = pgf_symbol(rates, ubar)
+    if t == math.inf:
+        return 1.0 if w == 0 else 0.0
+    return math.exp(-t * w)
 
 
 def mgcp_mean(rates, i, t):

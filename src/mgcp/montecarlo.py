@@ -5,13 +5,14 @@ for the time-changed variants.  Estimators compare empirical statistics
 against the analytic layer in SE units and report pass/fail at a chosen
 sigma level.
 
-The pmf estimator assigns every sample index its own fixed window of
-Philox counter-indexed uniforms and maps draws through inverse CDFs, so
-the aggregate counts are a pure function of (seed, n_samples) and the
-report does not depend on how many workers split the range.  Poisson
-jump totals are inverted exactly against the cdf and capped one past the
-box: a total that large already leaves the box, so every in-box draw is
-the uncapped inverse and no heavy-tailed clock value can stall the map.
+Every estimator draws through the same sampler: a clock value from
+subordinators.sample_many, then a Poisson jump total and binomial size
+thinning per component.  The pmf estimator splits its draws into chunks
+of a fixed size and draws chunk k on its own Philox stream
+stream_rng(seed, k), so the aggregate counts are a pure function of
+(seed, n_samples) and the worker count only sizes the thread pool.  Its
+Poisson means are capped at 2^60, far past any box, so no heavy-tailed
+clock value can stall or overflow a draw.
 """
 
 import cmath
@@ -20,15 +21,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+# unused here; the benchmark tracer swaps montecarlo.stats for its probes
 from scipy import stats
-from scipy.special import ndtri, pdtr
 
 from . import subordinators as subs
 from .variants import clock_spec, codifference, covariance, variant_pmf
 
 _TAIL_MASS = 1e-6
 _MIN_EXPECTED = 5.0
-_WINDOW_DOUBLES = 4_000_000
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -68,11 +70,11 @@ class EstimateReport:
         }
 
 
-def _component_counts(row, operational, rng):
-    """Vector of component counts from Poisson totals and size thinning."""
+def _component_counts(row, mu, rng):
+    """Component counts from Poisson(mu) jump totals and size thinning."""
     total = math.fsum(row)
-    n_jumps = rng.poisson(total * operational)
-    out = np.zeros(len(operational), dtype=np.int64)
+    n_jumps = rng.poisson(mu)
+    out = np.zeros(len(mu), dtype=np.int64)
     remaining = n_jumps
     rest = 1.0
     for j, lam in enumerate(row, start=1):
@@ -99,7 +101,10 @@ def sample_mgcp_many(rates, operational, rng):
     operational = np.asarray(operational, dtype=float)
     if np.any(operational < 0):
         raise ValueError("t must be non-negative")
-    cols = [_component_counts(row, operational, rng) for row in rates.rows]
+    cols = [
+        _component_counts(row, math.fsum(row) * operational, rng)
+        for row in rates.rows
+    ]
     return np.stack(cols, axis=1)
 
 
@@ -111,102 +116,32 @@ def sample_variant(v, rates, t, rng):
 def sample_variant_many(v, rates, t, rng, size):
     if not t >= 0:
         raise ValueError("t must be non-negative")
+    return sample_mgcp_many(rates, _clock_draws(v, t, rng, size), rng)
+
+
+def _clock_draws(v, t, rng, size):
+    """Operational times: size clock draws, or t itself for the base process."""
     spec = clock_spec(v)
     if spec is None:
-        operational = np.full(size, float(t))
-    else:
-        operational = subs.sample_many(spec, t, rng, size)
-    return sample_mgcp_many(rates, operational, rng)
+        return np.full(size, float(t))
+    return subs.sample_many(spec, t, rng, size)
 
 
-def _uniform_budget(v, rates, t):
-    """Unit uniforms reserved per sample, fixed by (variant, rates, t)."""
-    spec = clock_spec(v)
-    m = 0 if spec is None else subs.clock_budget(spec, t)
-    m += sum(rates.ks)
-    # Philox advance moves in blocks of four outputs; pad to a boundary
-    return -(-m // 4) * 4
-
-
-def _uniform_window(seed, lo, hi, m):
-    """Rows lo..hi-1 of the implicit (n_samples, m) uniform table."""
-    bit = np.random.Philox(key=seed)
-    bit.advance(lo * m // 4)
-    return np.random.Generator(bit).random((hi - lo) * m).reshape(hi - lo, m)
-
-
-def _poisson_inverse(u, mu, cap):
-    """Elementwise min(cap, smallest k with pdtr(k, mu) >= u).
-
-    Starts from the Cornish-Fisher quantile clipped to [0, cap] and steps
-    with the exact cdf over the draws not yet settled, so each loop runs
-    at most cap times.  A NaN, infinite or huge mean guesses cap and
-    settles with one cdf call.
-    """
-    z = ndtri(u)
-    with np.errstate(invalid="ignore"):
-        guess = np.floor(mu + np.sqrt(mu) * z + (z * z - 1.0) / 6.0)
-    k = np.maximum(np.fmin(guess, cap), 0.0)
-    reached = pdtr(k, mu) >= u
-    down = np.flatnonzero(reached & (k > 0))
-    while down.size:
-        down = down[pdtr(k[down] - 1.0, mu[down]) >= u[down]]
-        k[down] -= 1.0
-        down = down[k[down] > 0]
-    up = np.flatnonzero(~reached & (k < cap))
-    while up.size:
-        k[up] += 1.0
-        up = up[(pdtr(k[up], mu[up]) < u[up]) & (k[up] < cap)]
-    return k.astype(np.int64)
-
-
-def _states_from_uniforms(v, rates, t, u, box):
-    """(rows, q) state draws as a pure function of the uniform window.
-
-    Jump totals are capped at box + 1 per component; every jump adds at
-    least 1, so a capped draw is outside the box either way.
-    """
-    spec = clock_spec(v)
-    if spec is None:
-        operational = np.full(u.shape[0], float(t))
-        col = 0
-    else:
-        col = subs.clock_budget(spec, t)
-        operational = subs.clock_from_uniforms(spec, t, u[:, :col])
-    out = np.empty((u.shape[0], rates.q), dtype=np.int64)
-    for i, row in enumerate(rates.rows):
-        total = math.fsum(row)
-        remaining = _poisson_inverse(
-            subs._interior(u[:, col]), total * operational, box[i] + 1
-        )
-        col += 1
-        counts = np.zeros(u.shape[0], dtype=np.int64)
-        rest = total
-        live = [j for j, lam in enumerate(row, start=1) if lam > 0.0]
-        for j in live[:-1]:
-            lam = row[j - 1]
-            taken = stats.binom.ppf(
-                subs._interior(u[:, col]), remaining, lam / rest
-            ).astype(np.int64)
-            col += 1
-            counts += j * taken
-            remaining -= taken
-            rest -= lam
-        if live:
-            counts += live[-1] * remaining
-        out[:, i] = counts
-    return out
-
-
-def _pmf_counts(v, rates, t, seed, lo, hi, m, dims):
-    box = dims - 1
-    samples = _states_from_uniforms(
-        v, rates, t, _uniform_window(seed, lo, hi, m), box
-    )
-    inside = np.all(samples <= box, axis=1)
+def _pmf_counts(v, rates, t, seed, k, n_samples, dims):
+    """Box cell counts and outside count of chunk k, drawn on stream k."""
+    rng = subs.stream_rng(seed, k)
+    operational = _clock_draws(v, t, rng, min(_CHUNK, n_samples - k * _CHUNK))
+    cols = []
+    for row in rates.rows:
+        # a larger mean leaves any box below 2^59 with probability 1 in
+        # double precision; a NaN or infinite mean goes to the cap too
+        mu = np.fmin(math.fsum(row) * operational, 2.0**60)
+        cols.append(_component_counts(row, mu, rng))
+    samples = np.stack(cols, axis=1)
+    inside = np.all(samples < dims, axis=1)
     flat = np.ravel_multi_index(tuple(samples[inside].T), tuple(dims))
     counts = np.bincount(flat, minlength=int(dims.prod()))
-    return counts, int(hi - lo - inside.sum())
+    return counts, int(samples.shape[0] - inside.sum())
 
 
 def estimate_pmf(v, rates, t, box, n_samples, seed, workers=1, sigma=4.0):
@@ -216,8 +151,9 @@ def estimate_pmf(v, rates, t, box, n_samples, seed, workers=1, sigma=4.0):
     are pooled with the outside-box mass into one tail bucket, so no
     z-score divides by a vanishing SE or leans on a normal approximation
     to a near-empty cell.
-    The worker count only sizes the thread pool; the counts, and hence
-    the report, are identical for any workers value at a fixed seed.
+    Draw k*_CHUNK + j is draw j of stream_rng(seed, k), so the counts,
+    and hence the report, are identical for any workers value at a fixed
+    seed; the worker count only sizes the thread pool.
     """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
@@ -226,14 +162,11 @@ def estimate_pmf(v, rates, t, box, n_samples, seed, workers=1, sigma=4.0):
     if workers < 1:
         raise ValueError("workers must be positive")
     dims = np.asarray(box, dtype=np.int64) + 1
-    m = _uniform_budget(v, rates, t)
-    chunk = max(256, _WINDOW_DOUBLES // m)
-    ranges = [(lo, min(lo + chunk, n_samples)) for lo in range(0, n_samples, chunk)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(
             pool.map(
-                lambda r: _pmf_counts(v, rates, t, seed, r[0], r[1], m, dims),
-                ranges,
+                lambda k: _pmf_counts(v, rates, t, seed, k, n_samples, dims),
+                range(-(-n_samples // _CHUNK)),
             )
         )
     counts = sum(p[0] for p in parts)

@@ -3,7 +3,8 @@
 Each clock is a small frozen dataclass.  Samplers draw single-time
 marginals only (that is all the pmf layer and the Monte-Carlo checks
 need) and take an explicit numpy Generator; use stream_rng to build
-reproducible per-worker streams.
+reproducible independent streams.  clock_from_uniforms is a second,
+inverse-cdf sampler kept as the test reference for sample_many.
 """
 
 import math
@@ -276,7 +277,10 @@ def _tempered_slices(alpha, theta, t):
 
 
 def clock_budget(spec, t):
-    """Unit uniforms consumed per draw by clock_from_uniforms."""
+    """Unit uniforms consumed per draw by clock_from_uniforms.
+
+    Part of the reference sampler; no estimator calls it.
+    """
     if isinstance(spec, (Stable, InverseStable, InverseGaussian)):
         return 2
     if isinstance(spec, StableTimeInverseStable):
@@ -293,8 +297,8 @@ def clock_from_uniforms(spec, t, u):
 
     Equal in distribution to sample_many but a pure function of its
     inputs, so any partition of a sample range into batches produces
-    the same draws.  Needed by the estimator determinism contract
-    (same report no matter how many workers split the samples).
+    the same draws.  No estimator calls it: it is the independent
+    reference that the tests compare sample_many against.
     """
     if isinstance(spec, Stable):
         return t ** (1.0 / spec.alpha) * _kanter_from_u(spec.alpha, u[:, 0], u[:, 1])
@@ -313,7 +317,10 @@ def clock_from_uniforms(spec, t, u):
 
 
 def _ig_from_u(mean, shape, u):
-    """Michael-Schucany-Haas inverse Gaussian from (normal, uniform)."""
+    """Michael-Schucany-Haas inverse Gaussian from (normal, uniform).
+
+    Part of the reference sampler behind clock_from_uniforms.
+    """
     chi = ndtri(_interior(u[:, 0])) ** 2
     w = mean * chi
     x1 = mean + mean / (2.0 * shape) * (w - np.sqrt(4.0 * shape * w + w * w))
@@ -327,7 +334,8 @@ def _tempered_from_u(alpha, theta, t, u):
     Each time slice owns _TILT_ROUNDS column triples (two Kanter inputs
     plus one acceptance uniform); acceptance is at least 1/2 per round,
     so the chance any draw exhausts its 48 rounds is below 4e-15, in
-    which case the last proposal is kept.
+    which case the last proposal is kept.  Part of the reference sampler
+    behind clock_from_uniforms.
     """
     size = u.shape[0]
     slices = _tempered_slices(alpha, theta, t)

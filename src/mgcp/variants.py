@@ -406,6 +406,10 @@ def variant_pgf(v, rates, ubar, t):
     clock, beta = _split(v)
     w = pgf_symbol(rates, ubar)
     f = w if clock is None else subs.laplace_exponent(clock, w)
+    if t == math.inf:
+        # every clock grows without bound: the limit is 1 where the
+        # exponent vanishes (as at u = 1) and 0 elsewhere
+        return 1.0 if f == 0 else 0.0
     if beta == 1.0:
         return math.exp(-t * f)
     return mittag_leffler(beta, 1.0, 1.0, -(t**beta) * f)

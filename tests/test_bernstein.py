@@ -178,6 +178,19 @@ def test_pgf_matches_variant_pgf(spec):
         tcgcp_pgf(FIG1, Named(spec), ubar, -1.0)
 
 
+@pytest.mark.parametrize("beta", [None, 1.0, 0.6])
+def test_pgf_at_infinite_time_is_its_limit(beta):
+    m = Named(GammaSub(1.2, 0.8))
+
+    def pgf(ubar):
+        if beta is None:
+            return tcgcp_pgf(FIG1, m, ubar, math.inf)
+        return tcgcp_pgf_fractional(FIG1, m, beta, ubar, math.inf)
+
+    assert pgf((1.0, 1.0)) == 1.0
+    assert pgf((0.4, 0.8)) == 0.0
+
+
 class TestFractionalPgf:
     def test_beta_one_is_exponential_path(self):
         m = Named(Stable(0.7))

@@ -433,6 +433,17 @@ def test_nan_pgf_argument_exits_2(capsys):
     assert err == "error: need |u_i| <= 1\n"
 
 
+@pytest.mark.parametrize("u, want", [("0.5,0.5", "0.0"), ("1.0,1.0", "1.0")])
+def test_infinite_t_pgf_prints_its_limit(capsys, u, want):
+    code, out, err = run(
+        capsys,
+        ["pgf", "--model", MODEL, "--variant", "mgfcp", "--beta", "0.8",
+         "--t", "inf", "--u", u],
+    )
+    assert (code, err) == (0, "")
+    assert csv_rows(out)[1] == [u.split(",") + [want]]
+
+
 def test_large_t_pmf_prints_the_pgf_value(capsys):
     # p(0, 0) = exp(-t H) = e^-586.3 is a normal double at t = 800
     code, out, err = run(

@@ -152,6 +152,11 @@ def test_pgf_rejects_u_outside_disk():
         mgcp_pgf(FIG1, (1.2, 0.5), 1.0)
 
 
+def test_mgcp_pgf_at_infinite_time_is_its_limit():
+    assert mgcp_pgf(FIG1, (1.0, 1.0), math.inf) == 1.0
+    assert mgcp_pgf(FIG1, (0.5, 0.5), math.inf) == 0.0
+
+
 def test_component_symbol_at_one_is_zero():
     assert component_symbol([0.5, 0.5], 1.0) == 0.0
 

@@ -300,6 +300,16 @@ def test_clock_from_uniforms_is_rowwise(spec):
     assert np.array_equal(whole, parts)
 
 
+@pytest.mark.parametrize("spec", ALL_CLOCKS, ids=lambda c: type(c).__name__)
+def test_sample_many_matches_the_reference_sampler(spec):
+    """The live sampler and the uniform-window reference agree in law."""
+    t, size = 1.1, 10000
+    live = sample_many(spec, t, stream_rng(5), size)
+    u = stream_rng(6).random((size, clock_budget(spec, t)))
+    ref = clock_from_uniforms(spec, t, u)
+    assert stats.ks_2samp(live, ref).pvalue > 1e-3
+
+
 def test_gamma_clock_from_uniforms_is_inverse_cdf():
     spec = GammaSub(2.0, 1.5)
     t = 1.2

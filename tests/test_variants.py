@@ -789,6 +789,15 @@ def test_infinite_time_is_zero_or_raises_for_every_variant(pmf, v):
             pmf(v, FIG1, nbar, math.inf)
 
 
+@pytest.mark.parametrize("v", ALL_VARIANTS, ids=vid)
+def test_infinite_time_pgf_is_its_limit(v):
+    # exp(-t f(w)) and E_beta(-t^beta f(w)) tend to 1 where f(w) = 0 and
+    # to 0 elsewhere; u1 = -1 flips the sign of every odd jump
+    assert variant_pgf(v, FIG1, (1.0, 1.0), math.inf) == 1.0
+    for ubar in ((0.5, 0.5), (0.0, 1.0), (-1.0, 1.0)):
+        assert variant_pgf(v, FIG1, ubar, math.inf) == 0.0
+
+
 def test_nan_time_is_rejected_by_the_moments():
     with pytest.raises(ValueError, match="non-negative"):
         covariance(Mgfcp(0.8), FIG1, 0, 1, math.nan)
