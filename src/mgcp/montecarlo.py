@@ -11,8 +11,8 @@ thinning per component.  The pmf estimator splits its draws into chunks
 of a fixed size and draws chunk k on its own Philox stream
 stream_rng(seed, k), so the aggregate counts are a pure function of
 (seed, n_samples) and the worker count only sizes the thread pool.  Its
-Poisson means are capped at 2^60, far past any box, so no heavy-tailed
-clock value can stall or overflow a draw.
+Poisson means are capped at 2^62 over the largest jump size, far past any
+box, so no heavy-tailed clock value can stall a draw or overflow a count.
 """
 
 import cmath
@@ -70,11 +70,11 @@ class EstimateReport:
         }
 
 
-def _component_counts(row, mu, rng):
-    """Component counts from Poisson(mu) jump totals and size thinning."""
+def _component_counts(row, operational, rng):
+    """Vector of component counts from Poisson totals and size thinning."""
     total = math.fsum(row)
-    n_jumps = rng.poisson(mu)
-    out = np.zeros(len(mu), dtype=np.int64)
+    n_jumps = rng.poisson(total * operational)
+    out = np.zeros(len(operational), dtype=np.int64)
     remaining = n_jumps
     rest = 1.0
     for j, lam in enumerate(row, start=1):
@@ -101,10 +101,7 @@ def sample_mgcp_many(rates, operational, rng):
     operational = np.asarray(operational, dtype=float)
     if np.any(operational < 0):
         raise ValueError("t must be non-negative")
-    cols = [
-        _component_counts(row, math.fsum(row) * operational, rng)
-        for row in rates.rows
-    ]
+    cols = [_component_counts(row, operational, rng) for row in rates.rows]
     return np.stack(cols, axis=1)
 
 
@@ -130,14 +127,15 @@ def _clock_draws(v, t, rng, size):
 def _pmf_counts(v, rates, t, seed, k, n_samples, dims):
     """Box cell counts and outside count of chunk k, drawn on stream k."""
     rng = subs.stream_rng(seed, k)
-    operational = _clock_draws(v, t, rng, min(_CHUNK, n_samples - k * _CHUNK))
-    cols = []
-    for row in rates.rows:
-        # a larger mean leaves any box below 2^59 with probability 1 in
-        # double precision; a NaN or infinite mean goes to the cap too
-        mu = np.fmin(math.fsum(row) * operational, 2.0**60)
-        cols.append(_component_counts(row, mu, rng))
-    samples = np.stack(cols, axis=1)
+    # cap every Poisson mean at 2^62 / max k: no count, at most k times a
+    # jump total, can reach 2^63, and a draw at the cap has about that
+    # many jumps on its busiest row, past any box bincount can hold; a NaN
+    # or infinite clock value goes to the cap too
+    cap = 2.0**62 / max(rates.ks) / max(rates.row_totals)
+    operational = np.fmin(
+        _clock_draws(v, t, rng, min(_CHUNK, n_samples - k * _CHUNK)), cap
+    )
+    samples = sample_mgcp_many(rates, operational, rng)
     inside = np.all(samples < dims, axis=1)
     flat = np.ravel_multi_index(tuple(samples[inside].T), tuple(dims))
     counts = np.bincount(flat, minlength=int(dims.prod()))

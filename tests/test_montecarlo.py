@@ -173,11 +173,21 @@ class TestEstimatePmf:
 
     def test_huge_mean_lands_in_tail(self):
         # at a Poisson mean of 1e12 every draw leaves the box; 1e19 is past
-        # numpy's Poisson limit, so only the 2^60 mean cap keeps it drawable
+        # numpy's Poisson limit, so only the mean cap keeps it drawable
         for t in (1e12, 1e19):
             report = estimate_pmf(Mgcp(), ONE, t, (3,), 1000, seed=1)
             assert report.cells == (("tail", 1.0, 1.0, 0.0, 0.0),)
             assert report.passed
+
+    @pytest.mark.parametrize("size", [8, 16])
+    def test_capped_means_keep_large_jumps_in_range(self, size):
+        # a size-k jump adds k per jump, so a mean cap that ignored k would
+        # wrap k times a ~2^60 jump total past the int64 range
+        rates = RateMatrix([[0.0] * (size - 1) + [1.0]])
+        report = estimate_pmf(Mgcp(), rates, 1e19, (3,), 1000, seed=1)
+        assert report.cells == (("tail", 1.0, 1.0, 0.0, 0.0),)
+        report = estimate_pmf(Mgsfcp(0.2), rates, 1.0, (3,), 10**4, seed=1)
+        assert report.passed, report.max_abs_z
 
     def test_heavy_stable_clock_finishes(self):
         # alpha=0.2 clock values reach Poisson means near 1e18; a stall
