@@ -93,11 +93,11 @@ from .shock import (
 
 __version__ = "0.1.0"
 
-# The quadrature layer and the Monte Carlo layer load scipy.integrate and
-# scipy.stats, which the closed-form paths never touch, so their names
-# are looked up on first use (PEP 562).  Each access reads the submodule
-# attribute afresh rather than caching it here, so a later rebinding of
-# that attribute is what the package name returns.
+# The quadrature layer loads scipy.integrate, and neither it nor the
+# Monte Carlo layer is on a closed-form path, so their names are looked
+# up on first use (PEP 562).  Each access reads the submodule attribute
+# afresh rather than caching it here, so a later rebinding of that
+# attribute is what the package name returns.
 _LAZY = {
     "bernstein": (
         "Custom",

@@ -10,9 +10,12 @@ subordinators.sample_many, then a Poisson jump total and binomial size
 thinning per component.  The pmf estimator splits its draws into chunks
 of a fixed size and draws chunk k on its own Philox stream
 stream_rng(seed, k), so the aggregate counts are a pure function of
-(seed, n_samples) and the worker count only sizes the thread pool.  Its
-Poisson means are capped at 2^62 over the largest jump size, far past any
-box, so no heavy-tailed clock value can stall a draw or overflow a count.
+(seed, n_samples) and the worker count only sizes the thread pool.
+Operational times are capped at 2^62 over the largest jump size and row
+total, so every count fits in int64.  The pmf estimator moves a clock
+draw past the cap onto it, since such a draw lies far outside any box;
+every other sampler raises ValueError for it rather than print a wrong
+count.
 """
 
 import cmath
@@ -22,15 +25,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# unused here; the benchmark tracer swaps montecarlo.stats for its probes
-from scipy import stats
-
 from . import subordinators as subs
 from .variants import clock_spec, codifference, covariance, variant_pmf
 
 _TAIL_MASS = 1e-6
 _MIN_EXPECTED = 5.0
 _CHUNK = 1 << 15
+
+
+def __getattr__(name):
+    # montecarlo.stats (scipy.stats) is loaded only on first access: no
+    # sampler or estimator calls it, and it stays reachable only until
+    # the benchmark tracer stops probing its ppf functions (ROADMAP item 5)
+    if name == "stats":
+        from scipy import stats
+
+        return stats
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 @dataclass(frozen=True)
@@ -96,11 +107,32 @@ def sample_mgcp(rates, t, rng):
     )
 
 
+def _operational_cap(rates):
+    """2^62 / (max k * max row total): the largest operational time drawn.
+
+    A count is at most k times its row's Poisson jump total, whose mean
+    is the row total times the operational time, so under this cap no
+    count can reach 2^63 and no mean passes numpy's Poisson limit.
+    """
+    return 2.0**62 / max(rates.ks) / max(rates.row_totals)
+
+
 def sample_mgcp_many(rates, operational, rng):
-    """(len(operational), q) array of draws, one per operational time."""
+    """(len(operational), q) array of draws, one per operational time.
+
+    An operational time past _operational_cap raises ValueError: its
+    counts would not fit in int64.
+    """
     operational = np.asarray(operational, dtype=float)
     if np.any(operational < 0):
         raise ValueError("t must be non-negative")
+    cap = _operational_cap(rates)
+    if not np.all(operational <= cap):
+        raise ValueError(
+            "clock draw %.6g: its jump counts would not fit in int64 "
+            "(limit 2^63); at these rates the largest drawable clock "
+            "value is %.6g" % (np.max(operational), cap)
+        )
     cols = [_component_counts(row, operational, rng) for row in rates.rows]
     return np.stack(cols, axis=1)
 
@@ -127,13 +159,13 @@ def _clock_draws(v, t, rng, size):
 def _pmf_counts(v, rates, t, seed, k, n_samples, dims):
     """Box cell counts and outside count of chunk k, drawn on stream k."""
     rng = subs.stream_rng(seed, k)
-    # cap every Poisson mean at 2^62 / max k: no count, at most k times a
-    # jump total, can reach 2^63, and a draw at the cap has about that
-    # many jumps on its busiest row, past any box bincount can hold; a NaN
+    # clock values past the int64 cap go to the cap: a draw there has
+    # about 2^62 / max k jumps on its busiest row, past any box bincount
+    # can hold, so it lands in the tail as the uncapped draw would; a NaN
     # or infinite clock value goes to the cap too
-    cap = 2.0**62 / max(rates.ks) / max(rates.row_totals)
     operational = np.fmin(
-        _clock_draws(v, t, rng, min(_CHUNK, n_samples - k * _CHUNK)), cap
+        _clock_draws(v, t, rng, min(_CHUNK, n_samples - k * _CHUNK)),
+        _operational_cap(rates),
     )
     samples = sample_mgcp_many(rates, operational, rng)
     inside = np.all(samples < dims, axis=1)

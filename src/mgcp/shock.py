@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .gcp import RateMatrix, _check_state
 from .compositions import jump_profile
@@ -190,21 +189,75 @@ def _tables(rates, alpha, nmax):
     return table, table.sum(axis=1) / rate
 
 
+# Stirling remainder log n! - (n + 1/2) log n + n - log sqrt(2 pi) for
+# n = 1..15 (mpmath; Loader's table), and the coefficients of its
+# asymptotic series, which is exact to 1e-16 from n = 16 on
+_STIRLERR = (
+    0.08106146679532726,
+    0.0413406959554093,
+    0.02767792568499834,
+    0.020790672103765093,
+    0.016644691189821193,
+    0.013876128823070748,
+    0.01189670994589177,
+    0.010411265261972096,
+    0.009255462182712733,
+    0.00833056343336287,
+    0.007573675487951841,
+    0.00694284010720953,
+    0.006408994188004207,
+    0.0059513701127588475,
+    0.005554733551962801,
+)
+_S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
+
+
+@lru_cache(maxsize=8)
+def _stirling_terms(nmax):
+    """(n, -stirlerr(n) - log sqrt(2 pi n)) for n = 1..nmax, read-only."""
+    n = np.arange(1, nmax + 1, dtype=float)
+    nn = n * n
+    stirl = (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / n
+    small = min(nmax, len(_STIRLERR))
+    stirl[:small] = _STIRLERR[:small]
+    c = -stirl - 0.5 * np.log(2.0 * math.pi * n)
+    n.flags.writeable = False
+    c.flags.writeable = False
+    return n, c
+
+
+def _poisson_weights(a, nmax):
+    """Pois(a; n) for n = 0..nmax, a > 0, in Loader's saddle-point form.
+
+    exp(-stirlerr(n) - bd0(n, a)) / sqrt(2 pi n), with the deviance
+    bd0 = n log(n / a) + a - n >= 0 taken through log1p.  The exponent
+    is small where the mass is, so at a = 250 the weights there are
+    within 1e-14 relative, where exp(-a + n log a - log n!) cancels
+    terms of size a log a and is 4e-13 off (C. Loader, Fast and accurate
+    computation of binomial probabilities, 2000).
+    """
+    n, c = _stirling_terms(nmax)
+    d = n - a
+    out = np.empty(nmax + 1)
+    out[0] = math.exp(-a)
+    np.exp(c - (n * np.log1p(d / a) - d), out=out[1:])
+    return out
+
+
 def _level_pmf(model, t, nmax):
     """Vector P[n] = P{total shock count = n at t}, n = 0..nmax.
 
-    L @ Pois(Lambda^alpha t), with the Poisson weights formed in log
-    space: every term is nonnegative, so each P[n] keeps its relative
-    accuracy at any t, down to the underflow of its weights.
+    L @ Pois(Lambda^alpha t): every term is nonnegative, so each P[n]
+    keeps the relative accuracy of its Poisson weights at any t, down to
+    their underflow.
     """
     table, _ = _tables(model.rates, model.alpha, nmax)
     a = model.rates.total**model.alpha * t
-    xs = np.arange(nmax + 1)
     if a == 0.0:
         pois = np.zeros(nmax + 1)
         pois[0] = 1.0
     else:
-        pois = np.exp(-a + xs * np.log(a) - gammaln(xs + 1))
+        pois = _poisson_weights(a, nmax)
     return table @ pois
 
 

@@ -11,9 +11,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.special import gammaln, gammasgn
-from scipy.special import rgamma as _rgamma
-
 
 class NumericsWarning(UserWarning):
     """Base class for numerical-quality flags."""
@@ -112,17 +109,45 @@ class _Accumulator:
         return self.total
 
 
+def _lgamma(x):
+    """log|Gamma(x)|, +inf at the poles x = 0, -1, -2, ..."""
+    try:
+        return math.lgamma(x)
+    except ValueError:
+        return math.inf
+
+
+def _gammasgn(x):
+    """Sign of Gamma(x); nan at the poles -1, -2, ..., at -inf and at nan."""
+    if x > 0:
+        return 1.0
+    if x == 0:
+        return math.copysign(1.0, x)
+    if not x > -math.inf:
+        return math.nan
+    n = math.floor(x)
+    if n == x:
+        return math.nan
+    return -1.0 if n % 2 else 1.0
+
+
 def reciprocal_gamma(x):
     """1/Gamma(x), exactly zero at the poles x = 0, -1, -2, ..."""
-    return float(_rgamma(x))
+    lg = _lgamma(x)
+    if lg == math.inf:
+        return 0.0
+    try:
+        return _gammasgn(x) * math.exp(-lg)
+    except OverflowError:
+        return _gammasgn(x) * math.inf
 
 
 def _gamma_ratio(u, v):
     """Gamma(u)/Gamma(v) with sign tracking; zero when v is a pole."""
-    lv = gammaln(v)
+    lv = _lgamma(v)
     if math.isinf(lv):
         return 0.0
-    return gammasgn(u) * gammasgn(v) * math.exp(gammaln(u) - lv)
+    return _gammasgn(u) * _gammasgn(v) * math.exp(_lgamma(u) - lv)
 
 
 def mittag_leffler(alpha, beta, gamma, x, cfg=None):
@@ -145,7 +170,7 @@ def mittag_leffler(alpha, beta, gamma, x, cfg=None):
             break
         # term_{r+1}/term_r = (gamma+r)/(r+1) * x * G(ar+b)/G(ar+a+b)
         u = alpha * r + beta
-        ratio = math.exp(gammaln(u) - gammaln(u + alpha))
+        ratio = math.exp(math.lgamma(u) - math.lgamma(u + alpha))
         term = term * ((gamma + r) / (r + 1.0)) * ratio * x
     return acc.finish()
 
@@ -167,12 +192,12 @@ def wright_1_1(a, alpha_a, b, beta_b, x, cfg=None):
     for r in range(cfg.max_terms):
         u = a + alpha_a * r
         v = b + beta_b * r
-        lv = gammaln(v)
+        lv = _lgamma(v)
         if math.isinf(lv):
             term = 0.0
         else:
-            logmag = gammaln(u) - lv + r * logax - gammaln(r + 1.0)
-            term = gammasgn(u) * gammasgn(v) * sign_r * math.exp(logmag)
+            logmag = _lgamma(u) - lv + r * logax - math.lgamma(r + 1.0)
+            term = _gammasgn(u) * _gammasgn(v) * sign_r * math.exp(logmag)
         if acc.add(term):
             break
         sign_r *= sgnx

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv, gammaln, ndtri
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,10 @@ def gamma_density(a, b, x, t):
     if x <= 0 or t <= 0:
         raise ValueError("x and t must be positive")
     return math.exp(
-        b * t * math.log(a) + (b * t - 1.0) * math.log(x) - a * x - gammaln(b * t)
+        b * t * math.log(a)
+        + (b * t - 1.0) * math.log(x)
+        - a * x
+        - math.lgamma(b * t)
     )
 
 
@@ -173,7 +175,7 @@ def inverse_stable_moment(beta, n, t):
     if t == 0:
         return 0.0
     return math.exp(
-        gammaln(n + 1.0) + n * beta * math.log(t) - gammaln(n * beta + 1.0)
+        math.lgamma(n + 1.0) + n * beta * math.log(t) - math.lgamma(n * beta + 1.0)
     )
 
 
@@ -305,6 +307,8 @@ def clock_from_uniforms(spec, t, u):
     if isinstance(spec, InverseStable):
         return (t / _kanter_from_u(spec.beta, u[:, 0], u[:, 1])) ** spec.beta
     if isinstance(spec, GammaSub):
+        from scipy.special import gammaincinv
+
         return gammaincinv(spec.b * t, _interior(u[:, 0])) / spec.a
     if isinstance(spec, InverseGaussian):
         return _ig_from_u(spec.delta * t / spec.gamma, (spec.delta * t) ** 2, u)
@@ -321,6 +325,8 @@ def _ig_from_u(mean, shape, u):
 
     Part of the reference sampler behind clock_from_uniforms.
     """
+    from scipy.special import ndtri
+
     chi = ndtri(_interior(u[:, 0])) ** 2
     w = mean * chi
     x1 = mean + mean / (2.0 * shape) * (w - np.sqrt(4.0 * shape * w + w * w))

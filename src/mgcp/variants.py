@@ -19,8 +19,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-from scipy.special import gammaln
-
 from .compositions import jump_profile
 from .gcp import _check_state, component_symbol, mgcp_pmf, pgf_symbol
 from .specfun import _Accumulator, _config, falling_factorial, mittag_leffler, wright_1_1
@@ -169,6 +167,9 @@ def _stable_atom(form, lam):
     f(lam (1 - u)) = f(lam) - sum_z nu_1(z) u^z, where nu_1(z) =
     scale (lam + tilt)^alpha (lam / (lam + tilt))^z |C(alpha, z)| and
     |C(alpha, z)| = alpha Gamma(z - alpha) / (Gamma(1 - alpha) z!).
+    The gamma ratio is a quotient while z! is a double: a difference of
+    log-gammas is up to 6e-15 off below z = 17 and 1e-13 by z = 100, and
+    the shock reliability multiplies that error by Lambda^alpha t.
     """
     alpha, tilt, scale = form
     denom = lam + tilt
@@ -176,7 +177,11 @@ def _stable_atom(form, lam):
     log_ratio = math.log(lam / denom)
 
     def atom(z):
-        return front * math.exp(z * log_ratio + gammaln(z - alpha) - gammaln(z + 1.0))
+        if z <= _MAX_FACTORIAL:
+            ratio = math.gamma(z - alpha) / math.gamma(z + 1.0)
+        else:
+            ratio = math.exp(math.lgamma(z - alpha) - math.lgamma(z + 1.0))
+        return front * ratio * math.exp(z * log_ratio)
 
     return atom
 
@@ -266,7 +271,7 @@ def _state_series(a, z, slope, beta_denom, cfg, label):
         if acc.add(term):
             break
         u = beta_denom * r + 1.0
-        base *= -a * math.exp(gammaln(u) - gammaln(u + beta_denom))
+        base *= -a * math.exp(math.lgamma(u) - math.lgamma(u + beta_denom))
     return acc.finish()
 
 

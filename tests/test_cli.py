@@ -198,6 +198,16 @@ class TestSimulateCommand:
         assert header == ["draw", "n1", "n2"]
         assert [int(r[0]) for r in rows] == list(range(5))
 
+    def test_clock_draw_past_int64_exits_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["simulate", "--model", MODEL, "--variant", "mgsfcp", "--alpha", "0.2",
+             "--samples", "10000", "--seed", "1"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "clock draw 5.86166e+19" in err and "int64" in err
+
 
 class TestEstimateCommand:
     def test_workers_same_bytes(self, capsys):

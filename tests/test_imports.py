@@ -1,9 +1,10 @@
 """Import graph: what `import mgcp` and each CLI command load.
 
-The closed-form layers never touch scipy.integrate or scipy.stats, so
-neither `import mgcp` nor the closed-form CLI commands may load them;
-the quadrature (`bernstein`) and Monte Carlo (`montecarlo`) layers load
-on first use, and the package names they export still resolve.
+The closed-form and sampling layers need only numpy and the math
+module, so neither `import mgcp` nor any CLI command loads a scipy
+module; the quadrature (`bernstein`) and Monte Carlo (`montecarlo`)
+layers load on first use, and the package names they export still
+resolve.
 """
 
 import importlib
@@ -16,7 +17,18 @@ import pytest
 import mgcp
 
 MODEL = '{"rates": [[0.5], [0.5, 0.5]]}'
-HEAVY = ("scipy.integrate", "scipy.stats", "mgcp.bernstein", "mgcp.montecarlo")
+LAYERS = {"mgcp.bernstein", "mgcp.montecarlo"}
+T1 = ["--model", MODEL, "--t", "1"]
+# the closed-form subcommands other than presets, with small inputs
+CLOSED_FORM = {
+    "pmf": ["pmf", *T1, "--variant", "mgsfcp", "--alpha", "0.7", "--box", "2,2"],
+    "pgf": ["pgf", *T1, "--variant", "mgfcp", "--beta", "0.8", "--u", "0.5,0.5"],
+    "levy": ["levy", *T1, "--variant", "tempered", "--alpha", "0.6", "--theta", "1",
+             "--box", "2,2"],
+    "moments": ["moments", *T1, "--variant", "mgfcp", "--beta", "0.8"],
+    "reliability": ["reliability", "--case", "fig1", "--alpha", "0.7",
+                    "--threshold", "geometric:0.5", "--tgrid", "0:1:0.5"],
+}
 
 # every name the package namespace exported while all layers loaded eagerly
 EXPORTS = {
@@ -75,9 +87,9 @@ def _child(args):
     )
 
 
-def _heavy(modules):
-    """The HEAVY modules, or submodules of them, among the names given."""
-    return {m for m in modules for h in HEAVY if m == h or m.startswith(h + ".")}
+def _scipy(modules):
+    """The scipy modules among the names given."""
+    return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
 
 
 def _cli_modules(argv):
@@ -101,13 +113,20 @@ def test_import_leaves_heavy_layers_unloaded():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "mgcp.variants" in loaded
-    assert not _heavy(loaded)
+    assert not _scipy(loaded) and not LAYERS & loaded
 
 
 def test_presets_leaves_heavy_layers_unloaded():
     loaded = _cli_modules(["presets"])
     assert "mgcp.cli" in loaded
-    assert not _heavy(loaded)
+    assert not _scipy(loaded) and not LAYERS & loaded
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM.values(), ids=CLOSED_FORM)
+def test_closed_form_commands_load_no_scipy(argv):
+    loaded = _cli_modules(argv)
+    assert "mgcp.cli" in loaded
+    assert not _scipy(loaded) and not LAYERS & loaded
 
 
 def test_estimate_loads_montecarlo():
@@ -115,7 +134,31 @@ def test_estimate_loads_montecarlo():
         ["estimate", "--model", MODEL, "--variant", "mgsfcp", "--alpha", "0.7",
          "--samples", "2000", "--box", "1,1"]
     )
-    assert {"mgcp.montecarlo", "scipy.stats"} <= loaded
+    assert "mgcp.montecarlo" in loaded
+    assert not _scipy(loaded)
+
+
+def test_simulate_loads_montecarlo_without_scipy():
+    loaded = _cli_modules(
+        ["simulate", *T1, "--variant", "mgstfcp", "--alpha", "0.7", "--beta", "0.8",
+         "--samples", "20", "--seed", "7"]
+    )
+    assert "mgcp.montecarlo" in loaded
+    assert not _scipy(loaded)
+
+
+def test_montecarlo_stats_loads_on_first_access():
+    # the name stays reachable for callers that still read it
+    script = (
+        "import sys\n"
+        "from mgcp import montecarlo\n"
+        "before = 'scipy.stats' in sys.modules\n"
+        "stats = montecarlo.stats\n"
+        "print(before, stats is sys.modules['scipy.stats'])\n"
+    )
+    proc = _child(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_exported_names_are_the_submodule_attributes():

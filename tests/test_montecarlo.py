@@ -77,6 +77,23 @@ class TestBaseSampler:
         with pytest.raises(ValueError):
             sample_mgcp(FIG1, -1.0, stream_rng(1))
 
+    def test_clock_draw_past_int64_raises_naming_it(self):
+        # at fig1 a count is at most 2 jumps of a Poisson total of mean
+        # 1.0 * t, so t = 2^61 is the last drawable value; numpy's own
+        # limit (~9.2e18) is further out, and its counts would wrap
+        cap = 2.0**61
+        draws = sample_mgcp_many(FIG1, np.full(3, cap), stream_rng(1))
+        assert draws.dtype == np.int64 and draws.min() > 0
+        for bad in (np.nextafter(cap, math.inf), 1e19, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"clock draw .*int64.* 2\.30584e\+18"):
+                sample_mgcp_many(FIG1, np.array([1.0, bad]), stream_rng(1))
+
+    def test_heavy_clock_draw_past_int64_raises(self):
+        # 10^4 stable(0.2) clock values at t = 1 reach 5.9e19; simulate,
+        # covariance and codifference draw through this sampler
+        with pytest.raises(ValueError, match=r"clock draw 5\.86166e\+19"):
+            sample_variant_many(Mgsfcp(0.2), FIG1, 1.0, stream_rng(1, 0), 10**4)
+
 
 class TestVariantSampler:
     def test_zero_time_and_domain(self):

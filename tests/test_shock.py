@@ -34,6 +34,7 @@ from mgcp.shock import (
     threshold_pmf,
     threshold_tail,
     _level_pmf,
+    _poisson_weights,
     _tables,
 )
 from mgcp.specfun import TruncationWarning
@@ -142,6 +143,24 @@ def test_level_pmf_matches_state_sums():
             for n1 in range(n + 1)
         )
         assert_allclose(plevel[n], direct, rtol=1e-10, atol=1e-15)
+
+
+@pytest.mark.parametrize("a", (1e-3, 0.7, 26.2, 244.9))
+def test_poisson_weights_match_mpmath(a):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.mpf(a)
+        want = np.array(
+            [float(mpmath.exp(-x) * x**n / mpmath.factorial(n)) for n in range(513)]
+        )
+    got = _poisson_weights(a, 512)
+    # the weights that carry the mass; at a = 244.9 the log-space form
+    # exp(-a + n log a - log n!) is 4e-13 off there
+    top = want >= 1e-3 * want.max()
+    assert_allclose(got[top], want[top], rtol=2e-14)
+    assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+    # below 15 levels the tabulated Stirling remainders alone are read
+    np.testing.assert_array_equal(_poisson_weights(a, 8), got[:9])
 
 
 def test_level_pmf_normalizes_at_zero_time():
@@ -281,6 +300,19 @@ class TestReliability:
             # sum stops at the cap, and it says so
             capped = (which, alpha, t) == (2, 0.9, 200.0)
             assert [w.category for w in caught] == [TruncationWarning] * capped
+
+    @pytest.mark.parametrize(
+        "alpha, t, value", [(0.9, 30.0, 2.7958900182619e-12), (0.5, 200.0, 5.6356263048878e-82)]
+    )
+    def test_large_t_within_2e_14_of_the_closed_form(self, alpha, t, value):
+        # fig1 pooled by jump size is [1.0, 0.5], so at u = 1 - p = 0.5
+        # L(t) = exp(-t 0.875^alpha), here in mpmath
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            want = mpmath.exp(-t * mpmath.mpf(0.875) ** mpmath.mpf(alpha))
+        got = reliability(ShockModel(FIG1, alpha, Geometric(0.5)), t)
+        assert abs(got - want) <= 2e-14 * want
+        assert got == pytest.approx(value, rel=1e-13, abs=0.0)
 
     def test_value_below_double_range(self):
         # at t = 1e5 the level pmf lies past the largest table: the sum

@@ -5,6 +5,7 @@ constant carries the command that produced it.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from numpy.testing import assert_allclose
 
 from mgcp.specfun import (
     CancellationWarning,
+    _gammasgn,
+    _lgamma,
     SeriesConfig,
     TruncationWarning,
     caputo_derivative_numeric,
@@ -110,6 +113,39 @@ def test_reciprocal_gamma_zero_at_poles():
     assert reciprocal_gamma(0.0) == 0.0
     assert reciprocal_gamma(-3.0) == 0.0
     assert_allclose(reciprocal_gamma(0.5), 1.0 / math.gamma(0.5), rtol=1e-15)
+
+
+# poles, both signs of non-integer negatives, the underflow and overflow
+# edges of 1/Gamma, and the non-finite inputs
+GAMMA_POINTS = (
+    0.0, -1.0, -2.0, -3.0, -4.0, -5.0, -0.5, -1.5, 1e-300, 0.5, 171.7, 200.0,
+    -200.5, math.nan, math.inf, -math.inf,
+)
+
+
+def _same(got, want, rtol):
+    """Both nan, equal where want is 0 or infinite, else within rtol."""
+    if math.isnan(want):
+        return math.isnan(got)
+    if want == 0.0 or math.isinf(want):
+        return got == want
+    return abs(got - want) <= rtol * abs(want)
+
+
+@pytest.mark.parametrize("x", GAMMA_POINTS, ids=repr)
+def test_gamma_helpers_match_scipy(x):
+    special = pytest.importorskip("scipy.special")
+    # |Gamma| has no limit at -inf: gammaln says -inf, math.lgamma +inf
+    want = math.inf if x == -math.inf else float(special.gammaln(x))
+    assert _same(_lgamma(x), want, 1e-15)
+    assert _same(_gammasgn(x), float(special.gammasgn(x)), 0.0)
+    got, want = reciprocal_gamma(x), float(special.rgamma(x))
+    # rgamma flushes 1/Gamma below the normal range to 0; exp(-lgamma)
+    # keeps the subnormal value (1/Gamma(171.7) = 3.8e-309)
+    if want == 0.0 and abs(got) < sys.float_info.min:
+        return
+    # exp(-lgamma) turns lgamma's half ulp into |lgamma| eps / 2 relative
+    assert _same(got, want, 1e-13)
 
 
 def test_incomplete_beta_polynomial_case():

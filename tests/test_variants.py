@@ -36,6 +36,7 @@ from mgcp.variants import (
     Mgsfcp,
     Mgstfcp,
     Tempered,
+    _stable_atom,
     clock_spec,
     codifference,
     covariance,
@@ -284,6 +285,25 @@ def test_deep_stable_atom_matches_mpmath(mbar):
         )
         got = variant_transition_rate(Mgsfcp(0.7), FIG1, mbar)
         assert abs(got - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize(
+    "form, lam", [((0.7, 0.0, 1.0), 1.5), ((0.05, 0.0, 1.0), 1.5), ((0.6, 1.0, 1.3), 0.875)]
+)
+def test_stable_atoms_match_mpmath(form, lam):
+    """nu_1(z) while z! is a double: a log-gamma difference is 1e-13 off by z = 100."""
+    mpmath = pytest.importorskip("mpmath")
+    atom = _stable_atom(form, lam)
+    with mpmath.workdps(40):
+        alpha, tilt, scale = (mpmath.mpf(x) for x in form)
+        base = mpmath.mpf(lam)
+        for z in range(1, 171):
+            want = (
+                scale * (base + tilt) ** alpha * (base / (base + tilt)) ** z
+                * alpha * mpmath.gamma(z - alpha)
+                / (mpmath.gamma(1 - alpha) * mpmath.factorial(z))
+            )
+            assert abs(atom(z) - want) <= 1e-13 * want, z
 
 
 def test_deep_gamma_pmf_matches_mpmath():
