@@ -13,9 +13,7 @@ from importlib import import_module as _import_module
 from .specfun import (
     CancellationWarning,
     NumericsWarning,
-    SeriesConfig,
     TruncationWarning,
-    caputo_derivative_numeric,
     falling_factorial,
     generalized_incomplete_gamma,
     generalized_sine_integral,

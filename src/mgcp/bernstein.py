@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .gcp import _check_state, pgf_symbol
+from .gcp import _check_state, _pgf_exponent
 from .specfun import mittag_leffler
 from .variants import _profile_sum
 from . import subordinators as subs
@@ -177,9 +177,7 @@ def g_lambda_u(rates, m, ubar):
     never shortcuts to closed forms, so it can sit on the other side of
     an equality test.
     """
-    if not all(abs(u) <= 1.0 + 1e-12 for u in ubar):
-        raise ValueError("need |u_i| <= 1")
-    w = pgf_symbol(rates, ubar)
+    w = _pgf_exponent(rates, ubar)
     if w == 0.0:
         return 0.0
     mu = m.density

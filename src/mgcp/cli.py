@@ -6,6 +6,7 @@ dropped).  Floats are written with repr() so every value round-trips.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -203,16 +204,10 @@ def _emit(args, header, rows, extra, quality):
 
 
 def _box_states(box):
-    state = [0] * len(box)
-    while True:
-        yield tuple(state)
-        for i in range(len(box) - 1, -1, -1):
-            state[i] += 1
-            if state[i] <= box[i]:
-                break
-            state[i] = 0
-        else:
-            break
+    """Every state n with 0 <= n_i <= box[i], the last component fastest."""
+    if any(b < 0 for b in box):
+        raise ValueError("box entries must be non-negative")
+    return itertools.product(*(range(b + 1) for b in box))
 
 
 def _cmd_pmf(args):

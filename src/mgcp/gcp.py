@@ -6,6 +6,7 @@ time-changed variants, the Bernstein layer, the shock model) reduces
 to these formulas when the clock is deterministic.
 """
 
+import itertools
 import math
 
 from .compositions import enumerate_compositions
@@ -101,6 +102,17 @@ def pgf_symbol(rates, ubar):
     return sum(component_symbol(row, u) for row, u in zip(rates.rows, ubar))
 
 
+def _pgf_exponent(rates, ubar):
+    """pgf_symbol at ubar, each |u_i| allowed past 1 by a 1e-12 slack.
+
+    The slack is clamped away, so the symbol stays nonnegative and no
+    pgf built on it exceeds 1.
+    """
+    if not all(abs(u) <= 1.0 + 1e-12 for u in ubar):
+        raise ValueError("need |u_i| <= 1")
+    return pgf_symbol(rates, [min(max(u, -1.0), 1.0) for u in ubar])
+
+
 def gcp_pmf(rates_row, n, t):
     """P{GCP(t) = n} = sum over Omega(k, n) of prod_j Poisson factors."""
     if n < 0:
@@ -174,7 +186,7 @@ def mgcp_pmf_recurrence(rates, nbar, t):
                     ]
                 )
             total = 0.0
-            for combo in _product(choices):
+            for combo in itertools.product(*choices):
                 w = 1.0
                 nxt = list(state)
                 for i, j, wj in combo:
@@ -191,23 +203,11 @@ def mgcp_pmf_recurrence(rates, nbar, t):
     return rec(tuple(int(n) for n in nbar))
 
 
-def _product(lists):
-    if not lists:
-        yield ()
-        return
-    head, rest = lists[0], lists[1:]
-    for h in head:
-        for r in _product(rest):
-            yield (h,) + r
-
-
 def mgcp_pgf(rates, ubar, t):
     """E[prod u_i^{N_i(t)}] = exp(-t sum_ij lambda_ij (1 - u_i^j))."""
-    if not all(abs(u) <= 1.0 + 1e-12 for u in ubar):
-        raise ValueError("need |u_i| <= 1")
+    w = _pgf_exponent(rates, ubar)
     if not t >= 0:
         raise ValueError("t must be non-negative")
-    w = pgf_symbol(rates, ubar)
     if t == math.inf:
         return 1.0 if w == 0 else 0.0
     return math.exp(-t * w)

@@ -81,6 +81,20 @@ class EstimateReport:
         }
 
 
+def _report(kind, n, seed, sigma, cells):
+    """The EstimateReport of cells, max_abs_z and passed read off their z."""
+    max_z = max(abs(cell[4]) for cell in cells)
+    return EstimateReport(
+        kind=kind,
+        sample_count=n,
+        seed=seed,
+        sigma_level=sigma,
+        max_abs_z=max_z,
+        passed=max_z <= sigma,
+        cells=tuple(cells),
+    )
+
+
 def _component_counts(row, operational, rng):
     """Vector of component counts from Poisson totals and size thinning."""
     total = math.fsum(row)
@@ -220,16 +234,7 @@ def estimate_pmf(v, rates, t, box, n_samples, seed, workers=1, sigma=4.0):
     est = tail_count / n_samples
     cells.append(("tail", tail_p, est, se, (est - tail_p) / se if se > 0 else 0.0))
 
-    max_z = max(abs(r[4]) for r in cells)
-    return EstimateReport(
-        kind="pmf",
-        sample_count=n_samples,
-        seed=seed,
-        sigma_level=sigma,
-        max_abs_z=max_z,
-        passed=max_z <= sigma,
-        cells=tuple(cells),
-    )
+    return _report("pmf", n_samples, seed, sigma, cells)
 
 
 def estimate_covariance(v, rates, i, l, t, n_samples, seed, sigma=3.0):
@@ -249,16 +254,8 @@ def estimate_covariance(v, rates, i, l, t, n_samples, seed, sigma=3.0):
     if se == 0.0:
         raise RuntimeError("degenerate sample; covariance SE vanishes")
     z = (est - analytic) / se
-    report_cells = (("covariance", analytic, est, se, z),)
-    return EstimateReport(
-        kind="covariance",
-        sample_count=n_samples,
-        seed=seed,
-        sigma_level=sigma,
-        max_abs_z=abs(z),
-        passed=abs(z) <= sigma,
-        cells=report_cells,
-    )
+    cells = [("covariance", analytic, est, se, z)]
+    return _report("covariance", n_samples, seed, sigma, cells)
 
 
 def estimate_codifference(v, rates, i, l, t, n_samples, seed, sigma=3.0):
@@ -297,17 +294,8 @@ def estimate_codifference(v, rates, i, l, t, n_samples, seed, sigma=3.0):
     se_im = math.sqrt(max(cov2[1, 1], 0.0))
     z_re = (est.real - analytic.real) / se_re
     z_im = (est.imag - analytic.imag) / se_im if se_im > 0 else 0.0
-    report_cells = (
+    cells = [
         ("codifference.re", analytic.real, est.real, se_re, z_re),
         ("codifference.im", analytic.imag, est.imag, se_im, z_im),
-    )
-    max_z = max(abs(z_re), abs(z_im))
-    return EstimateReport(
-        kind="codifference",
-        sample_count=n_samples,
-        seed=seed,
-        sigma_level=sigma,
-        max_abs_z=max_z,
-        passed=max_z <= sigma,
-        cells=report_cells,
-    )
+    ]
+    return _report("codifference", n_samples, seed, sigma, cells)

@@ -1,15 +1,12 @@
 """Scalar special functions shared by the counting-process layers.
 
-Mittag-Leffler and generalized Wright series run under one truncation
-policy (SeriesConfig).  The incomplete integrals here are the ones the
-shock thresholds need; the Caputo derivative is a Grunwald-Letnikov
-approximation used only by the fractional ODE residual checks.
+Mittag-Leffler and generalized Wright series run under one fixed
+truncation policy (_REL_TOL, _MAX_TERMS, _CANCELLATION_WARN_RATIO).
+The incomplete integrals here are the ones the shock thresholds need.
 """
 
-import bisect
 import math
 import warnings
-from dataclasses import dataclass
 
 
 class NumericsWarning(UserWarning):
@@ -17,53 +14,30 @@ class NumericsWarning(UserWarning):
 
 
 class TruncationWarning(NumericsWarning):
-    """A series hit max_terms before the stopping rule was met."""
+    """A series hit its term cap before the stopping rule was met."""
 
 
 class CancellationWarning(NumericsWarning):
     """Alternating-series cancellation ate most of the digits."""
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Shared truncation policy for all power series in this package.
-
-    rel_tol : stop once |term| < rel_tol * |partial sum| holds for three
-        consecutive terms.
-    max_terms : hard cap on the number of terms.
-    cancellation_warn_ratio : if max |term| / |result| exceeds this, the
-        result is flagged as low precision (warning, not an error).
-    """
-
-    rel_tol: float = 1e-14
-    max_terms: int = 2000
-    cancellation_warn_ratio: float = 1e8
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-        if self.cancellation_warn_ratio < 1:
-            raise ValueError("cancellation_warn_ratio must be >= 1")
-
-
-DEFAULT_SERIES = SeriesConfig()
-
-
-def _config(cfg):
-    return DEFAULT_SERIES if cfg is None else cfg
+# the truncation policy of every power series in this package: stop once
+# |term| < _REL_TOL * |partial sum| holds for three consecutive terms, or
+# after _MAX_TERMS terms; flag the result as low precision when
+# max |term| / |result| exceeds _CANCELLATION_WARN_RATIO
+_REL_TOL = 1e-14
+_MAX_TERMS = 2000
+_CANCELLATION_WARN_RATIO = 1e8
 
 
 class _Accumulator:
-    """Sums series terms under the SeriesConfig stopping rule.
+    """Sums series terms under the module's truncation policy.
 
     Leading exact-zero terms (reciprocal-gamma poles) do not count
     toward the three-small-terms stop; trailing ones do.
     """
 
-    def __init__(self, cfg, label):
-        self.cfg = cfg
+    def __init__(self, label):
         self.label = label
         self.total = 0.0
         self.largest = 0.0
@@ -79,7 +53,7 @@ class _Accumulator:
             self.largest = mag
         if mag != 0.0:
             self._seen_nonzero = True
-        if self._seen_nonzero and mag < self.cfg.rel_tol * abs(self.total):
+        if self._seen_nonzero and mag < _REL_TOL * abs(self.total):
             self._small_run += 1
             if self._small_run >= 3:
                 self.converged = True
@@ -92,14 +66,14 @@ class _Accumulator:
         if not self.converged:
             warnings.warn(
                 "%s: series not converged within %d terms"
-                % (self.label, self.cfg.max_terms),
+                % (self.label, _MAX_TERMS),
                 TruncationWarning,
                 stacklevel=3,
             )
         denom = abs(self.total)
         if denom == 0.0:
             denom = math.ulp(0.0)
-        if self.largest / denom > self.cfg.cancellation_warn_ratio:
+        if self.largest / denom > _CANCELLATION_WARN_RATIO:
             warnings.warn(
                 "%s: cancellation ratio %.2e, result is low precision"
                 % (self.label, self.largest / denom),
@@ -150,7 +124,7 @@ def _gamma_ratio(u, v):
     return _gammasgn(u) * _gammasgn(v) * math.exp(_lgamma(u) - lv)
 
 
-def mittag_leffler(alpha, beta, gamma, x, cfg=None):
+def mittag_leffler(alpha, beta, gamma, x):
     """Three-parameter Mittag-Leffler function E^gamma_{alpha,beta}(x).
 
     Series sum_r (gamma)_r x^r / (r! Gamma(alpha r + beta)) with the
@@ -160,12 +134,11 @@ def mittag_leffler(alpha, beta, gamma, x, cfg=None):
     """
     if alpha <= 0 or beta <= 0 or gamma <= 0:
         raise ValueError("alpha, beta, gamma must be positive")
-    cfg = _config(cfg)
     term = reciprocal_gamma(beta)
     if x == 0:
         return term
-    acc = _Accumulator(cfg, "mittag_leffler")
-    for r in range(cfg.max_terms):
+    acc = _Accumulator("mittag_leffler")
+    for r in range(_MAX_TERMS):
         if acc.add(term):
             break
         # term_{r+1}/term_r = (gamma+r)/(r+1) * x * G(ar+b)/G(ar+a+b)
@@ -175,21 +148,20 @@ def mittag_leffler(alpha, beta, gamma, x, cfg=None):
     return acc.finish()
 
 
-def wright_1_1(a, alpha_a, b, beta_b, x, cfg=None):
+def wright_1_1(a, alpha_a, b, beta_b, x):
     """Generalized Wright function 1Psi1 with one (a, alpha_a) upper and
     one (b, beta_b) lower parameter pair.
 
     Series sum_r Gamma(a + alpha_a r)/Gamma(b + beta_b r) * x^r / r!.
     Lower-gamma poles zero out their terms via the reciprocal gamma.
     """
-    cfg = _config(cfg)
     if x == 0:
         return _gamma_ratio(a, b)
-    acc = _Accumulator(cfg, "wright_1_1")
+    acc = _Accumulator("wright_1_1")
     logax = math.log(abs(x))
     sgnx = 1.0 if x > 0 else -1.0
     sign_r = 1.0
-    for r in range(cfg.max_terms):
+    for r in range(_MAX_TERMS):
         u = a + alpha_a * r
         v = b + beta_b * r
         lv = _lgamma(v)
@@ -319,51 +291,3 @@ def falling_factorial(x, k):
         out *= x - m
     return out
 
-
-def caputo_derivative_numeric(samples, beta, t_eval, step):
-    """Caputo fractional derivative of order beta from tabulated samples.
-
-    Grunwald-Letnikov weights applied to f - f(0); first-order accurate
-    in step.  beta = 1 falls back to a central difference (backward at
-    the right edge of the sample range).
-
-    samples : sequence of (t, f(t)) pairs on a uniform grid covering
-        [0, t_eval].
-    """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    pts = sorted((float(t), float(f)) for t, f in samples)
-    if len(pts) < 2:
-        raise ValueError("need at least two samples")
-    ts = [p[0] for p in pts]
-    fs = [p[1] for p in pts]
-    if ts[0] > 1e-12 or ts[-1] < t_eval - 1e-12:
-        raise ValueError("samples must cover [0, t_eval]")
-
-    def f_at(t):
-        # linear interpolation; exact when t sits on the sample grid
-        if t <= ts[0]:
-            return fs[0]
-        if t >= ts[-1]:
-            return fs[-1]
-        k = bisect.bisect_right(ts, t) - 1
-        if ts[k + 1] == ts[k]:
-            return fs[k]
-        w = (t - ts[k]) / (ts[k + 1] - ts[k])
-        return fs[k] * (1.0 - w) + fs[k + 1] * w
-
-    if beta == 1.0:
-        if t_eval + step <= ts[-1] + 1e-12 and t_eval - step >= -1e-12:
-            return (f_at(t_eval + step) - f_at(t_eval - step)) / (2.0 * step)
-        return (f_at(t_eval) - f_at(t_eval - step)) / step
-
-    nsteps = int(math.floor(t_eval / step + 1e-9))
-    f0 = f_at(0.0)
-    w = 1.0
-    acc = f_at(t_eval) - f0
-    for j in range(1, nsteps + 1):
-        w *= 1.0 - (beta + 1.0) / j
-        acc += w * (f_at(t_eval - j * step) - f0)
-    return acc / step**beta

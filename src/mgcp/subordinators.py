@@ -194,8 +194,8 @@ def _kanter_from_u(alpha, u1, u2):
     Kanter's (1975) integral representation: with U ~ U(0, pi) and
     E ~ Exp(1), X = (A(U)/E)^((1-alpha)/alpha) where
     A(u) = [sin(alpha u)^alpha sin((1-alpha)u)^(1-alpha) / sin u]^(1/(1-alpha)).
-    Takes two unit uniforms so callers can feed either a live Generator
-    or a pre-assigned slice of a counter-indexed uniform window.
+    Takes two unit uniforms so that both the live samplers and the
+    reference sampler clock_from_uniforms can feed it.
     """
     u = np.pi * _interior(u1)
     e = -np.log(_interior(u2))

@@ -20,8 +20,8 @@ import operator
 from dataclasses import dataclass
 
 from .compositions import jump_profile
-from .gcp import _check_state, component_symbol, mgcp_pmf, pgf_symbol
-from .specfun import _Accumulator, _config, falling_factorial, mittag_leffler, wright_1_1
+from .gcp import _check_state, _pgf_exponent, component_symbol, mgcp_pmf
+from .specfun import _MAX_TERMS, _Accumulator, falling_factorial, mittag_leffler, wright_1_1
 from . import subordinators as subs
 
 # largest z with z! in double range
@@ -252,7 +252,7 @@ def _profile_sum(rates, nbar, ktilde):
         ) from exc
 
 
-def _state_series(a, z, slope, beta_denom, cfg, label):
+def _state_series(a, z, slope, beta_denom, label):
     """sum_r (-a)^r / Gamma(beta_denom r + 1) * C(slope r, z)  (binomial).
 
     The inner r-series of the fractional pmfs, per jump count z: the
@@ -260,9 +260,9 @@ def _state_series(a, z, slope, beta_denom, cfg, label):
     double and spread over the factors past that.
     """
     zfact = float(math.factorial(z)) if z <= _MAX_FACTORIAL else None
-    acc = _Accumulator(cfg, label)
+    acc = _Accumulator(label)
     base = 1.0
-    for r in range(cfg.max_terms):
+    for r in range(_MAX_TERMS):
         x = slope * r
         if zfact:
             term = base * falling_factorial(x, z) / zfact
@@ -275,7 +275,7 @@ def _state_series(a, z, slope, beta_denom, cfg, label):
     return acc.finish()
 
 
-def variant_pmf(v, rates, nbar, t, cfg=None):
+def variant_pmf(v, rates, nbar, t):
     """P{variant state = nbar at time t}.
 
     sum_z S[z] q_t(z), S the state's jump-count profile and q_t the law
@@ -291,19 +291,19 @@ def variant_pmf(v, rates, nbar, t, cfg=None):
     ValueError, as does the time-fractional route once 1/Gamma(beta z + 1)
     leaves double range: no value is better than garbage there.
     """
-    return _pmf(_pmf_series, v, rates, nbar, t, cfg)
+    return _pmf(_pmf_series, v, rates, nbar, t)
 
 
-def variant_pmf_wright(v, rates, nbar, t, cfg=None):
+def variant_pmf_wright(v, rates, nbar, t):
     """Alternate pmf route through the generalized Wright function.
 
     Only the space-fractional and tempered variants have this
     representation; it must agree with variant_pmf.
     """
-    return _pmf(_wright_series, v, rates, nbar, t, cfg)
+    return _pmf(_wright_series, v, rates, nbar, t)
 
 
-def _pmf(route, v, rates, nbar, t, cfg):
+def _pmf(route, v, rates, nbar, t):
     """The checks both pmf routes share; route(clock, beta, ...) does the rest."""
     _check_state(rates, nbar)
     if not t >= 0:
@@ -320,14 +320,14 @@ def _pmf(route, v, rates, nbar, t, cfg):
     try:
         if clock is None and beta == 1.0:
             return mgcp_pmf(rates, nbar, t)
-        return route(clock, beta, rates, nbar, t, _config(cfg))
+        return route(clock, beta, rates, nbar, t)
     except OverflowError as exc:
         raise ValueError(
             "state %r is too deep for the double-precision pmf series" % (nbar,)
         ) from exc
 
 
-def _pmf_series(clock, beta, rates, nbar, t, cfg):
+def _pmf_series(clock, beta, rates, nbar, t):
     for row, n in zip(rates.rows, nbar):
         smallest = next(j for j, lam in enumerate(row, start=1) if lam > 0.0)
         if n // smallest > _MAX_FACTORIAL:
@@ -342,7 +342,7 @@ def _pmf_series(clock, beta, rates, nbar, t, cfg):
         def ktilde(z):
             if beta * z > _MAX_FACTORIAL:
                 raise OverflowError("1/Gamma(beta z + 1) underflows")
-            return x**z * mittag_leffler(beta, beta * z + 1.0, z + 1.0, -x, cfg)
+            return x**z * mittag_leffler(beta, beta * z + 1.0, z + 1.0, -x)
 
         return _profile_sum(rates, nbar, ktilde)
 
@@ -373,12 +373,12 @@ def _pmf_series(clock, beta, rates, nbar, t, cfg):
     a = lam**alpha * t**beta
 
     def ktilde(z):
-        return (c * lam) ** z * _state_series(a, z, alpha, beta, cfg, "variant_pmf")
+        return (c * lam) ** z * _state_series(a, z, alpha, beta, "variant_pmf")
 
     return _profile_sum(rates, nbar, ktilde)
 
 
-def _wright_series(clock, beta, rates, nbar, t, cfg):
+def _wright_series(clock, beta, rates, nbar, t):
     if beta != 1.0 or not isinstance(clock, (subs.Stable, subs.TemperedStable)):
         raise ValueError("Wright form exists only for Mgsfcp and Tempered")
     alpha, tilt, scale = _stable_form(clock)
@@ -390,7 +390,7 @@ def _wright_series(clock, beta, rates, nbar, t, cfg):
     pref = _tilt_prefactor(t, scale, tilt, alpha)
 
     def ktilde(z):
-        kz = wright_1_1(1.0, alpha, 1.0 - z, alpha, arg, cfg)
+        kz = wright_1_1(1.0, alpha, 1.0 - z, alpha, arg)
         return kz * (-lam / denom) ** z / math.factorial(z)
 
     return pref * _profile_sum(rates, nbar, ktilde)
@@ -402,14 +402,10 @@ def variant_pgf(v, rates, ubar, t):
     exp(-t f(w)) for a Levy clock with exponent f and w the pgf symbol,
     E_beta(-t^beta f(w)) at inverse beta-stable time.
     """
-    if not all(abs(u) <= 1.0 + 1e-12 for u in ubar):
-        raise ValueError("need |u_i| <= 1")
+    w = _pgf_exponent(rates, ubar)
     if not t >= 0:
         raise ValueError("t must be non-negative")
-    # the accepted slack past |u| = 1 would make the symbol negative
-    ubar = [min(max(u, -1.0), 1.0) for u in ubar]
     clock, beta = _split(v)
-    w = pgf_symbol(rates, ubar)
     f = w if clock is None else subs.laplace_exponent(clock, w)
     if t == math.inf:
         # every clock grows without bound: the limit is 1 where the
@@ -500,7 +496,7 @@ def covariance(v, rates, i, l, t):
     return out
 
 
-def codifference(v, rates, i, l, t, cfg=None):
+def codifference(v, rates, i, l, t):
     """Codifference tau(N_i(t), N_l(t)); complex.
 
     tau = ln E e^(w(Ni-Nl)) - ln E e^(w Ni) - ln E e^(-w Nl) with w the
@@ -513,7 +509,6 @@ def codifference(v, rates, i, l, t, cfg=None):
         raise ValueError("t must be non-negative")
     if not isinstance(v, (Mgfcp, Mgstfcp, Tempered)):
         raise ValueError("codifference formula exists only for Mgfcp, Mgstfcp, Tempered")
-    cfg = _config(cfg)
     w_i = complex(component_symbol(rates.rows[i], cmath.exp(1j)))
     w_l = complex(component_symbol(rates.rows[l], cmath.exp(-1j)))
     clock, beta = _split(v)
@@ -525,7 +520,7 @@ def codifference(v, rates, i, l, t, cfg=None):
         f = scale * ((warg + tilt) ** alpha - tilt**alpha)
         if beta == 1.0:
             return -t * f
-        return cmath.log(mittag_leffler(beta, 1.0, 1.0, -(t**beta) * f, cfg))
+        return cmath.log(mittag_leffler(beta, 1.0, 1.0, -(t**beta) * f))
 
     joint = 0.0 if i == l else lncf(w_i + w_l)
     return joint - lncf(w_i) - lncf(w_l)

@@ -8,8 +8,13 @@ D[x, Z] = sum_y (-1)^y C(x, y) C(alpha y, Z) and the Poisson weights of
 x.  The inner sum over x alternates, so in doubles the route is only
 good while Lambda^alpha t stays small (t <= 10 or so); mp_level_pmf
 evaluates the same formula in mpmath, with alpha y formed in mpf.
+
+caputo_derivative_numeric is a Grunwald-Letnikov Caputo derivative from
+tabulated samples, for the residual checks of the fractional pgf
+equation.
 """
 
+import bisect
 import itertools
 import math
 
@@ -109,3 +114,52 @@ def mp_level_pmf(mpmath, rates, alpha, t, nmax):
             total += w * kz[z]
         out.append(total)
     return out
+
+
+def caputo_derivative_numeric(samples, beta, t_eval, step):
+    """Caputo fractional derivative of order beta from tabulated samples.
+
+    Grunwald-Letnikov weights applied to f - f(0); first-order accurate
+    in step.  beta = 1 falls back to a central difference (backward at
+    the right edge of the sample range).
+
+    samples : sequence of (t, f(t)) pairs on a uniform grid covering
+        [0, t_eval].
+    """
+    if not 0.0 < beta <= 1.0:
+        raise ValueError("beta must lie in (0, 1]")
+    if step <= 0:
+        raise ValueError("step must be positive")
+    pts = sorted((float(t), float(f)) for t, f in samples)
+    if len(pts) < 2:
+        raise ValueError("need at least two samples")
+    ts = [p[0] for p in pts]
+    fs = [p[1] for p in pts]
+    if ts[0] > 1e-12 or ts[-1] < t_eval - 1e-12:
+        raise ValueError("samples must cover [0, t_eval]")
+
+    def f_at(t):
+        # linear interpolation; exact when t sits on the sample grid
+        if t <= ts[0]:
+            return fs[0]
+        if t >= ts[-1]:
+            return fs[-1]
+        k = bisect.bisect_right(ts, t) - 1
+        if ts[k + 1] == ts[k]:
+            return fs[k]
+        w = (t - ts[k]) / (ts[k + 1] - ts[k])
+        return fs[k] * (1.0 - w) + fs[k + 1] * w
+
+    if beta == 1.0:
+        if t_eval + step <= ts[-1] + 1e-12 and t_eval - step >= -1e-12:
+            return (f_at(t_eval + step) - f_at(t_eval - step)) / (2.0 * step)
+        return (f_at(t_eval) - f_at(t_eval - step)) / step
+
+    nsteps = int(math.floor(t_eval / step + 1e-9))
+    f0 = f_at(0.0)
+    w = 1.0
+    acc = f_at(t_eval) - f0
+    for j in range(1, nsteps + 1):
+        w *= 1.0 - (beta + 1.0) / j
+        acc += w * (f_at(t_eval - j * step) - f0)
+    return acc / step**beta

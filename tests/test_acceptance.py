@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from oracles import caputo_derivative_numeric
 from mgcp import (
     GammaSub,
     GammaTC,
@@ -41,7 +42,6 @@ from mgcp import (
     Stable,
     Tempered,
     TemperedStable,
-    caputo_derivative_numeric,
     default_box,
     enumerate_compositions,
     estimate_codifference,

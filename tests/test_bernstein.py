@@ -20,7 +20,7 @@ from mgcp.bernstein import (
     tcgcp_transition_rate,
 )
 from mgcp import subordinators
-from mgcp.gcp import RateMatrix, pgf_symbol
+from mgcp.gcp import RateMatrix, mgcp_pgf, pgf_symbol
 from mgcp.specfun import mittag_leffler
 from mgcp.subordinators import (
     GammaSub,
@@ -256,3 +256,21 @@ def test_nan_time_and_argument_are_rejected():
         tcgcp_pgf_fractional(FIG1, m, 0.8, (0.5, 0.5), math.nan)
     with pytest.raises(ValueError, match=r"\|u_i\| <= 1"):
         g_lambda_u(FIG1, m, (math.nan, 0.5))
+
+
+SLACK = (1.0 + 1e-12, 1.0 + 1e-12)
+TS = Named(TemperedStable(0.6, 1.0))
+
+
+@pytest.mark.parametrize(
+    "pgf",
+    [
+        lambda: mgcp_pgf(FIG1, SLACK, 1e6),
+        lambda: tcgcp_pgf(FIG1, TS, SLACK, 1e9),
+        lambda: tcgcp_pgf_fractional(FIG1, TS, 0.8, SLACK, 1e12),
+    ],
+    ids=["mgcp_pgf", "tcgcp_pgf", "tcgcp_pgf_fractional"],
+)
+def test_pgf_at_the_accepted_slack_is_at_most_one(pgf):
+    """|u| <= 1 + 1e-12 is accepted; a large t must not amplify the slack."""
+    assert pgf() <= 1.0

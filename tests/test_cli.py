@@ -103,6 +103,16 @@ class TestPmfCommand:
         assert code == 2
         assert "box length" in err
 
+    @pytest.mark.parametrize("command", ["pmf", "levy"])
+    def test_negative_box_entry_exits_2(self, capsys, command):
+        code, out, err = run(
+            capsys, [command, "--model", MODEL, "--variant", "mgsfcp", "--alpha",
+                     "0.7", "--box=-1,2"]
+        )
+        assert code == 2
+        assert "box entries must be non-negative" in err
+        assert out == ""
+
 
 class TestPgfCommand:
     def test_value(self, capsys):

@@ -30,13 +30,13 @@ CLOSED_FORM = {
                     "--threshold", "geometric:0.5", "--tgrid", "0:1:0.5"],
 }
 
-# every name the package namespace exported while all layers loaded eagerly
+# every name the package namespace exports, the lazy layers' included
 EXPORTS = {
     "specfun": (
-        "CancellationWarning", "NumericsWarning", "SeriesConfig",
-        "TruncationWarning", "caputo_derivative_numeric", "falling_factorial",
-        "generalized_incomplete_gamma", "generalized_sine_integral",
-        "incomplete_beta", "mittag_leffler", "reciprocal_gamma", "wright_1_1",
+        "CancellationWarning", "NumericsWarning", "TruncationWarning",
+        "falling_factorial", "generalized_incomplete_gamma",
+        "generalized_sine_integral", "incomplete_beta", "mittag_leffler",
+        "reciprocal_gamma", "wright_1_1",
     ),
     "compositions": ("enumerate_compositions", "joint_compositions"),
     "gcp": (

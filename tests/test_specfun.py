@@ -13,13 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from oracles import caputo_derivative_numeric
 from mgcp.specfun import (
     CancellationWarning,
     _gammasgn,
     _lgamma,
-    SeriesConfig,
     TruncationWarning,
-    caputo_derivative_numeric,
     falling_factorial,
     generalized_incomplete_gamma,
     generalized_sine_integral,
@@ -99,9 +98,11 @@ def test_wright_frozen_values():
 
 
 def test_truncation_warning_and_flag():
-    cfg = SeriesConfig(rel_tol=1e-14, max_terms=4)
-    with pytest.warns(TruncationWarning):
-        mittag_leffler(0.5, 1.0, 1.0, 2.0, cfg)
+    # at beta = 0.1 the terms 2^r / Gamma(0.1 r + 1) still grow at the
+    # 2000-term cap: the partial sum comes back, with the warning
+    with pytest.warns(TruncationWarning, match="not converged within 2000 terms"):
+        partial = mittag_leffler(0.1, 1.0, 1.0, 2.0)
+    assert math.isfinite(partial)
 
 
 def test_cancellation_warning_fires_for_deep_alternation():
