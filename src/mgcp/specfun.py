@@ -2,11 +2,17 @@
 
 Mittag-Leffler and generalized Wright series run under one fixed
 truncation policy (_REL_TOL, _MAX_TERMS, _CANCELLATION_WARN_RATIO).
+Past the series' reach the Mittag-Leffler function, and the
+inverse-stable jump-count laws of the variants module, come from
+Laplace inversion on one fixed Talbot contour (_talbot).
 The incomplete integrals here are the ones the shock thresholds need.
 """
 
+import cmath
 import math
 import warnings
+
+import numpy as np
 
 
 class NumericsWarning(UserWarning):
@@ -124,19 +130,132 @@ def _gamma_ratio(u, v):
     return _gammasgn(u) * _gammasgn(v) * math.exp(_lgamma(u) - lv)
 
 
+# Laplace inversion at time 1 on Weideman's (2006) optimised Talbot
+# contour s(theta) = N (-0.6122 + 0.5017 theta cot(0.6407 theta)
+# + 0.2645 i theta), theta in (-pi, pi), with the midpoint rule in theta:
+# f(1) = (1 / 2 pi i) int e^s F(s) ds ~ sum_k w_k F(s_k).  The error is
+# absolute, about e^(-1.36 N) times the size of F on the contour, and
+# needs F analytic off the negative real axis.
+_CONTOUR_N = 24
+# a jump-count law also uses two finer contours, since its integrands
+# x^z / (s^beta + x)^(z + 1) grow sharper with z: at x = 16.4,
+# beta = 0.8 the relative error stays near 1e-13 up to z = 20 with
+# N = 24, up to z = 60 with N = 48 and up to z = 100 with N = 96, while
+# the round-off at z = 0 grows from 2e-13 to 7e-8 over the same N.
+# Each N is checked against a contour of 5/6 its nodes, whose error is
+# some e^(1.36 N / 6) times larger: their distance bounds the error
+_LAW_NS = (_CONTOUR_N, 2 * _CONTOUR_N, 4 * _CONTOUR_N)
+# the series give way to the contour once the saddle |x|^(1 / alpha) of
+# e^s F(s) passes this constant: there the series' cancellation ratio,
+# about e^(|x|^(1/alpha)) / |E|, has grown to some 1e3 while the
+# contour's relative error at small jump counts is down to 1e-14
+_CONTOUR_FROM = 4.0
+
+
+def _talbot(n):
+    """(s, w) of the n-node contour."""
+    theta = (np.arange(n) + 0.5) * (2.0 * np.pi / n) - np.pi
+    c = 0.6407 * theta
+    s = n * (-0.6122 + 0.5017 * theta / np.tan(c) + 0.2645j * theta)
+    ds = n * (0.5017 * (1.0 / np.tan(c) - c / np.sin(c) ** 2) + 0.2645j)
+    return s, np.exp(s) * ds / (1j * n)
+
+
+def _upper(nodes):
+    """theta > 0 only: for a real f the lower half is the mirror image of
+    the upper one, so f = Re sum 2 w F over the upper nodes."""
+    s, w = nodes
+    half = len(s) // 2
+    return s[half:], 2.0 * w[half:]
+
+
+_FULL = _talbot(_CONTOUR_N)
+_UPPER = _upper(_FULL)
+
+
+def _law_nodes():
+    """(s, W) for a real f: the upper nodes of every contour in _LAW_NS
+    and of its check.  Column 2j of Re(F(s) @ W) is the value of the
+    j-th contour, column 2j + 1 that of its check; each rule's weights
+    are zero on the other rules' nodes."""
+    rules = [_upper(_talbot(m)) for n in _LAW_NS for m in (n, 5 * n // 6)]
+    s = np.concatenate([nodes for nodes, _ in rules])
+    weights = np.zeros((len(s), len(rules)), dtype=complex)
+    start = 0
+    for col, (nodes, w) in enumerate(rules):
+        weights[start : start + len(nodes), col] = w
+        start += len(nodes)
+    return s, weights
+
+
+_LAW_NODES = _law_nodes()
+
+
+def series_reach(alpha, x):
+    """|x|^(1 / alpha): the series of order alpha at x cancel by about e to this power."""
+    return abs(x) ** (1.0 / alpha)
+
+
 def mittag_leffler(alpha, beta, gamma, x):
     """Three-parameter Mittag-Leffler function E^gamma_{alpha,beta}(x).
 
     Series sum_r (gamma)_r x^r / (r! Gamma(alpha r + beta)) with the
     rising factorial (gamma)_r.  Accepts complex x (the codifference
     formulas evaluate it on the unit-circle arguments); real x in, real
-    out.
+    out.  For alpha < 1 and |x|^(1 / alpha) past _CONTOUR_FROM it
+    inverts the Laplace pair s^(alpha gamma - beta) / (s^alpha - x)^gamma
+    on the Talbot contour instead (_ml_contour), unless gamma != 1 meets
+    a pole s^alpha = x on the principal sheet.
     """
     if alpha <= 0 or beta <= 0 or gamma <= 0:
         raise ValueError("alpha, beta, gamma must be positive")
-    term = reciprocal_gamma(beta)
     if x == 0:
-        return term
+        return reciprocal_gamma(beta)
+    if alpha < 1.0 and series_reach(alpha, x) > _CONTOUR_FROM:
+        if gamma == 1.0 or not _has_pole(alpha, x):
+            return _ml_contour(alpha, beta, gamma, x)
+    return _ml_series(alpha, beta, gamma, x)
+
+
+def _has_pole(alpha, x):
+    """True when s^alpha = x has a root on the principal sheet."""
+    return abs(cmath.phase(x)) < alpha * math.pi
+
+
+def _ml_contour(alpha, beta, gamma, x):
+    """E^gamma_{alpha,beta}(x) by inversion at t = 1 on the Talbot contour.
+
+    A root s* = x^(1 / alpha) on the principal sheet (gamma = 1 only) is
+    a simple pole with residue rho = s*^(1 - beta) / alpha.  Its pole
+    rho / (s - s*) is taken out of F before the quadrature and its
+    exact inverse rho e^(s*) added back, so the pole may lie on either
+    side of the contour, or next to it, without harm.  A real x whose
+    residue leaves double range gives inf; a complex one raises
+    OverflowError.
+    """
+    real = not isinstance(x, complex)
+    s, w = _UPPER if real else _FULL
+    f = s ** (alpha * gamma - beta) / (s**alpha - x) ** gamma
+    pole = 0.0
+    if _has_pole(alpha, x):
+        root = complex(x) ** (1.0 / alpha)
+        rho = root ** (1.0 - beta) / alpha
+        f = f - rho / (s - root)
+        try:
+            pole = rho * cmath.exp(root)
+        except OverflowError:
+            if real:
+                return math.inf
+            raise OverflowError(
+                "mittag_leffler: the pole term at x = %r leaves double range" % (x,)
+            ) from None
+    value = complex(np.dot(w, f)) + pole
+    return value.real if real else value
+
+
+def _ml_series(alpha, beta, gamma, x):
+    """The power series of mittag_leffler, under the module's truncation policy."""
+    term = reciprocal_gamma(beta)
     acc = _Accumulator("mittag_leffler")
     for r in range(_MAX_TERMS):
         if acc.add(term):

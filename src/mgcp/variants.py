@@ -18,14 +18,37 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .compositions import jump_profile
+import numpy as np
+
+from .compositions import _table_size, jump_profile
 from .gcp import _check_state, _pgf_exponent, component_symbol, mgcp_pmf
-from .specfun import _MAX_TERMS, _Accumulator, falling_factorial, mittag_leffler, wright_1_1
+from .specfun import (
+    _CONTOUR_FROM,
+    _LAW_NODES,
+    _MAX_TERMS,
+    _Accumulator,
+    _ml_series,
+    falling_factorial,
+    mittag_leffler,
+    series_reach,
+    wright_1_1,
+)
 from . import subordinators as subs
 
 # largest z with z! in double range
 _MAX_FACTORIAL = 170
+# an inverse-stable pmf from the contour stands when its error bound is
+# at most _CONTOUR_RTOL of it.  The contour's error grows with the jump
+# count, the more so as beta nears 1; a deeper state takes the series
+# while their reach |x|^(1/beta) is at most _SERIES_TO (a cancellation
+# ratio near e^12, some 1e-11 of relative error).  Past it the contour's
+# value still stands when its bound is at most _CONTOUR_ATOL, and the
+# call raises otherwise
+_CONTOUR_RTOL = 1e-6
+_CONTOUR_ATOL = 1e-13
+_SERIES_TO = 12.0
 # the jump-count recursion rescales its values past this bound
 _RESCALE = 2.0**512
 _LN2 = math.log(2.0)
@@ -186,17 +209,45 @@ def _stable_atom(form, lam):
     return atom
 
 
-def _jump_count_law(atom, t, h, zmax):
+class _Atoms:
+    """nu_1(k), k = 1..n, of one clock at one base rate.
+
+    n grows on demand, in table sizes of compositions._table_size; each
+    growth replaces the tuple at once, so a reader never sees it half
+    built.
+    """
+
+    def __init__(self, form, lam):
+        self._atom = _stable_atom(form, lam)
+        self.nu = ()
+
+    def upto(self, zmax):
+        """The tuple nu with nu[k - 1] = nu_1(k) for k <= zmax at least."""
+        nu = self.nu
+        if len(nu) < zmax:
+            nu = nu + tuple(self._atom(k) for k in range(len(nu) + 1, _table_size(zmax) + 1))
+            self.nu = nu
+        return nu
+
+
+@lru_cache(maxsize=64)
+def _clock_atoms(form, lam):
+    """The one atom table of a tempered-stable family clock at base rate lam."""
+    return _Atoms(form, lam)
+
+
+def _jump_count_law(nu, t, h, zmax):
     """(q, lg) with P{Z_t = z} = q[z] exp(lg), z = 0..zmax.
 
     Z_t counts the base jumps by time t under a Levy clock: compound
-    Poisson with atoms atom(k) and total rate h, so P{Z_t = 0} = exp(-t h)
-    and Panjer's recursion z q(z) = t sum_k k atom(k) q(z - k) gives the
-    rest in nonnegative terms.  It starts from q(0) = 1 and scales its
-    values down by an exact power of two whenever one passes 2^512, so
-    neither a large t nor the factor exp(-t h) leaves double range.
+    Poisson with atoms nu[k - 1] = nu_1(k) and total rate h, so
+    P{Z_t = 0} = exp(-t h) and Panjer's recursion
+    z q(z) = t sum_k k nu_1(k) q(z - k) gives the rest in nonnegative
+    terms.  It starts from q(0) = 1 and scales its values down by an
+    exact power of two whenever one passes 2^512, so neither a large t
+    nor the factor exp(-t h) leaves double range.
     """
-    katoms = [k * atom(k) for k in range(1, zmax + 1)]
+    katoms = [k * a for k, a in enumerate(nu[:zmax], start=1)]
     q, lg = [1.0], -t * h
     for z in range(1, zmax + 1):
         x = t * (math.fsum(map(operator.mul, katoms[:z], reversed(q))) / z)
@@ -218,6 +269,36 @@ def _times_exp(y, lg):
         return 0.0
     k = math.floor(lg / _LN2)
     return math.ldexp(y * math.exp(lg - k * _LN2), k)
+
+
+def _inverse_stable_law(beta, x, nu, zmax):
+    """(q, err): q_t(z), z = 0..zmax, at inverse beta-stable time by contour, and an error bound.
+
+    x = t^beta H, H the total rate of the Levy clock, and nu[k - 1] =
+    t^beta nu_1(k) its atoms at the same scale, or None for the
+    identity clock.  The law has the Laplace pair s^(beta - 1) Q(s^beta, z)
+    at time 1 (Meerschaert, Nane and Vellaisamy 2011), where Q solves
+    the forward equation (s^beta + x) Q(z) = delta_z0 + sum_k nu[k - 1]
+    Q(z - k), which is x^z / (s^beta + x)^(z + 1) for the identity clock.
+    One numpy pass over the nodes of every contour gives every z; each z
+    takes the contour whose distance from its check, err[z], is least.
+    The error is absolute and grows with z.
+    """
+    s, w = _LAW_NODES
+    sb = s**beta
+    d = sb + x
+    if nu is None:
+        table = (x / d) ** np.arange(zmax + 1)[:, None] / d
+    else:
+        nu = np.asarray(nu)
+        table = np.empty((zmax + 1, len(s)), dtype=complex)
+        table[0] = 1.0 / d
+        for z in range(1, zmax + 1):
+            table[z] = np.dot(nu[z - 1 :: -1], table[:z]) / d
+    values = (table @ (w * (sb / s)[:, None])).real
+    q, bounds = values[:, 0::2], np.abs(values[:, 0::2] - values[:, 1::2])
+    best = np.argmin(bounds, axis=1)[:, None]
+    return np.take_along_axis(q, best, 1)[:, 0], np.take_along_axis(bounds, best, 1)[:, 0]
 
 
 def _tilt_prefactor(t, scale, tilt, alpha):
@@ -283,9 +364,18 @@ def variant_pmf(v, rates, nbar, t):
     Poisson: q_t is a negative binomial for the gamma clock and comes
     from Panjer's recursion, whose terms are all nonnegative, for the
     tempered-stable family (stable, tempered, inverse Gaussian), so the
-    value is exact at any t.  At inverse-stable time q_t is the
-    Mittag-Leffler series (Mgfcp) or the paper's alternating r-series
-    (Mgstfcp), which cancel as t grows.
+    value is exact at any t.  At inverse-stable time, with
+    x = t^beta f(Lambda) (f(Lambda) = Lambda for Mgfcp, Lambda^alpha for
+    Mgstfcp), q_t is the paper's Mittag-Leffler series (Mgfcp) or
+    alternating r-series (Mgstfcp) while x^(1/beta) stays at or below
+    specfun._CONTOUR_FROM = 4.  Past it the series cancel, and q_t comes
+    from Laplace inversion on the N = 24 node Talbot contour
+    (_inverse_stable_law), whose error is absolute, about 1e-15 of the
+    largest q_t(z) at small z; deeper jump counts take contours of 48 or
+    96 nodes, each z the one with the least error bound (its distance
+    from a contour of 5/6 the nodes).  A value whose bound exceeds 1e-6
+    of it goes back to the series while x^(1/beta) <= 12; past that it
+    stands if the bound is at most 1e-13, and raises ValueError if not.
 
     States that need more than 170 jumps in one component raise
     ValueError, as does the time-fractional route once 1/Gamma(beta z + 1)
@@ -335,16 +425,23 @@ def _pmf_series(clock, beta, rates, nbar, t):
     lam = rates.total
     form = _stable_form(clock)
 
-    if clock is None:
-        # plain clock at inverse-stable time: K(z) = E^(z+1)_(beta, beta z + 1)(-x)
-        x = lam * t**beta
-
-        def ktilde(z):
-            if beta * z > _MAX_FACTORIAL:
-                raise OverflowError("1/Gamma(beta z + 1) underflows")
-            return x**z * mittag_leffler(beta, beta * z + 1.0, z + 1.0, -x)
-
-        return _profile_sum(rates, nbar, ktilde)
+    if beta != 1.0:
+        # inverse-stable time over the identity or the stable clock
+        x = lam * t**beta if clock is None else lam ** form[0] * t**beta
+        reach = series_reach(beta, x)
+        if reach > _CONTOUR_FROM:
+            value, err = _pmf_contour(clock, beta, rates, nbar, t)
+            if err <= _CONTOUR_RTOL * value:
+                return value
+            if reach > _SERIES_TO:
+                if err <= _CONTOUR_ATOL:
+                    # the true value is >= 0 and within err of this one
+                    return max(value, 0.0)
+                raise ValueError(
+                    "state %r is too deep for the pmf at t = %r: the contour's value "
+                    "%.3g has an error bound of %.1e, and the series cancel" % (nbar, t, value, err)
+                )
+        return _fractional_series(clock, beta, rates, nbar, t)
 
     if form is None:
         # the gamma clock: a negative binomial in z
@@ -358,17 +455,50 @@ def _pmf_series(clock, beta, rates, nbar, t):
         total = _profile_sum(rates, nbar, ktilde)
         return total * math.exp(bt * (math.log(clock.a) - math.log(r)))
 
-    if beta == 1.0:
-        # a Levy clock of the tempered-stable family: the jump count is
-        # compound Poisson with the clock's atoms
-        z0, prof = jump_profile(rates, nbar)
-        q, lg = _jump_count_law(
-            _stable_atom(form, lam), t, subs.laplace_exponent(clock, lam), z0 + len(prof) - 1
-        )
-        return _times_exp(math.fsum(s * x for s, x in zip(prof, q[z0:]) if s), lg)
+    # a Levy clock of the tempered-stable family: the jump count is
+    # compound Poisson with the clock's atoms
+    z0, prof = jump_profile(rates, nbar)
+    zmax = z0 + len(prof) - 1
+    q, lg = _jump_count_law(
+        _clock_atoms(form, lam).upto(zmax), t, subs.laplace_exponent(clock, lam), zmax
+    )
+    return _times_exp(math.fsum(s * x for s, x in zip(prof, q[z0:]) if s), lg)
+
+
+def _pmf_contour(clock, beta, rates, nbar, t):
+    """(p, err): the inverse-stable pmf sum_z S[z] q_t(z), q_t from
+    _inverse_stable_law, and its error bound sum_z S[z] err[z]."""
+    lam = rates.total
+    z0, prof = jump_profile(rates, nbar)
+    zmax = z0 + len(prof) - 1
+    if clock is None:
+        q, err = _inverse_stable_law(beta, lam * t**beta, None, zmax)
+    else:
+        # the stable clock: tilt 0, scale 1, total rate lam^alpha
+        form = _stable_form(clock)
+        scale = t**beta
+        nu = [scale * a for a in _clock_atoms(form, lam).upto(zmax)[:zmax]]
+        q, err = _inverse_stable_law(beta, lam ** form[0] * scale, nu, zmax)
+    pairs = [(s, x, e) for s, x, e in zip(prof, q[z0:].tolist(), err[z0:].tolist()) if s]
+    return math.fsum(s * x for s, x, _ in pairs), math.fsum(s * e for s, _, e in pairs)
+
+
+def _fractional_series(clock, beta, rates, nbar, t):
+    """The paper's series for the inverse-stable pmfs, cancelling as t grows."""
+    lam = rates.total
+    if clock is None:
+        # plain clock at inverse-stable time: K(z) = E^(z+1)_(beta, beta z + 1)(-x)
+        x = lam * t**beta
+
+        def ktilde(z):
+            if beta * z > _MAX_FACTORIAL:
+                raise OverflowError("1/Gamma(beta z + 1) underflows")
+            return x**z * _ml_series(beta, beta * z + 1.0, z + 1.0, -x)
+
+        return _profile_sum(rates, nbar, ktilde)
 
     # the stable clock at inverse-stable time (tilt 0, scale 1)
-    alpha = form[0]
+    alpha = _stable_form(clock)[0]
     c = -1.0 / lam
     a = lam**alpha * t**beta
 
@@ -433,7 +563,8 @@ def variant_transition_rate(v, rates, mbar):
         # the gamma clock: (lam / (lam + a))^z b (z-1)! / z!
         ratio = lam / (lam + clock.a)
         return _profile_sum(rates, mbar, lambda z: clock.b * ratio**z / z)
-    return _profile_sum(rates, mbar, _stable_atom(form, lam))
+    atoms = _clock_atoms(form, lam)
+    return _profile_sum(rates, mbar, lambda z: atoms.upto(z)[z - 1])
 
 
 def holding_rate(v, rates):

@@ -212,6 +212,21 @@ class TestFractionalPgf:
             rtol=1e-12,
         )
 
+    def test_large_t_is_a_probability(self):
+        # E_0.8(-60^0.8 g), g = (1.5 + 1)^0.6 - 1 the tempered exponent
+        # at Lambda = 1.5; mpmath, 80 digits: g = mpf(2.5)**mpf('0.6') - 1,
+        # sum((-mpf(60)**mpf('0.8') * g)**r * rgamma(mpf('0.8')*r + 1)
+        # for r in range(1500)) = 0.012009058...
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(80):
+            x = -(mpmath.mpf(60) ** mpmath.mpf("0.8")) * (mpmath.mpf(2.5) ** mpmath.mpf("0.6") - 1)
+            want = float(mpmath.fsum(x**r * mpmath.rgamma(mpmath.mpf("0.8") * r + 1) for r in range(1500)))
+        got = tcgcp_pgf_fractional(FIG1, Named(TemperedStable(0.6, 1.0)), 0.8, (0.0, 0.0), 60.0)
+        assert 0.0 <= got <= 1.0
+        # the quadrature of g is good to about 1e-12 relative
+        assert_allclose(got, want, rtol=1e-10)
+        assert_allclose(got, 0.0120091, rtol=1e-5)
+
     def test_domain(self):
         m = Named(Stable(0.7))
         with pytest.raises(ValueError):

@@ -4,8 +4,10 @@ Reference values were generated with mpmath at dps=50; each frozen
 constant carries the command that produced it.
 """
 
+import cmath
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from mgcp.specfun import (
     CancellationWarning,
     _gammasgn,
     _lgamma,
+    _ml_contour,
+    _ml_series,
     TruncationWarning,
     falling_factorial,
     generalized_incomplete_gamma,
@@ -62,6 +66,34 @@ def test_ml_complex_argument():
     assert_allclose(got.imag, 0.52565977919697875, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "x, want",
+    [
+        # mpmath, 60 digits: sum(mpf(-16.4)**r * rgamma(mpf('0.8')*r + 1) for r in range(600))
+        (-16.4, 0.0143789862803524),
+        # mpmath, 80 digits: sum(mpf(-40)**r * rgamma(mpf('0.8')*r + 1) for r in range(1200))
+        (-40.0, 0.00562073306386501),
+    ],
+)
+def test_ml_past_the_series_reach(x, want):
+    # the series cancels here (0.4435 and 2.2e28 from 2000 terms)
+    assert_allclose(mittag_leffler(0.8, 1.0, 1.0, x), want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 0.95])
+@pytest.mark.parametrize("reach", [2.5, 3.5, 4.5, 5.0])
+@pytest.mark.parametrize("phase", [1.0, 0.75, 0.5])
+def test_ml_series_and_contour_agree_around_the_switch(alpha, reach, phase):
+    """|x|^(1/alpha) = reach straddles the switch; the phase is a fraction
+    of pi, and a phase below alpha puts a pole on the principal sheet."""
+    x = reach**alpha * cmath.exp(1j * math.pi * phase)
+    if phase == 1.0:
+        x = -(reach**alpha)
+    series = _ml_series(alpha, 1.0, 1.0, x)
+    contour = _ml_contour(alpha, 1.0, 1.0, x)
+    assert abs(series - contour) <= 1e-12
+
+
 def test_ml_rejects_bad_parameters():
     with pytest.raises(ValueError):
         mittag_leffler(0.0, 1.0, 1.0, 0.5)
@@ -99,15 +131,30 @@ def test_wright_frozen_values():
 
 def test_truncation_warning_and_flag():
     # at beta = 0.1 the terms 2^r / Gamma(0.1 r + 1) still grow at the
-    # 2000-term cap: the partial sum comes back, with the warning
+    # 2000-term cap: the series kernel returns the partial sum, with the
+    # warning
     with pytest.warns(TruncationWarning, match="not converged within 2000 terms"):
-        partial = mittag_leffler(0.1, 1.0, 1.0, 2.0)
+        partial = _ml_series(0.1, 1.0, 1.0, 2.0)
     assert math.isfinite(partial)
 
 
+def test_overflowing_pole_term_is_inf():
+    # E_0.1(2) = 5.2e445 (mpmath: 40000 terms, about (1/0.1) e^(2^10)),
+    # past double range; mittag_leffler takes the
+    # contour there, whose pole term e^(2^10) / 0.1 overflows to inf
+    # instead of returning the series' finite 8.2e227
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mittag_leffler(0.1, 1.0, 1.0, 2.0) == math.inf
+    with pytest.raises(OverflowError, match="leaves double range"):
+        mittag_leffler(0.1, 1.0, 1.0, complex(2.0, 0.1))
+
+
 def test_cancellation_warning_fires_for_deep_alternation():
+    # mittag_leffler takes the contour at this argument; the kept series
+    # kernel still flags its cancellation
     with pytest.warns(CancellationWarning):
-        mittag_leffler(0.9, 1.0, 1.0, -40.0)
+        _ml_series(0.9, 1.0, 1.0, -40.0)
 
 
 def test_reciprocal_gamma_zero_at_poles():

@@ -28,6 +28,8 @@ from mgcp.subordinators import (
     ig_density,
     laplace_exponent,
 )
+from mgcp import specfun as specfun_module
+from mgcp import variants as variants_module
 from mgcp.variants import (
     GammaTC,
     IgTC,
@@ -36,6 +38,9 @@ from mgcp.variants import (
     Mgsfcp,
     Mgstfcp,
     Tempered,
+    _fractional_series,
+    _pmf_contour,
+    _split,
     _stable_atom,
     clock_spec,
     codifference,
@@ -383,6 +388,175 @@ def test_large_t_pmf_matches_mpmath(v, form, rates, box, t):
             assert abs(got - want) <= 1e-13 * want, n
 
 
+def _mp_inverse_stable_law(mpmath, v, lam, t, zmax):
+    """P{Z_t = z}, z <= zmax, for the jump count at inverse beta-stable time.
+
+    The paper's series, with beta r and alpha r formed in mpf:
+    sum_r (-a)^r / Gamma(beta r + 1) * C(alpha r, z) (-1)^z, a =
+    t^beta lam^alpha, and alpha = 1 for Mgfcp.  The terms peak near
+    e^(a^(1/beta)), so the caller needs about a^(1/beta) / ln 10 digits
+    beyond the target.
+    """
+    alpha = mpmath.mpf(getattr(v, "alpha", 1))
+    beta = mpmath.mpf(v.beta)
+    a = mpmath.mpf(t) ** beta * mpmath.mpf(lam) ** alpha
+    sums = [mpmath.mpf(0)] * (zmax + 1)
+    r, largest_seen = 0, mpmath.mpf(0)
+    while True:
+        weight = (-a) ** r / mpmath.gamma(beta * r + 1)
+        binom, largest = mpmath.mpf(1), mpmath.mpf(0)  # C(alpha r, z)
+        for z in range(zmax + 1):
+            if z:
+                binom = binom * (alpha * r - z + 1) / z
+            sums[z] += weight * binom
+            largest = max(largest, abs(weight * binom))
+        largest_seen = max(largest_seen, largest)
+        if r > 2 * a ** (1 / beta) and largest < largest_seen * mpmath.mpf(10) ** -mpmath.mp.dps:
+            break
+        r += 1
+    return [(-1) ** z * x for z, x in enumerate(sums)]
+
+
+def _mp_digits(v, lam, t, zmax):
+    """Digits for _mp_inverse_stable_law: the binomials of deep jump
+    counts lift the largest terms further."""
+    x = t**v.beta * lam ** getattr(v, "alpha", 1.0)
+    return int(x ** (1 / v.beta) / math.log(10)) + 40 + 2 * zmax
+
+
+INVERSE_STABLE = [Mgfcp(0.8), Mgstfcp(0.7, 0.8)]
+
+
+@pytest.mark.parametrize("t", [20.0, 60.0])
+@pytest.mark.parametrize("rates, box", [(FIG1, (6, 6)), (Q3, (3, 3, 3))], ids=["fig1", "q3"])
+@pytest.mark.parametrize("v", INVERSE_STABLE, ids=vid)
+def test_inverse_stable_pmf_and_pgf_match_mpmath(v, rates, box, t):
+    """Contour route against the paper's series summed in mpmath.
+
+    The contour's error is absolute, some 1e-15 of the largest q_t(z).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(_mp_digits(v, rates.total, t, sum(box))):
+        law = _mp_inverse_stable_law(mpmath, v, rates.total, t, sum(box))
+        for n in itertools.product(*(range(b + 1) for b in box)):
+            want = _mp_composition_sum(
+                rates, n, 1 / mpmath.mpf(rates.total), lambda z: mpmath.factorial(z) * law[z]
+            )
+            got = variant_pmf(v, rates, n, t)
+            assert abs(got - want) <= 1e-12 * want + 1e-16, n
+        # the pgf E_beta(-t^beta w^alpha), w = sum_ij lam_ij (1 - u_i^j)
+        beta = mpmath.mpf(v.beta)
+        alpha = mpmath.mpf(getattr(v, "alpha", 1))
+        for ubar in [(0.0,) * rates.q, (0.5,) * rates.q, (0.9, 0.6, 0.3)[: rates.q]]:
+            w = sum(
+                mpmath.mpf(lam) * (1 - mpmath.mpf(u) ** j)
+                for row, u in zip(rates.rows, ubar)
+                for j, lam in enumerate(row, start=1)
+            )
+            want = _mp_mittag_leffler(mpmath, beta, -(mpmath.mpf(t) ** beta) * w**alpha)
+            if not any(ubar):
+                # the two mpmath sums agree, pgf(0) = P{Z_t = 0}, up to
+                # the rounding of the float total rate
+                assert abs(want - law[0]) <= 1e-15 * want
+            got = variant_pgf(v, rates, ubar, t)
+            assert abs(got - want) <= 1e-12 * want, ubar
+
+
+@pytest.mark.parametrize("t", [20.0, 60.0])
+@pytest.mark.parametrize("v", INVERSE_STABLE, ids=vid)
+def test_inverse_stable_deep_cells_match_mpmath(v, t):
+    """Up to 57 jumps: the 48- and 96-node contours take over from the
+    24-node one as the jump count grows."""
+    mpmath = pytest.importorskip("mpmath")
+    states = [(20, 20), (30, 30), (0, 57), (45, 10)]
+    zmax = max(a + b for a, b in states)
+    with mpmath.workdps(_mp_digits(v, FIG1.total, t, zmax)):
+        law = _mp_inverse_stable_law(mpmath, v, FIG1.total, t, zmax)
+        for n in states:
+            want = _mp_composition_sum(
+                FIG1, n, 1 / mpmath.mpf(FIG1.total), lambda z: mpmath.factorial(z) * law[z]
+            )
+            got = variant_pmf(v, FIG1, n, t)
+            assert abs(got - want) <= 1e-12 * want, n
+
+
+def _mp_mittag_leffler(mpmath, beta, x):
+    """E_beta(x) by its power series in mpf; the caller sets the digits."""
+    total, r, largest = mpmath.mpf(0), 0, mpmath.mpf(0)
+    xi = abs(x) ** (1 / beta)
+    while True:
+        term = x**r / mpmath.gamma(beta * r + 1)
+        total += term
+        largest = max(largest, abs(term))
+        if r > 2 * xi + 10 and abs(term) < largest * mpmath.mpf(10) ** -mpmath.mp.dps:
+            return total
+        r += 1
+
+
+@pytest.mark.parametrize("v", INVERSE_STABLE, ids=vid)
+@pytest.mark.parametrize("reach", [2.5, 3.5, 4.5, 5.0])
+def test_series_and_contour_agree_around_the_switch(v, reach):
+    """The two inverse-stable pmf routes are independent code; near the
+    switch, where |x|^(1/beta) = reach, both are accurate."""
+    scale = FIG1.total ** getattr(v, "alpha", 1.0)
+    t = reach / scale ** (1 / v.beta)
+    clock, beta = _split(v)
+    for n in itertools.product(range(7), range(7)):
+        series = _fractional_series(clock, beta, FIG1, n, t)
+        contour, _ = _pmf_contour(clock, beta, FIG1, n, t)
+        assert abs(series - contour) <= 1e-12, n
+
+
+@pytest.mark.parametrize("v", INVERSE_STABLE, ids=vid)
+def test_inverse_stable_route_switch(v, monkeypatch):
+    """variant_pmf takes the contour exactly where |x|^(1/beta) passes the
+    switch constant, and leaves every t = 1 cell on the series."""
+    taken = []
+    monkeypatch.setattr(
+        variants_module, "_pmf_contour", lambda *a: taken.append(a[-1]) or (0.5, 0.0)
+    )
+    scale = FIG1.total ** getattr(v, "alpha", 1.0)
+    t_switch = specfun_module._CONTOUR_FROM / scale ** (1 / v.beta)
+    for t in (1.0, 0.99 * t_switch, 1.01 * t_switch, 20.0):
+        variant_pmf(v, FIG1, (1, 1), t)
+    assert taken == [1.01 * t_switch, 20.0]
+
+
+def test_deep_state_past_the_switch_takes_the_series():
+    """The contour's error grows with the jump count: at (60, 60) and
+    t = 3 (reach 4.5) even the 96-node contour's bound dwarfs the value,
+    so the series, still accurate there, gives the pmf."""
+    v, n, t = Mgfcp(0.99), (60, 60), 3.0
+    clock, beta = _split(v)
+    value, err = _pmf_contour(clock, beta, FIG1, n, t)
+    assert err > 1e-6 * abs(value)
+    assert variant_pmf(v, FIG1, n, t) == _fractional_series(clock, beta, FIG1, n, t)
+
+
+def test_deep_state_far_past_the_switch_raises():
+    # reach 75: the series cancels by some e^75, and the contour's bound
+    # at 340 jumps is 1.6e-10, both above 1e-13 and above the value
+    with pytest.raises(ValueError, match="too deep for the pmf at t = 50"):
+        variant_pmf(Mgfcp(0.999), FIG1, (170, 170), 50.0)
+
+
+def test_deep_state_far_past_the_switch_is_nonnegative():
+    # reach 33: the bound is below 1e-13 but above the value itself,
+    # which the contour puts at -2.1e-49
+    p = variant_pmf(Mgfcp(0.8), FIG1, (100, 100), 20.0)
+    assert 0.0 <= p <= 1e-13
+
+
+@pytest.mark.parametrize("v", INVERSE_STABLE, ids=vid)
+@pytest.mark.parametrize("t", [20.0, 60.0, 200.0])
+def test_inverse_stable_box_is_a_probability_table(v, t):
+    cells = [variant_pmf(v, FIG1, n, t) for n in itertools.product(range(13), range(13))]
+    pgf0 = variant_pgf(v, FIG1, (0.0, 0.0), t)
+    assert cells[0] == pytest.approx(pgf0, rel=1e-12)
+    assert all(0.0 <= p <= 1.0 for p in cells)
+    assert math.fsum(cells) <= 1.0
+
+
 @pytest.mark.parametrize("t", [20.0, 60.0])
 @pytest.mark.parametrize("rates, box", [(FIG1, (12, 12)), (Q3, (5, 5, 5))], ids=["fig1", "q3"])
 @pytest.mark.parametrize("v", [v for v, _ in LARGE_T], ids=vid)
@@ -684,6 +858,23 @@ class TestCodifference:
         got = codifference(v, FIG1, 0, 1, t)
         assert_allclose(got.real, want.real, atol=1e-7)
         assert_allclose(got.imag, want.imag, atol=1e-7)
+
+    @pytest.mark.parametrize("t", [20.0, 60.0, 200.0])
+    def test_mgfcp_large_t_matches_mpmath(self, t):
+        """The w_i and w_l arguments put a pole s^0.8 = x on the principal
+        sheet, whose residue the contour adds back; w_i + w_l does not."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(250):
+            beta = mpmath.mpf("0.8")
+            w_i = mpmath.mpf(0.5) * (1 - mpmath.expj(1))
+            w_l = 1 - mpmath.mpf(0.5) * (mpmath.expj(-1) + mpmath.expj(-2))
+
+            def lncf(w):
+                return mpmath.log(_mp_mittag_leffler(mpmath, beta, -(mpmath.mpf(t) ** beta) * w))
+
+            want = complex(lncf(w_i + w_l) - lncf(w_i) - lncf(w_l))
+        got = codifference(Mgfcp(0.8), FIG1, 0, 1, t)
+        assert abs(got - want) <= 1e-12
 
     def test_equal_components_drop_joint_term(self):
         v, t = Mgfcp(0.8), 0.7
