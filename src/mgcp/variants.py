@@ -209,31 +209,15 @@ def _stable_atom(form, lam):
     return atom
 
 
-class _Atoms:
-    """nu_1(k), k = 1..n, of one clock at one base rate.
-
-    n grows on demand, in table sizes of compositions._table_size; each
-    growth replaces the tuple at once, so a reader never sees it half
-    built.
-    """
-
-    def __init__(self, form, lam):
-        self._atom = _stable_atom(form, lam)
-        self.nu = ()
-
-    def upto(self, zmax):
-        """The tuple nu with nu[k - 1] = nu_1(k) for k <= zmax at least."""
-        nu = self.nu
-        if len(nu) < zmax:
-            nu = nu + tuple(self._atom(k) for k in range(len(nu) + 1, _table_size(zmax) + 1))
-            self.nu = nu
-        return nu
-
-
 @lru_cache(maxsize=64)
-def _clock_atoms(form, lam):
-    """The one atom table of a tempered-stable family clock at base rate lam."""
-    return _Atoms(form, lam)
+def _clock_atoms(form, lam, size):
+    """(nu_1(1), ..., nu_1(size)) of a tempered-stable family clock at base rate lam.
+
+    Callers pass compositions._table_size of the deepest jump count they
+    need, so every cell of a box reads one table.
+    """
+    atom = _stable_atom(form, lam)
+    return tuple(atom(k) for k in range(1, size + 1))
 
 
 def _jump_count_law(nu, t, h, zmax):
@@ -460,7 +444,7 @@ def _pmf_series(clock, beta, rates, nbar, t):
     z0, prof = jump_profile(rates, nbar)
     zmax = z0 + len(prof) - 1
     q, lg = _jump_count_law(
-        _clock_atoms(form, lam).upto(zmax), t, subs.laplace_exponent(clock, lam), zmax
+        _clock_atoms(form, lam, _table_size(zmax)), t, subs.laplace_exponent(clock, lam), zmax
     )
     return _times_exp(math.fsum(s * x for s, x in zip(prof, q[z0:]) if s), lg)
 
@@ -477,7 +461,7 @@ def _pmf_contour(clock, beta, rates, nbar, t):
         # the stable clock: tilt 0, scale 1, total rate lam^alpha
         form = _stable_form(clock)
         scale = t**beta
-        nu = [scale * a for a in _clock_atoms(form, lam).upto(zmax)[:zmax]]
+        nu = [scale * a for a in _clock_atoms(form, lam, _table_size(zmax))[:zmax]]
         q, err = _inverse_stable_law(beta, lam ** form[0] * scale, nu, zmax)
     pairs = [(s, x, e) for s, x, e in zip(prof, q[z0:].tolist(), err[z0:].tolist()) if s]
     return math.fsum(s * x for s, x, _ in pairs), math.fsum(s * e for s, _, e in pairs)
@@ -563,8 +547,7 @@ def variant_transition_rate(v, rates, mbar):
         # the gamma clock: (lam / (lam + a))^z b (z-1)! / z!
         ratio = lam / (lam + clock.a)
         return _profile_sum(rates, mbar, lambda z: clock.b * ratio**z / z)
-    atoms = _clock_atoms(form, lam)
-    return _profile_sum(rates, mbar, lambda z: atoms.upto(z)[z - 1])
+    return _profile_sum(rates, mbar, lambda z: _clock_atoms(form, lam, _table_size(z))[z - 1])
 
 
 def holding_rate(v, rates):
