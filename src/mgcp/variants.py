@@ -42,7 +42,7 @@ _MAX_FACTORIAL = 170
 # an inverse-stable pmf from the contour stands when its error bound is
 # at most _CONTOUR_RTOL of it.  The contour's error grows with the jump
 # count, the more so as beta nears 1; a deeper state takes the series
-# while their reach |x|^(1/beta) is at most _SERIES_TO (a cancellation
+# while the reach |x|^(1/beta) is at most _SERIES_TO (a cancellation
 # ratio near e^12, some 1e-11 of relative error).  Past it the contour's
 # value still stands when its bound is at most _CONTOUR_ATOL, and the
 # call raises otherwise
