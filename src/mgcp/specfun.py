@@ -68,25 +68,32 @@ class _Accumulator:
             self._small_run = 0
         return False
 
-    def finish(self):
-        if not self.converged:
-            warnings.warn(
-                "%s: series not converged within %d terms"
-                % (self.label, _MAX_TERMS),
-                TruncationWarning,
-                stacklevel=3,
-            )
+    def flags(self):
+        """(label, converged, cancellation ratio): what finish() warns about."""
         denom = abs(self.total)
         if denom == 0.0:
             denom = math.ulp(0.0)
-        if self.largest / denom > _CANCELLATION_WARN_RATIO:
-            warnings.warn(
-                "%s: cancellation ratio %.2e, result is low precision"
-                % (self.label, self.largest / denom),
-                CancellationWarning,
-                stacklevel=3,
-            )
+        return self.label, self.converged, self.largest / denom
+
+    def finish(self):
+        _warn_flags(*self.flags(), stacklevel=3)
         return self.total
+
+
+def _warn_flags(label, converged, ratio, stacklevel=2):
+    """Emit the NumericsWarnings of a finished series from its flags."""
+    if not converged:
+        warnings.warn(
+            "%s: series not converged within %d terms" % (label, _MAX_TERMS),
+            TruncationWarning,
+            stacklevel=stacklevel + 1,
+        )
+    if ratio > _CANCELLATION_WARN_RATIO:
+        warnings.warn(
+            "%s: cancellation ratio %.2e, result is low precision" % (label, ratio),
+            CancellationWarning,
+            stacklevel=stacklevel + 1,
+        )
 
 
 def _lgamma(x):
@@ -255,6 +262,11 @@ def _ml_contour(alpha, beta, gamma, x):
 
 def _ml_series(alpha, beta, gamma, x):
     """The power series of mittag_leffler, under the module's truncation policy."""
+    return _ml_sum(alpha, beta, gamma, x).finish()
+
+
+def _ml_sum(alpha, beta, gamma, x):
+    """The summed _Accumulator of _ml_series, its flags not yet warned."""
     term = reciprocal_gamma(beta)
     acc = _Accumulator("mittag_leffler")
     for r in range(_MAX_TERMS):
@@ -264,7 +276,7 @@ def _ml_series(alpha, beta, gamma, x):
         u = alpha * r + beta
         ratio = math.exp(math.lgamma(u) - math.lgamma(u + alpha))
         term = term * ((gamma + r) / (r + 1.0)) * ratio * x
-    return acc.finish()
+    return acc
 
 
 def wright_1_1(a, alpha_a, b, beta_b, x):

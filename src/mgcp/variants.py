@@ -15,6 +15,7 @@ supplies its own kernel K(z).
 """
 
 import cmath
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -29,7 +30,8 @@ from .specfun import (
     _LAW_NODES,
     _MAX_TERMS,
     _Accumulator,
-    _ml_series,
+    _ml_sum,
+    _warn_flags,
     falling_factorial,
     mittag_leffler,
     series_reach,
@@ -229,14 +231,15 @@ def _jump_count_law(nu, t, h, zmax):
     z q(z) = t sum_k k nu_1(k) q(z - k) gives the rest in nonnegative
     terms.  It starts from q(0) = 1 and scales its values down by an
     exact power of two whenever one passes 2^512, so neither a large t
-    nor the factor exp(-t h) leaves double range.
+    nor the factor exp(-t h) leaves double range.  q stops short of
+    zmax at the first z whose value is inf.
     """
     katoms = [k * a for k, a in enumerate(nu[:zmax], start=1)]
     q, lg = [1.0], -t * h
     for z in range(1, zmax + 1):
         x = t * (math.fsum(map(operator.mul, katoms[:z], reversed(q))) / z)
         if x == math.inf:
-            raise ValueError("t = %r is too large for the jump-count recursion" % (t,))
+            break
         q.append(x)
         if x > _RESCALE:
             e = math.frexp(x)[1]
@@ -285,6 +288,95 @@ def _inverse_stable_law(beta, x, nu, zmax):
     return np.take_along_axis(q, best, 1)[:, 0], np.take_along_axis(bounds, best, 1)[:, 0]
 
 
+@lru_cache(maxsize=64)
+def _law(route, clock, beta, lam, t, size):
+    """The jump-count law one pmf route reads, for z = 0..size.
+
+    Every cell of a box at one clock, beta, Lambda = lam and t reads the
+    same law.  size is compositions._table_size of the cell's deepest
+    jump count, so the order in which cells come never changes a value.
+    Each route has its own entries, so the series and the contour stay
+    independent code:
+    - "panjer": (q, lg) of _jump_count_law, cut short where it leaves
+      double range;
+    - "gamma": (K, front), K[z] = (lam/r)^z (bt)(bt+1)...(bt+z-1) / z!
+      and front = (a/r)^(bt), r = lam + a, the negative binomial of the
+      gamma clock;
+    - "contour": (q, err) of _inverse_stable_law;
+    - "series": the ktilde of the paper's inverse-stable series, a
+      _SeriesKernel.
+    """
+    if route == "panjer":
+        form = _stable_form(clock)
+        q, lg = _jump_count_law(
+            _clock_atoms(form, lam, size), t, subs.laplace_exponent(clock, lam), size
+        )
+        return tuple(q), lg
+    if route == "gamma":
+        r = lam + clock.a
+        bt = clock.b * t
+        factors = ((bt + k) * lam / (r * (k + 1)) for k in range(size))
+        kernel = tuple(itertools.accumulate(factors, operator.mul, initial=1.0))
+        return kernel, math.exp(bt * (math.log(clock.a) - math.log(r)))
+    scale = t**beta
+    if route == "contour":
+        if clock is None:
+            q, err = _inverse_stable_law(beta, lam * scale, None, size)
+        else:
+            # the stable clock: tilt 0, scale 1, total rate lam^alpha
+            form = _stable_form(clock)
+            nu = [scale * a for a in _clock_atoms(form, lam, size)]
+            q, err = _inverse_stable_law(beta, lam ** form[0] * scale, nu, size)
+        return tuple(q.tolist()), tuple(err.tolist())
+    if clock is None:
+        # plain clock at inverse-stable time: K(z) = E^(z+1)_(beta, beta z + 1)(-x)
+        x = lam * scale
+
+        def term(z):
+            if beta * z > _MAX_FACTORIAL:
+                raise OverflowError("1/Gamma(beta z + 1) underflows")
+            power = x**z
+            acc = _ml_sum(beta, beta * z + 1.0, z + 1.0, -x)
+            return power * acc.total, acc
+
+        return _SeriesKernel(term)
+
+    # the stable clock at inverse-stable time (tilt 0, scale 1)
+    alpha = _stable_form(clock)[0]
+    c = -1.0 / lam
+    a = lam**alpha * scale
+
+    def term(z):
+        power = (c * lam) ** z
+        acc = _state_sum(a, z, alpha, beta, "variant_pmf")
+        return power * acc.total, acc
+
+    return _SeriesKernel(term)
+
+
+class _SeriesKernel:
+    """ktilde(z) of an inverse-stable series, each z summed on its first read.
+
+    A z keeps its series' flags (label, converged, cancellation ratio)
+    beside its value, and every read emits their NumericsWarnings
+    again, so a cell warns exactly as if it had summed the series
+    itself.  A z that no cell reads is never summed, so it neither
+    raises nor warns; a z whose sum raises is not kept.
+    """
+
+    def __init__(self, term):
+        self._term = term
+        self._sums = {}
+
+    def __call__(self, z):
+        got = self._sums.get(z)
+        if got is None:
+            value, acc = self._term(z)
+            got = self._sums[z] = (value, acc.flags())
+        _warn_flags(*got[1], stacklevel=3)
+        return got[0]
+
+
 def _tilt_prefactor(t, scale, tilt, alpha):
     """exp(t scale tilt^alpha), which undoes the tempering of the series.
 
@@ -308,7 +400,12 @@ def _profile_sum(rates, nbar, ktilde):
     a composition sum with weights (c lambda_ij)^x / x!.  A kernel that
     leaves double range makes the state too deep: ValueError.
     """
-    z0, s = jump_profile(rates, nbar)
+    return _kernel_sum(jump_profile(rates, nbar), nbar, ktilde)
+
+
+def _kernel_sum(profile, nbar, ktilde):
+    """_profile_sum over the state's jump profile (z0, S)."""
+    z0, s = profile
     try:
         return math.fsum(v * ktilde(z0 + m) for m, v in enumerate(s) if v)
     except OverflowError as exc:
@@ -317,12 +414,13 @@ def _profile_sum(rates, nbar, ktilde):
         ) from exc
 
 
-def _state_series(a, z, slope, beta_denom, label):
+def _state_sum(a, z, slope, beta_denom, label):
     """sum_r (-a)^r / Gamma(beta_denom r + 1) * C(slope r, z)  (binomial).
 
     The inner r-series of the fractional pmfs, per jump count z: the
     falling factorial (slope r)_z over z!, divided once while z! is a
-    double and spread over the factors past that.
+    double and spread over the factors past that.  Returns the summed
+    _Accumulator, its flags not yet warned.
     """
     zfact = float(math.factorial(z)) if z <= _MAX_FACTORIAL else None
     acc = _Accumulator(label)
@@ -337,7 +435,7 @@ def _state_series(a, z, slope, beta_denom, label):
             break
         u = beta_denom * r + 1.0
         base *= -a * math.exp(math.lgamma(u) - math.lgamma(u + beta_denom))
-    return acc.finish()
+    return acc
 
 
 def variant_pmf(v, rates, nbar, t):
@@ -361,9 +459,14 @@ def variant_pmf(v, rates, nbar, t):
     of it goes back to the series while x^(1/beta) <= 12; past that it
     stands if the bound is at most 1e-13, and raises ValueError if not.
 
-    States that need more than 170 jumps in one component raise
-    ValueError, as does the time-fractional route once 1/Gamma(beta z + 1)
-    leaves double range: no value is better than garbage there.
+    Off the contour, states that need more than 170 jumps in one
+    component raise ValueError, as does the time-fractional series once
+    1/Gamma(beta z + 1) leaves double range: no value is better than
+    garbage there.  The contour forms no z! and takes deeper states.
+
+    The law q_t, or the series kernel, is computed once per route, clock,
+    beta, Lambda, t and table size of the state's deepest jump count
+    (_law, an lru_cache of 64 laws) and shared by every cell of a box.
     """
     return _pmf(_pmf_series, v, rates, nbar, t)
 
@@ -402,10 +505,6 @@ def _pmf(route, v, rates, nbar, t):
 
 
 def _pmf_series(clock, beta, rates, nbar, t):
-    for row, n in zip(rates.rows, nbar):
-        smallest = next(j for j, lam in enumerate(row, start=1) if lam > 0.0)
-        if n // smallest > _MAX_FACTORIAL:
-            raise OverflowError("more than %d jumps in one component" % _MAX_FACTORIAL)
     lam = rates.total
     form = _stable_form(clock)
 
@@ -425,71 +524,45 @@ def _pmf_series(clock, beta, rates, nbar, t):
                     "state %r is too deep for the pmf at t = %r: the contour's value "
                     "%.3g has an error bound of %.1e, and the series cancel" % (nbar, t, value, err)
                 )
+
+    # the contour forms no z!; every other route stops at 170 jumps in a component
+    for row, n in zip(rates.rows, nbar):
+        smallest = next(j for j, rate in enumerate(row, start=1) if rate > 0.0)
+        if n // smallest > _MAX_FACTORIAL:
+            raise OverflowError("more than %d jumps in one component" % _MAX_FACTORIAL)
+    if beta != 1.0:
         return _fractional_series(clock, beta, rates, nbar, t)
 
+    z0, prof = jump_profile(rates, nbar)
+    zmax = z0 + len(prof) - 1
     if form is None:
         # the gamma clock: a negative binomial in z
-        r = lam + clock.a
-        bt = clock.b * t
-
-        def ktilde(z):
-            # (lam/r)^z (bt)(bt+1)...(bt+z-1) / z!
-            return math.prod((bt + k) * lam / (r * (k + 1)) for k in range(z))
-
-        total = _profile_sum(rates, nbar, ktilde)
-        return total * math.exp(bt * (math.log(clock.a) - math.log(r)))
+        kernel, front = _law("gamma", clock, beta, lam, t, _table_size(zmax))
+        return math.fsum(s * k for s, k in zip(prof, kernel[z0:]) if s) * front
 
     # a Levy clock of the tempered-stable family: the jump count is
     # compound Poisson with the clock's atoms
-    z0, prof = jump_profile(rates, nbar)
-    zmax = z0 + len(prof) - 1
-    q, lg = _jump_count_law(
-        _clock_atoms(form, lam, _table_size(zmax)), t, subs.laplace_exponent(clock, lam), zmax
-    )
+    q, lg = _law("panjer", clock, beta, lam, t, _table_size(zmax))
+    if zmax >= len(q):
+        raise ValueError("t = %r is too large for the jump-count recursion" % (t,))
     return _times_exp(math.fsum(s * x for s, x in zip(prof, q[z0:]) if s), lg)
 
 
 def _pmf_contour(clock, beta, rates, nbar, t):
     """(p, err): the inverse-stable pmf sum_z S[z] q_t(z), q_t from
     _inverse_stable_law, and its error bound sum_z S[z] err[z]."""
-    lam = rates.total
     z0, prof = jump_profile(rates, nbar)
-    zmax = z0 + len(prof) - 1
-    if clock is None:
-        q, err = _inverse_stable_law(beta, lam * t**beta, None, zmax)
-    else:
-        # the stable clock: tilt 0, scale 1, total rate lam^alpha
-        form = _stable_form(clock)
-        scale = t**beta
-        nu = [scale * a for a in _clock_atoms(form, lam, _table_size(zmax))[:zmax]]
-        q, err = _inverse_stable_law(beta, lam ** form[0] * scale, nu, zmax)
-    pairs = [(s, x, e) for s, x, e in zip(prof, q[z0:].tolist(), err[z0:].tolist()) if s]
+    q, err = _law("contour", clock, beta, rates.total, t, _table_size(z0 + len(prof) - 1))
+    pairs = [(s, x, e) for s, x, e in zip(prof, q[z0:], err[z0:]) if s]
     return math.fsum(s * x for s, x, _ in pairs), math.fsum(s * e for s, _, e in pairs)
 
 
 def _fractional_series(clock, beta, rates, nbar, t):
     """The paper's series for the inverse-stable pmfs, cancelling as t grows."""
-    lam = rates.total
-    if clock is None:
-        # plain clock at inverse-stable time: K(z) = E^(z+1)_(beta, beta z + 1)(-x)
-        x = lam * t**beta
-
-        def ktilde(z):
-            if beta * z > _MAX_FACTORIAL:
-                raise OverflowError("1/Gamma(beta z + 1) underflows")
-            return x**z * _ml_series(beta, beta * z + 1.0, z + 1.0, -x)
-
-        return _profile_sum(rates, nbar, ktilde)
-
-    # the stable clock at inverse-stable time (tilt 0, scale 1)
-    alpha = _stable_form(clock)[0]
-    c = -1.0 / lam
-    a = lam**alpha * t**beta
-
-    def ktilde(z):
-        return (c * lam) ** z * _state_series(a, z, alpha, beta, "variant_pmf")
-
-    return _profile_sum(rates, nbar, ktilde)
+    profile = jump_profile(rates, nbar)
+    z0, prof = profile
+    ktilde = _law("series", clock, beta, rates.total, t, _table_size(z0 + len(prof) - 1))
+    return _kernel_sum(profile, nbar, ktilde)
 
 
 def _wright_series(clock, beta, rates, nbar, t):

@@ -8,6 +8,7 @@ the generating call is quoted next to each value.
 import cmath
 import itertools
 import math
+import warnings
 
 import pytest
 from numpy.testing import assert_allclose
@@ -16,7 +17,7 @@ from scipy import integrate
 from mgcp.bernstein import Named, g_lambda_u
 from mgcp.compositions import enumerate_compositions
 from mgcp.gcp import RateMatrix, component_symbol, mgcp_pmf
-from mgcp.specfun import mittag_leffler
+from mgcp.specfun import CancellationWarning, NumericsWarning, mittag_leffler
 from mgcp.subordinators import (
     GammaSub,
     InverseGaussian,
@@ -545,6 +546,75 @@ def test_deep_state_far_past_the_switch_is_nonnegative():
     # which the contour puts at -2.1e-49
     p = variant_pmf(Mgfcp(0.8), FIG1, (100, 100), 20.0)
     assert 0.0 <= p <= 1e-13
+
+
+def test_contour_takes_states_past_170_jumps():
+    """The contour forms no z!, so the 170-jump cap of the other routes
+    does not bind it.  The frozen value is _mp_composition_sum(FIG1,
+    (0, 171), 1 / Lambda, z! law[z]) with law = _mp_inverse_stable_law(
+    mpmath, Mgfcp(0.8), 1.5, 60, 171) at _mp_digits(...) digits."""
+    got = variant_pmf(Mgfcp(0.8), FIG1, (0, 171), 60.0)
+    assert abs(got - 6.566074498040299e-25) <= 1e-12 * 6.566074498040299e-25
+
+
+def test_series_state_past_170_jumps_raises():
+    # t = 1 is below the switch, so the series, which forms z!, takes it
+    with pytest.raises(ValueError, match="too deep"):
+        variant_pmf(Mgfcp(0.8), FIG1, (0, 171), 1.0)
+    with pytest.raises(ValueError, match="too deep"):
+        variant_pmf(Mgstfcp(0.7, 0.8), FIG1, (171, 0), 1.0)
+
+
+def _numerics_warnings(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    return [w for w in caught if issubclass(w.category, NumericsWarning)]
+
+
+def test_series_flags_replay_on_every_read():
+    """The law memo keeps each series kernel's flags and emits them on
+    every read: a second call warns exactly as the first, one warning
+    per jump count the cell reads (21 here, one per flagged z)."""
+    variants_module._law.cache_clear()
+    runs = [
+        _numerics_warnings(lambda: variant_pmf(Mgfcp(0.9), FIG1, (40, 40), 6.0))
+        for _ in range(2)
+    ]
+    for caught in runs:
+        assert len(caught) == 21
+        assert all(w.category is CancellationWarning for w in caught)
+    assert [str(w.message) for w in runs[0]] == [str(w.message) for w in runs[1]]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="between the switch and reach 12 a deep state whose contour bound "
+    "fails takes the series, which cancels (ROADMAP item 1, open part)",
+)
+def test_deep_state_between_the_switch_and_reach_12_does_not_cancel():
+    assert not _numerics_warnings(lambda: variant_pmf(Mgfcp(0.9), FIG1, (40, 40), 6.0))
+
+
+@pytest.mark.parametrize("t", [1.0, 20.0])
+@pytest.mark.parametrize("v", ALL_VARIANTS, ids=vid)
+def test_box_does_not_depend_on_call_order(v, t):
+    """Every cell reads one law per route, clock, Lambda, t and table
+    size, so the order in which a box is filled changes no value.  The
+    two deep cells read a larger table than the 12 x 12 box."""
+    states = list(itertools.product(range(13), range(13))) + [(20, 20), (30, 30)]
+
+    def box(order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericsWarning)
+            cells = {n: variant_pmf(v, FIG1, n, t) for n in order}
+        return [cells[n].hex() for n in states]
+
+    variants_module._law.cache_clear()
+    shallow = box(sorted(states, key=sum))
+    deep = box(sorted(states, key=sum, reverse=True))
+    variants_module._law.cache_clear()
+    assert shallow == deep == box(states)
 
 
 @pytest.mark.parametrize("v", INVERSE_STABLE, ids=vid)
