@@ -34,10 +34,11 @@ from .specfun import (
     generalized_sine_integral,
     incomplete_beta,
 )
+from .subordinators import Stable
 from .variants import (
     Mgsfcp,
+    _clock_atoms,
     _profile_sum,
-    _stable_atom,
     variant_pmf,
     variant_transition_rate,
 )
@@ -163,10 +164,12 @@ def _tables(rates, alpha, nmax):
     The total shock count is compound Poisson.  Its level jumps come at
     rate Lambda^alpha, and one has size k with probability
     pi(k) = sum_z S_k[z] nu_1(z) / Lambda^alpha: nu_1 the stable clock's
-    atoms (z base jumps at once) and S_k the jump-count profile of k
-    under the rates pooled by jump size.  L[n, m] = pi^{*m}(n) is the
-    chance that m level jumps add up to n, zero for m > n, so
-    P{total = n at t} = sum_m L[n, m] Pois(Lambda^alpha t; m).
+    atoms (z base jumps at once; the variants._clock_atoms table that
+    the Mgsfcp pmf and transition rates read) and S_k the jump-count
+    profile of k under the rates pooled by jump size.
+    L[n, m] = pi^{*m}(n) is the chance that m level jumps add up to n,
+    zero for m > n, so P{total = n at t} = sum_m L[n, m]
+    Pois(Lambda^alpha t; m).
     G[n] = sum_m L[n, m] / Lambda^alpha is that pmf integrated over
     t in (0, inf).  Every entry is a sum of nonnegative terms.
     """
@@ -174,8 +177,7 @@ def _tables(rates, alpha, nmax):
     by_size = itertools.zip_longest(*rates.rows, fillvalue=0.0)
     pooled = RateMatrix([map(math.fsum, by_size)])
     rate = rates.total**alpha
-    atom = _stable_atom((alpha, 0.0, 1.0), rates.total)
-    nu = np.array([0.0] + [atom(z) for z in range(1, size)]) / rate
+    nu = np.array((0.0,) + _clock_atoms(Stable(alpha), rates.total, nmax)) / rate
     pi = np.zeros(size)
     for k in range(1, size):
         z0, col = jump_profile(pooled, (k,))

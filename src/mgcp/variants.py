@@ -11,11 +11,13 @@ codifference remain.
 Every pmf and transition rate here is a sum over the jump compositions
 of the state that depends on them only through the total jump count z;
 compositions.jump_profile collapses it to a sum over z, and each route
-supplies its own kernel K(z).
+supplies its own kernel K(z).  Every Levy clock has one table of atoms
+nu_1(k), the rate at which it fires k base jumps at once (_clock_atoms):
+the transition rates read it directly, and Panjer's recursion on it
+gives the pmf's jump-count law.
 """
 
 import cmath
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -212,14 +214,28 @@ def _stable_atom(form, lam):
 
 
 @lru_cache(maxsize=64)
-def _clock_atoms(form, lam, size):
-    """(nu_1(1), ..., nu_1(size)) of a tempered-stable family clock at base rate lam.
+def _clock_atoms(clock, lam, size):
+    """(nu_1(1), ..., nu_1(size)): the rates at which a Levy clock fires k base jumps at once.
 
-    Callers pass compositions._table_size of the deepest jump count they
-    need, so every cell of a box reads one table.
+    f(lam (1 - u)) = f(lam) - sum_k nu_1(k) u^k for the clock's exponent
+    f at base rate lam: (lam, 0, ...) for the identity clock (None),
+    b r^k / k with r = lam / (lam + a) for the gamma clock, and
+    _stable_atom for the tempered-stable family.  Callers pass
+    compositions._table_size of the deepest jump count they need, so
+    every cell of a box reads one table.
     """
-    atom = _stable_atom(form, lam)
+    if clock is None:
+        return (lam,) + (0.0,) * (size - 1)
+    if isinstance(clock, subs.GammaSub):
+        ratio = lam / (lam + clock.a)
+        return tuple(clock.b * ratio**k / k for k in range(1, size + 1))
+    atom = _stable_atom(_stable_form(clock), lam)
     return tuple(atom(k) for k in range(1, size + 1))
+
+
+def _total_rate(clock, lam):
+    """f(lam): the rate at which a Levy clock (None for the identity) fires any base jump."""
+    return lam if clock is None else subs.laplace_exponent(clock, lam)
 
 
 def _jump_count_law(nu, t, h, zmax):
@@ -297,36 +313,19 @@ def _law(route, clock, beta, lam, t, size):
     jump count, so the order in which cells come never changes a value.
     Each route has its own entries, so the series and the contour stay
     independent code:
-    - "panjer": (q, lg) of _jump_count_law, cut short where it leaves
-      double range;
-    - "gamma": (K, front), K[z] = (lam/r)^z (bt)(bt+1)...(bt+z-1) / z!
-      and front = (a/r)^(bt), r = lam + a, the negative binomial of the
-      gamma clock;
+    - "panjer": (q, lg) of _jump_count_law on the Levy clock's atoms,
+      cut short where it leaves double range;
     - "contour": (q, err) of _inverse_stable_law;
     - "series": the ktilde of the paper's inverse-stable series, a
       _SeriesKernel.
     """
     if route == "panjer":
-        form = _stable_form(clock)
-        q, lg = _jump_count_law(
-            _clock_atoms(form, lam, size), t, subs.laplace_exponent(clock, lam), size
-        )
+        q, lg = _jump_count_law(_clock_atoms(clock, lam, size), t, _total_rate(clock, lam), size)
         return tuple(q), lg
-    if route == "gamma":
-        r = lam + clock.a
-        bt = clock.b * t
-        factors = ((bt + k) * lam / (r * (k + 1)) for k in range(size))
-        kernel = tuple(itertools.accumulate(factors, operator.mul, initial=1.0))
-        return kernel, math.exp(bt * (math.log(clock.a) - math.log(r)))
     scale = t**beta
     if route == "contour":
-        if clock is None:
-            q, err = _inverse_stable_law(beta, lam * scale, None, size)
-        else:
-            # the stable clock: tilt 0, scale 1, total rate lam^alpha
-            form = _stable_form(clock)
-            nu = [scale * a for a in _clock_atoms(form, lam, size)]
-            q, err = _inverse_stable_law(beta, lam ** form[0] * scale, nu, size)
+        nu = None if clock is None else [scale * a for a in _clock_atoms(clock, lam, size)]
+        q, err = _inverse_stable_law(beta, scale * _total_rate(clock, lam), nu, size)
         return tuple(q.tolist()), tuple(err.tolist())
     if clock is None:
         # plain clock at inverse-stable time: K(z) = E^(z+1)_(beta, beta z + 1)(-x)
@@ -341,8 +340,8 @@ def _law(route, clock, beta, lam, t, size):
 
         return _SeriesKernel(term)
 
-    # the stable clock at inverse-stable time (tilt 0, scale 1)
-    alpha = _stable_form(clock)[0]
+    # the stable clock at inverse-stable time
+    alpha = clock.alpha
     c = -1.0 / lam
     a = lam**alpha * scale
 
@@ -442,11 +441,10 @@ def variant_pmf(v, rates, nbar, t):
     """P{variant state = nbar at time t}.
 
     sum_z S[z] q_t(z), S the state's jump-count profile and q_t the law
-    of the total jump count Z_t.  Under a Levy clock Z_t is compound
-    Poisson: q_t is a negative binomial for the gamma clock and comes
-    from Panjer's recursion, whose terms are all nonnegative, for the
-    tempered-stable family (stable, tempered, inverse Gaussian), so the
-    value is exact at any t.  At inverse-stable time, with
+    of the total jump count Z_t.  Under a Levy clock (stable, tempered,
+    gamma, inverse Gaussian) Z_t is compound Poisson with the clock's
+    atoms, and q_t comes from Panjer's recursion, whose terms are all
+    nonnegative, so the value is exact at any t.  At inverse-stable time, with
     x = t^beta f(Lambda) (f(Lambda) = Lambda for Mgfcp, Lambda^alpha for
     Mgstfcp), q_t is the paper's Mittag-Leffler series (Mgfcp) or
     alternating r-series (Mgstfcp) while x^(1/beta) stays at or below
@@ -505,13 +503,9 @@ def _pmf(route, v, rates, nbar, t):
 
 
 def _pmf_series(clock, beta, rates, nbar, t):
-    lam = rates.total
-    form = _stable_form(clock)
-
     if beta != 1.0:
         # inverse-stable time over the identity or the stable clock
-        x = lam * t**beta if clock is None else lam ** form[0] * t**beta
-        reach = series_reach(beta, x)
+        reach = series_reach(beta, t**beta * _total_rate(clock, rates.total))
         if reach > _CONTOUR_FROM:
             value, err = _pmf_contour(clock, beta, rates, nbar, t)
             if err <= _CONTOUR_RTOL * value:
@@ -533,16 +527,10 @@ def _pmf_series(clock, beta, rates, nbar, t):
     if beta != 1.0:
         return _fractional_series(clock, beta, rates, nbar, t)
 
+    # a Levy clock: the jump count is compound Poisson with the clock's atoms
     z0, prof = jump_profile(rates, nbar)
     zmax = z0 + len(prof) - 1
-    if form is None:
-        # the gamma clock: a negative binomial in z
-        kernel, front = _law("gamma", clock, beta, lam, t, _table_size(zmax))
-        return math.fsum(s * k for s, k in zip(prof, kernel[z0:]) if s) * front
-
-    # a Levy clock of the tempered-stable family: the jump count is
-    # compound Poisson with the clock's atoms
-    q, lg = _law("panjer", clock, beta, lam, t, _table_size(zmax))
+    q, lg = _law("panjer", clock, beta, rates.total, t, _table_size(zmax))
     if zmax >= len(q):
         raise ValueError("t = %r is too large for the jump-count recursion" % (t,))
     return _times_exp(math.fsum(s * x for s, x in zip(prof, q[z0:]) if s), lg)
@@ -604,23 +592,20 @@ def variant_pgf(v, rates, ubar, t):
 
 
 def variant_transition_rate(v, rates, mbar):
-    """Constant rate of the jump nbar -> nbar + mbar (Levy variants only)."""
+    """Constant rate of the jump nbar -> nbar + mbar (Levy variants only).
+
+    sum_z S[z] nu_1(z) over the jump's profile S, nu_1 the clock's atoms.
+    """
     _check_state(rates, mbar)
     if not any(mbar):
         raise ValueError("mbar must be a non-zero jump")
     clock, beta = _split(v)
     if beta != 1.0:
         raise ValueError("inverse-stable clocks give no constant rates")
-    lam = rates.total
-    if clock is None:
-        # the base process makes one jump at a time: the z = 1 kernel
-        return _profile_sum(rates, mbar, lambda z: lam if z == 1 else 0.0)
-    form = _stable_form(clock)
-    if form is None:
-        # the gamma clock: (lam / (lam + a))^z b (z-1)! / z!
-        ratio = lam / (lam + clock.a)
-        return _profile_sum(rates, mbar, lambda z: clock.b * ratio**z / z)
-    return _profile_sum(rates, mbar, lambda z: _clock_atoms(form, lam, _table_size(z))[z - 1])
+    profile = jump_profile(rates, mbar)
+    z0, s = profile
+    nu = _clock_atoms(clock, rates.total, _table_size(z0 + len(s) - 1))
+    return _kernel_sum(profile, mbar, lambda z: nu[z - 1])
 
 
 def holding_rate(v, rates):
@@ -628,8 +613,7 @@ def holding_rate(v, rates):
     clock, beta = _split(v)
     if beta != 1.0:
         raise ValueError("inverse-stable clocks give no holding rate")
-    lam = rates.total
-    return lam if clock is None else subs.laplace_exponent(clock, lam)
+    return _total_rate(clock, rates.total)
 
 
 def variant_levy_measure(v, rates, nbar):

@@ -9,6 +9,9 @@ x.  The inner sum over x alternates, so in doubles the route is only
 good while Lambda^alpha t stays small (t <= 10 or so); mp_level_pmf
 evaluates the same formula in mpmath, with alpha y formed in mpf.
 
+negative_binomial_law is the gamma clock's jump-count law in closed
+form, the independent side of Panjer's recursion on the gamma atoms.
+
 caputo_derivative_numeric is a Grunwald-Letnikov Caputo derivative from
 tabulated samples, for the residual checks of the fractional pgf
 equation.
@@ -17,6 +20,7 @@ equation.
 import bisect
 import itertools
 import math
+import operator
 
 import numpy as np
 from scipy.special import gammaln
@@ -114,6 +118,21 @@ def mp_level_pmf(mpmath, rates, alpha, t, nmax):
             total += w * kz[z]
         out.append(total)
     return out
+
+
+def negative_binomial_law(a, b, lam, t, zmax):
+    """P{Z_t = z}, z = 0..zmax, for the base jump count at a gamma(a, b) clock.
+
+    Z_t is negative binomial: (a/r)^(bt) (lam/r)^z (bt)(bt+1)...(bt+z-1) / z!
+    with r = lam + a.  The front (a/r)^(bt) is formed on its own, so the
+    law underflows once bt ln(r/a) passes about 745, even where its
+    values are in double range.
+    """
+    r = lam + a
+    bt = b * t
+    front = math.exp(bt * (math.log(a) - math.log(r)))
+    factors = ((bt + k) * lam / (r * (k + 1)) for k in range(zmax))
+    return [front * x for x in itertools.accumulate(factors, operator.mul, initial=1.0)]
 
 
 def caputo_derivative_numeric(samples, beta, t_eval, step):

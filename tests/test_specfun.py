@@ -18,6 +18,7 @@ from numpy.testing import assert_allclose
 from oracles import caputo_derivative_numeric
 from mgcp.specfun import (
     CancellationWarning,
+    NumericsWarning,
     _gammasgn,
     _lgamma,
     _ml_contour,
@@ -111,9 +112,20 @@ def test_wright_matches_ml(alpha, beta, gamma, x):
     Deeper negative x at gamma=3.5 pushes both alternating series past a
     5e8 cancellation ratio (they emit low-precision flags and agree only
     to ~1e-8); the identity is checked where float64 can support 1e-10.
+    At x = -1, gamma = 2, beta = alpha = 1 both sides are (1 + x) e^x = 0
+    exactly, so both series cancel completely and must say so; every
+    other case must not warn.
     """
-    lhs = wright_1_1(gamma, 1.0, beta, alpha, x)
-    rhs = math.gamma(gamma) * mittag_leffler(alpha, beta, gamma, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NumericsWarning)
+        if (x, gamma, beta, alpha) == (-1.0, 2.0, 1.0, 1.0):
+            with pytest.warns(CancellationWarning) as caught:
+                lhs = wright_1_1(gamma, 1.0, beta, alpha, x)
+                rhs = math.gamma(gamma) * mittag_leffler(alpha, beta, gamma, x)
+            assert len(caught) == 2
+        else:
+            lhs = wright_1_1(gamma, 1.0, beta, alpha, x)
+            rhs = math.gamma(gamma) * mittag_leffler(alpha, beta, gamma, x)
     assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
 

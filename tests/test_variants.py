@@ -14,6 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from oracles import negative_binomial_law
 from mgcp.bernstein import Named, g_lambda_u
 from mgcp.compositions import enumerate_compositions
 from mgcp.gcp import RateMatrix, component_symbol, mgcp_pmf
@@ -39,6 +40,7 @@ from mgcp.variants import (
     Mgsfcp,
     Mgstfcp,
     Tempered,
+    _clock_atoms,
     _fractional_series,
     _pmf_contour,
     _split,
@@ -310,6 +312,63 @@ def test_stable_atoms_match_mpmath(form, lam):
                 / (mpmath.gamma(1 - alpha) * mpmath.factorial(z))
             )
             assert abs(atom(z) - want) <= 1e-13 * want, z
+
+
+@pytest.mark.parametrize(
+    "clock, lam", [(None, 1.5), (GammaSub(1.2, 0.8), 1.5), (GammaSub(1.0, 2.0), 0.875)]
+)
+def test_identity_and_gamma_atoms_match_mpmath(clock, lam):
+    """nu_1(k) = int e^(-lam s) (lam s)^k / k! nu(ds) over the clock's Levy
+    measure: a point mass at s = 0+ of rate lam for the identity clock,
+    the density b e^(-a s) / s for the gamma clock, integrated in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    atoms = _clock_atoms(clock, lam, 64)
+    assert len(atoms) == 64
+    if clock is None:
+        assert atoms == (lam,) + (0.0,) * 63
+        return
+    with mpmath.workdps(30):
+        a, b, base = mpmath.mpf(clock.a), mpmath.mpf(clock.b), mpmath.mpf(lam)
+        for k in (1, 2, 5, 20, 64):
+            peak = k / (base + a)
+
+            def density(s, k=k):
+                poisson = mpmath.exp(-base * s) * (base * s) ** k / mpmath.factorial(k)
+                return b * mpmath.exp(-a * s) / s * poisson
+
+            want = mpmath.quad(density, [0, peak, 4 * peak, mpmath.inf])
+            assert abs(atoms[k - 1] - want) <= 1e-13 * want, k
+
+
+@pytest.mark.parametrize("t", [1.0, 20.0, 100.0])
+@pytest.mark.parametrize(
+    "clock, lam",
+    [(GammaSub(1.2, 0.8), 1.5), (GammaSub(1.0, 2.0), 1.5), (GammaSub(0.5, 3.0), 0.875)],
+)
+def test_gamma_law_matches_negative_binomial(clock, lam, t):
+    """Panjer's recursion on the gamma atoms against the closed form."""
+    q, lg = variants_module._law("panjer", clock, 1.0, lam, t, 64)
+    want = negative_binomial_law(clock.a, clock.b, lam, t, 64)
+    assert len(q) == len(want) == 65
+    for z, (x, w) in enumerate(zip(q, want)):
+        assert abs(x * math.exp(lg) - w) <= 1e-12 * w, z
+
+
+def test_large_t_gamma_pmf_matches_mpmath():
+    """At t = 450 the negative binomial's front (a/r)^(bt) alone
+    underflows, while the pmf is 1.47e-200."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a, b, lam = mpmath.mpf(1), mpmath.mpf(2), mpmath.mpf(1.5)
+        r, bt = lam + a, b * 450
+        want = (a / r) ** bt * (lam / r) ** 160 * mpmath.rf(bt, 160) / mpmath.factorial(160)
+    got = variant_pmf(GammaTC(1.0, 2.0), RateMatrix([[1.5]]), (160,), 450.0)
+    assert abs(got - want) <= 1e-10 * want
+
+
+def test_huge_t_gamma_pmf_underflows_to_zero():
+    # the true value is about 6.2e-6015 (mpmath), 0.0 in double precision
+    assert variant_pmf(GammaTC(1.0, 2.0), RateMatrix([[1.5]]), (160,), 8000.0) == 0.0
 
 
 def test_deep_gamma_pmf_matches_mpmath():
