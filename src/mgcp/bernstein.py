@@ -9,13 +9,17 @@ The integrals all have the shape int_0^inf phi(r) mu(r) dr with mu
 blowing up like r^(-1-rho) at the origin.  On (0, 1] we substitute
 r = u^p with p chosen so the transformed integrand is bounded; on
 [1, inf) the exponential or polynomial decay is left to adaptive
-quadrature.  Custom densities must be safe to call concurrently; this
-module never mutates shared state.
+quadrature.  Custom densities must be safe to call concurrently.
+
+The module keeps one piece of shared state: a bounded memo of the
+measure atoms nu_1(k) (_measure_atom), keyed by the measure itself, so
+a Custom density must be pure, giving the same value for the same s.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,7 +61,7 @@ class Named:
         return subs.levy_density(self.spec, s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Custom:
     """A user-supplied Levy density with integrability hints.
 
@@ -65,6 +69,10 @@ class Custom:
     leaving it None makes a log-slope probe near the origin estimate
     the substitution power instead.  decay_rate c means the density
     decays like exp(-c s) and fixes the tail truncation point.
+
+    A Custom compares and hashes by identity, so any callable, hashable
+    or not, can serve as its density; two Customs over equal densities
+    are two measures.
     """
 
     density: Callable[[float], float]
@@ -186,28 +194,33 @@ def g_lambda_u(rates, m, ubar):
     )
 
 
+@lru_cache(maxsize=1024)
+def _measure_atom(m, lam, k):
+    """nu_1(k) = int e^(-lam r) (lam r)^k / k! mu(dr), by quadrature.
+
+    The rate at which the measure-driven clock fires k base jumps of
+    total rate lam at once.  Each (measure, lam, k) is integrated on its
+    first read only; a k whose quadrature raises is not kept.
+    """
+    mu = m.density
+    i_k = _integral(
+        lambda r: math.exp(-lam * r) * r**k * mu(r), _origin_exponent(m, k), _tail_top(m)
+    )
+    return i_k * lam**k / math.factorial(k)
+
+
 def tcgcp_transition_rate(rates, m, lbar):
     """Rate of the jump by lbar > 0 for the measure-driven process.
 
     rate = sum over compositions of prod(lam^x / x!) * I_Z with
-    I_Z = int e^(-lam r) r^Z mu(dr), Z the total jump count.
+    I_Z = int e^(-lam r) r^Z mu(dr), Z the total jump count: the jump's
+    profile summed against the measure atoms _measure_atom(m, lam, Z).
     """
     _check_state(rates, lbar)
     if not any(lbar):
         raise ValueError("lbar must be a non-zero jump")
     lam = rates.total
-    mu = m.density
-    tail_top = _tail_top(m)
-
-    def ktilde(z):
-        i_z = _integral(
-            lambda r: math.exp(-lam * r) * r**z * mu(r),
-            _origin_exponent(m, z),
-            tail_top,
-        )
-        return i_z * lam**z / math.factorial(z)
-
-    return _profile_sum(rates, lbar, ktilde)
+    return _profile_sum(rates, lbar, lambda z: _measure_atom(m, lam, z))
 
 
 def tcgcp_pgf(rates, m, ubar, t):

@@ -457,10 +457,11 @@ def variant_pmf(v, rates, nbar, t):
     of it goes back to the series while x^(1/beta) <= 12; past that it
     stands if the bound is at most 1e-13, and raises ValueError if not.
 
-    Off the contour, states that need more than 170 jumps in one
-    component raise ValueError, as does the time-fractional series once
-    1/Gamma(beta z + 1) leaves double range: no value is better than
-    garbage there.  The contour forms no z! and takes deeper states.
+    The inverse-stable series form z!, so off the contour states that
+    need more than 170 jumps in one component raise ValueError, as does
+    the time-fractional series once 1/Gamma(beta z + 1) leaves double
+    range: no value is better than garbage there.  The contour and
+    Panjer's recursion form no z! and take deeper states.
 
     The law q_t, or the series kernel, is computed once per route, clock,
     beta, Lambda, t and table size of the state's deepest jump count
@@ -519,12 +520,13 @@ def _pmf_series(clock, beta, rates, nbar, t):
                     "%.3g has an error bound of %.1e, and the series cancel" % (nbar, t, value, err)
                 )
 
-    # the contour forms no z!; every other route stops at 170 jumps in a component
-    for row, n in zip(rates.rows, nbar):
-        smallest = next(j for j, rate in enumerate(row, start=1) if rate > 0.0)
-        if n // smallest > _MAX_FACTORIAL:
-            raise OverflowError("more than %d jumps in one component" % _MAX_FACTORIAL)
     if beta != 1.0:
+        # the series forms z!, so it stops at 170 jumps in a component;
+        # the contour and Panjer's recursion form none
+        for row, n in zip(rates.rows, nbar):
+            smallest = next(j for j, rate in enumerate(row, start=1) if rate > 0.0)
+            if n // smallest > _MAX_FACTORIAL:
+                raise OverflowError("more than %d jumps in one component" % _MAX_FACTORIAL)
         return _fractional_series(clock, beta, rates, nbar, t)
 
     # a Levy clock: the jump count is compound Poisson with the clock's atoms

@@ -10,6 +10,7 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
+from mgcp import bernstein
 from mgcp.bernstein import (
     Custom,
     Named,
@@ -153,6 +154,72 @@ def test_transition_rate_custom_measure():
     assert_allclose(got, want, rtol=1e-7)
 
 
+class _GammaDensity:
+    """The gamma clock's Levy density b/s e^(-a s) as a callable that
+    compares equal to its twins and has no hash."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __eq__(self, other):
+        return isinstance(other, _GammaDensity) and (self.a, self.b) == (other.a, other.b)
+
+    __hash__ = None
+
+    def __call__(self, s):
+        return self.b / s * math.exp(-self.a * s)
+
+
+def test_transition_rate_unhashable_custom_density():
+    # a Custom hashes by identity, so an unhashable density still works;
+    # the value is the one the unmemoised quadrature gave
+    m = Custom(_GammaDensity(0.8, 1.2), singularity_exponent=0.0)
+    got = tcgcp_transition_rate(FIG1, m, (1, 1))
+    assert_allclose(got, 0.05671077504725894, rtol=1e-10)
+    want = variant_transition_rate(GammaTC(0.8, 1.2), FIG1, (1, 1))
+    assert_allclose(got, want, rtol=1e-7)
+
+
+def _unmemoised_atom(m, lam, k):
+    """nu_1(k) by one fresh quadrature, written out beside the memo."""
+    mu = m.density
+    i_k = bernstein._integral(
+        lambda r: math.exp(-lam * r) * r**k * mu(r),
+        bernstein._origin_exponent(m, k),
+        bernstein._tail_top(m),
+    )
+    return i_k * lam**k / math.factorial(k)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [Named(Stable(0.7)), Custom(_GammaDensity(0.8, 1.2), singularity_exponent=0.0)],
+    ids=["named", "custom"],
+)
+def test_measure_atom_equals_one_quadrature(m):
+    for k in (1, 5, 12):
+        assert bernstein._measure_atom(m, 1.5, k) == _unmemoised_atom(m, 1.5, k), k
+
+
+@pytest.mark.parametrize("spec", NAMED_SPECS, ids=sid)
+def test_transition_rates_do_not_depend_on_call_order(spec):
+    m = Named(spec)
+    jumps = [(a, b) for a in range(7) for b in range(7) if a or b]
+    bernstein._measure_atom.cache_clear()
+    forward = [tcgcp_transition_rate(FIG1, m, lbar) for lbar in jumps]
+    bernstein._measure_atom.cache_clear()
+    backward = [tcgcp_transition_rate(FIG1, m, lbar) for lbar in reversed(jumps)]
+    assert forward == backward[::-1]
+
+
+def test_customs_with_equal_hints_keep_their_own_atoms():
+    one = Custom(_GammaDensity(0.8, 1.2), singularity_exponent=0.0)
+    two = Custom(_GammaDensity(0.8, 2.4), singularity_exponent=0.0)
+    for k in (1, 5):
+        a, b = bernstein._measure_atom(one, 1.5, k), bernstein._measure_atom(two, 1.5, k)
+        assert_allclose(b, 2.0 * a, rtol=1e-9)
+
+
 def test_transition_rate_domain():
     m = Named(Stable(0.7))
     with pytest.raises(ValueError):
@@ -236,8 +303,10 @@ class TestFractionalPgf:
 
 
 def test_deep_quadrature_rate_raises_cleanly():
-    with pytest.raises(ValueError, match="too deep"):
-        tcgcp_transition_rate(RateMatrix([[1.0]]), Named(Stable(0.7)), (200,))
+    # twice: a raising atom is not memoised
+    for _ in range(2):
+        with pytest.raises(ValueError, match="too deep"):
+            tcgcp_transition_rate(RateMatrix([[1.0]]), Named(Stable(0.7)), (200,))
 
 
 @pytest.mark.parametrize("spec", NAMED_SPECS, ids=sid)
@@ -255,12 +324,15 @@ def test_quadrature_route_never_uses_the_closed_form_exponent(spec, monkeypatch)
         raise AssertionError("laplace_exponent called")
 
     monkeypatch.setattr(subordinators, "laplace_exponent", closed_form)
+    # integrate the atoms afresh under the patch, not read them from the memo
+    bernstein._measure_atom.cache_clear()
     got = (
         [tcgcp_transition_rate(FIG1, m, lbar) for lbar in ((1, 0), (1, 2))],
         g_lambda_u(FIG1, m, ubar),
         tcgcp_pgf(FIG1, m, ubar, 1.5),
     )
     assert got == want
+    assert bernstein._measure_atom.cache_info().misses > 0
 
 
 def test_nan_time_and_argument_are_rejected():

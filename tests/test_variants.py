@@ -259,11 +259,37 @@ def test_heavy_tail_partial_mass():
 
 
 def test_deep_state_raises_cleanly():
-    # past z ~ 170 the series needs z! in double range
+    # past z ~ 170 the inverse-stable series needs z! in double range
     with pytest.raises(ValueError, match="too deep"):
-        variant_pmf(Mgsfcp(0.7), ONE, (300,), 1.0)
+        variant_pmf(Mgstfcp(0.7, 0.8), ONE, (300,), 1.0)
     with pytest.raises(ValueError, match="too deep"):
-        variant_pmf(GammaTC(1.0, 1.0), ONE, (400,), 1.0)
+        variant_pmf(Mgfcp(0.8), ONE, (300,), 1.0)
+
+
+def test_panjer_takes_states_past_170_jumps():
+    # Panjer's recursion forms no z!: the gamma(1, 1) clock at Lambda = 1,
+    # t = 1 makes the jump count geometric, P{Z = z} = 2^-(z + 1)
+    got = variant_pmf(GammaTC(1.0, 1.0), ONE, (400,), 1.0)
+    assert abs(got - 2.0**-401) <= 1e-13 * 2.0**-401
+
+
+def test_deep_stable_pmf_matches_mpmath_panjer():
+    """Panjer's recursion run in mpmath on the stable atoms
+    nu_1(k) = alpha Gamma(k - alpha) / (Gamma(1 - alpha) k!) at Lambda = 1."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        alpha = mpmath.mpf(0.7)
+        katoms = [
+            alpha * mpmath.gamma(k - alpha) / (mpmath.gamma(1 - alpha) * mpmath.factorial(k - 1))
+            for k in range(1, 301)
+        ]
+        q = [mpmath.exp(-1)]
+        for z in range(1, 301):
+            q.append(mpmath.fsum(katoms[k - 1] * q[z - k] for k in range(1, z + 1)) / z)
+        want = q[300]
+    got = variant_pmf(Mgsfcp(0.7), ONE, (300,), 1.0)
+    assert abs(got - want) <= 1e-12 * want
+    assert_allclose(got, 1.4635e-05, rtol=1e-4)
 
 
 def _mp_composition_sum(rates, nbar, c, kernel):
