@@ -6,8 +6,9 @@ against the analytic layer in SE units and report pass/fail at a chosen
 sigma level.
 
 Every estimator draws through the same sampler: a clock value from
-subordinators.sample_many, then a Poisson jump total and binomial size
-thinning per component.  The pmf estimator splits its draws into chunks
+subordinators.sample_many, then per component a Poisson jump total that
+k - 1 binomials split over its k sizes of positive rate, the last size
+taking the remainder.  The pmf estimator splits its draws into chunks
 of a fixed size and draws chunk k on its own Philox stream
 stream_rng(seed, k), so the aggregate counts are a pure function of
 (seed, n_samples) and the worker count only sizes the thread pool.
@@ -96,22 +97,21 @@ def _report(kind, n, seed, sigma, cells):
 
 
 def _component_counts(row, operational, rng):
-    """Vector of component counts from Poisson totals and size thinning."""
-    total = math.fsum(row)
-    n_jumps = rng.poisson(total * operational)
-    out = np.zeros(len(operational), dtype=np.int64)
-    remaining = n_jumps
-    rest = 1.0
-    for j, lam in enumerate(row, start=1):
-        p = lam / total
-        if p <= 0.0:
-            continue
-        share = min(p / rest, 1.0) if rest > 0 else 1.0
-        taken = rng.binomial(remaining, share)
-        out += j * taken
+    """Vector of component counts: a Poisson jump total thinned by size.
+
+    The sizes with positive rate share the total by k - 1 binomials, each
+    on what the sizes before it left, at its rate over the rates of the
+    sizes from it on; the last size takes the remainder.
+    """
+    sizes = [(j, lam) for j, lam in enumerate(row, start=1) if lam > 0.0]
+    remaining = rng.poisson(math.fsum(row) * operational)
+    *thinned, (last, _) = sizes
+    parts = []
+    for idx, (j, lam) in enumerate(thinned):
+        taken = rng.binomial(remaining, lam / math.fsum(r for _, r in sizes[idx:]))
         remaining -= taken
-        rest -= p
-    return out
+        parts.append(j * taken)
+    return sum(parts, last * remaining)
 
 
 def sample_mgcp(rates, t, rng):
@@ -258,6 +258,22 @@ def estimate_covariance(v, rates, i, l, t, n_samples, seed, sigma=3.0):
     return _report("covariance", n_samples, seed, sigma, cells)
 
 
+def _ecf_moments(x, y):
+    """(means, cov6) of the draws of exp(i(x - y)), exp(ix) and exp(-iy).
+
+    cov6 is the 6x6 covariance of the means' real parts then imaginary
+    parts.  Both come from real rows, the cos and sin of x and y and
+    their products: one mean and one Gram matrix of the centred rows.
+    """
+    n = len(x)
+    cx, sx, cy, sy = np.cos(x), np.sin(x), np.cos(y), np.sin(y)
+    rows = np.stack([cx * cy + sx * sy, cx, cy, sx * cy - cx * sy, sx, -sy])
+    mean6 = rows.mean(axis=1)
+    rows -= mean6[:, None]
+    cov6 = (rows @ rows.T) / ((n - 1) * n)
+    return mean6[:3] + 1j * mean6[3:], cov6
+
+
 def estimate_codifference(v, rates, i, l, t, n_samples, seed, sigma=3.0):
     """Plug-in log-ECF codifference vs the closed form.
 
@@ -272,18 +288,11 @@ def estimate_codifference(v, rates, i, l, t, n_samples, seed, sigma=3.0):
     analytic = codifference(v, rates, i, l, t)
     rng = subs.stream_rng(seed, 0)
     samples = sample_variant_many(v, rates, t, rng, n_samples)
-    x = samples[:, i].astype(float)
-    y = samples[:, l].astype(float)
-    obs = np.stack(
-        [np.exp(1j * (x - y)), np.exp(1j * x), np.exp(-1j * y)], axis=1
-    )
-    means = obs.mean(axis=0)
+    means, cov6 = _ecf_moments(samples[:, i], samples[:, l])
     if np.min(np.abs(means)) < 1e-3:
         raise RuntimeError("empirical characteristic value too small for a log")
     est = cmath.log(means[0]) - cmath.log(means[1]) - cmath.log(means[2])
 
-    real6 = np.concatenate([obs.real, obs.imag], axis=1)
-    cov6 = np.cov(real6, rowvar=False) / n_samples
     grads = [1.0 / means[0], -1.0 / means[1], -1.0 / means[2]]
     jac = np.zeros((2, 6))
     for k, g in enumerate(grads):

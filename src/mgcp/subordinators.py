@@ -194,8 +194,9 @@ def _kanter_from_u(alpha, u1, u2):
     Kanter's (1975) integral representation: with U ~ U(0, pi) and
     E ~ Exp(1), X = (A(U)/E)^((1-alpha)/alpha) where
     A(u) = [sin(alpha u)^alpha sin((1-alpha)u)^(1-alpha) / sin u]^(1/(1-alpha)).
-    Takes two unit uniforms so that both the live samplers and the
-    reference sampler clock_from_uniforms can feed it.
+    Takes two unit uniforms and keeps the power form: it is the
+    reference sampler behind clock_from_uniforms, and the independent
+    side of the test on the live sampler _kanter, which computes in logs.
     """
     u = np.pi * _interior(u1)
     e = -np.log(_interior(u2))
@@ -213,7 +214,21 @@ def _interior(u):
 
 
 def _kanter(alpha, rng, size):
-    return _kanter_from_u(alpha, rng.random(size), rng.random(size))
+    """Kanter's draws of _kanter_from_u on two fresh uniform blocks, in logs.
+
+    (1-alpha)/alpha log A folds the two -log sin u terms into ratios, so
+    log X = log r1 + (1-alpha)/alpha (log r2 - log E) with
+    r1 = sin(alpha u)/sin u and r2 = sin((1-alpha)u)/sin u: three sines,
+    four logs and one exp where the power form takes four powers.  The
+    reference sampler keeps the power form, so the two stay independent
+    code.
+    """
+    u = np.pi * _interior(rng.random(size))
+    log_e = np.log(-np.log(_interior(rng.random(size))))
+    sin_u = np.sin(u)
+    log_r1 = np.log(np.sin(alpha * u) / sin_u)
+    log_r2 = np.log(np.sin((1.0 - alpha) * u) / sin_u)
+    return np.exp(log_r1 + (1.0 - alpha) / alpha * (log_r2 - log_e))
 
 
 def _tempered_stable(alpha, theta, t, rng, size):

@@ -12,6 +12,10 @@ evaluates the same formula in mpmath, with alpha y formed in mpf.
 negative_binomial_law is the gamma clock's jump-count law in closed
 form, the independent side of Panjer's recursion on the gamma atoms.
 
+complex_ecf_moments is the codifference estimator's statistics in
+complex arithmetic: exp(1j * ...) rows and np.cov, the independent side
+of montecarlo._ecf_moments, which builds them from real cos and sin rows.
+
 caputo_derivative_numeric is a Grunwald-Letnikov Caputo derivative from
 tabulated samples, for the residual checks of the fractional pgf
 equation.
@@ -133,6 +137,20 @@ def negative_binomial_law(a, b, lam, t, zmax):
     front = math.exp(bt * (math.log(a) - math.log(r)))
     factors = ((bt + k) * lam / (r * (k + 1)) for k in range(zmax))
     return [front * x for x in itertools.accumulate(factors, operator.mul, initial=1.0)]
+
+
+def complex_ecf_moments(x, y):
+    """(means, cov6) of exp(i(x - y)), exp(ix), exp(-iy) from complex exps.
+
+    means are the three empirical characteristic values; cov6 is the
+    covariance of their real then imaginary parts, over the number of
+    draws.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    obs = np.stack([np.exp(1j * (x - y)), np.exp(1j * x), np.exp(-1j * y)], axis=1)
+    real6 = np.concatenate([obs.real, obs.imag], axis=1)
+    return obs.mean(axis=0), np.cov(real6, rowvar=False) / x.size
 
 
 def caputo_derivative_numeric(samples, beta, t_eval, step):

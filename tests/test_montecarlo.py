@@ -16,10 +16,12 @@ import pytest
 from scipy import stats
 
 import mgcp
+from oracles import complex_ecf_moments
 from mgcp.gcp import RateMatrix, mgcp_mean, mgcp_pmf
 from mgcp.montecarlo import (
     _CHUNK,
     EstimateReport,
+    _ecf_moments,
     _pmf_counts,
     estimate_codifference,
     estimate_covariance,
@@ -45,6 +47,24 @@ from mgcp.variants import (
 
 FIG1 = RateMatrix([[0.5], [0.5, 0.5]])
 ONE = RateMatrix([[1.0]])
+# Q3's three-size row beside a row whose only positive rate is size 3
+THINNED = RateMatrix([[0.3, 0.3, 0.1], [0.0, 0.0, 1.0]])
+
+
+class RecordingRng:
+    """A Generator whose poisson and binomial calls are logged as (name, p)."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []
+
+    def poisson(self, lam):
+        self.calls.append(("poisson", None))
+        return self.rng.poisson(lam)
+
+    def binomial(self, n, p):
+        self.calls.append(("binomial", p))
+        return self.rng.binomial(n, p)
 
 
 class TestBaseSampler:
@@ -93,6 +113,50 @@ class TestBaseSampler:
         # covariance and codifference draw through this sampler
         with pytest.raises(ValueError, match=r"clock draw 5\.86166e\+19"):
             sample_variant_many(Mgsfcp(0.2), FIG1, 1.0, stream_rng(1, 0), 10**4)
+
+
+class TestSizeThinning:
+    def test_one_poisson_and_k_minus_1_binomials_per_row(self):
+        ops = np.full(8, 1.5)
+        for rates, want in (
+            (FIG1, [("poisson", None), ("poisson", None), ("binomial", 0.5)]),
+            (
+                THINNED,
+                [
+                    ("poisson", None),
+                    ("binomial", pytest.approx(0.3 / 0.7, rel=1e-15)),
+                    ("binomial", pytest.approx(0.3 / 0.4, rel=1e-15)),
+                    ("poisson", None),
+                ],
+            ),
+        ):
+            rng = RecordingRng(stream_rng(3))
+            draws = sample_mgcp_many(rates, ops, rng)
+            assert draws.shape == (8, rates.q) and draws.dtype == np.int64
+            assert rng.calls == want
+            assert all(p < 1.0 for name, p in rng.calls if name == "binomial")
+
+    def test_three_sizes_and_zero_rates_match_the_pmf(self):
+        """Cell by cell against mgcp_pmf at a fixed operational time."""
+        n, t, dims = 100000, 1.5, (6, 10)
+        draws = sample_mgcp_many(THINNED, np.full(n, t), stream_rng(17))
+        assert np.all(draws[:, 1] % 3 == 0)
+        inside = np.all(draws < dims, axis=1)
+        counts = np.bincount(
+            np.ravel_multi_index(tuple(draws[inside].T), dims),
+            minlength=math.prod(dims),
+        ).reshape(dims)
+        tested = 0
+        for idx in np.ndindex(*dims):
+            p = mgcp_pmf(THINNED, idx, t)
+            if p == 0.0:
+                assert counts[idx] == 0, idx
+            if n * p < 20.0:
+                continue
+            z = (counts[idx] / n - p) / math.sqrt(p * (1.0 - p) / n)
+            assert abs(z) < 4.0, (idx, z)
+            tested += 1
+        assert tested >= 20
 
 
 class TestVariantSampler:
@@ -297,6 +361,20 @@ class TestEstimateCodifference:
             estimate_codifference(Mgfcp(0.8), FIG1, 0, 1, 1.0, 500, seed=1)
         with pytest.raises(ValueError):
             codifference(Mgfcp(0.8), FIG1, 0, 9, 1.0)
+
+
+@pytest.mark.parametrize(
+    "v, seed",
+    [(Mgfcp(0.8), 61), (Mgstfcp(0.7, 0.8), 62), (Tempered(0.6, 1.0), 63)],
+    ids=["mgfcp", "mgstfcp", "tempered"],
+)
+def test_ecf_moments_match_the_complex_oracle(v, seed):
+    """The real cos/sin rows and one Gram matrix give the complex-exp statistics."""
+    draws = sample_variant_many(v, FIG1, 1.0, stream_rng(seed, 0), 10**5)
+    means, cov6 = _ecf_moments(draws[:, 0], draws[:, 1])
+    want_means, want_cov6 = complex_ecf_moments(draws[:, 0], draws[:, 1])
+    np.testing.assert_allclose(means, want_means, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(cov6, want_cov6, rtol=1e-12, atol=0.0)
 
 
 def test_min_of_uniforms_representation():

@@ -310,6 +310,31 @@ def test_sample_many_matches_the_reference_sampler(spec):
     assert stats.ks_2samp(live, ref).pvalue > 1e-3
 
 
+class FixedUniforms:
+    """A generator stand-in whose random(size) returns the given blocks in order."""
+
+    def __init__(self, *blocks):
+        self.blocks = list(blocks)
+
+    def random(self, size):
+        block = self.blocks.pop(0)
+        assert block.shape == (size,)
+        return block
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.7, 0.95])
+def test_log_form_kanter_matches_the_power_form(alpha):
+    """The live sampler in logs and the reference in powers, on equal uniforms."""
+    rng = stream_rng(8)
+    ends = np.array([0.0, 1.0, 0.0, 1.0, 0.5, 0.5])
+    u1 = np.concatenate([rng.random(5000), ends])
+    u2 = np.concatenate([rng.random(5000), ends[[0, 1, 3, 2, 0, 1]]])
+    live = subs._kanter(alpha, FixedUniforms(u1, u2), u1.size)
+    ref = subs._kanter_from_u(alpha, u1, u2)
+    assert np.all(np.isfinite(ref)) and np.all(ref > 0)
+    assert_allclose(live, ref, rtol=1e-12, atol=0.0)
+
+
 def test_gamma_clock_from_uniforms_is_inverse_cdf():
     spec = GammaSub(2.0, 1.5)
     t = 1.2
