@@ -6,9 +6,12 @@ a sum over joint compositions that depends on them only through
 prod (c lambda_ij)^x / x! and the total jump count Z; jump_profile
 collapses that sum to a sum over Z.  Its profile is the law of the
 state given Z jumps, so a pmf is also sum_z S[z] P{Z_t = z} wherever
-the law of Z_t is known.  enumerate_compositions and
-joint_compositions list the sets themselves, for tests and callers
-that need them.
+the law of Z_t is known.  The profile depends on the rates and the
+state only, so it is memoised, at most _PROFILE_ENTRIES states, each
+joined from the memoised profile of its leading components: a box
+joins each prefix once, and every variant and time shares one profile
+per state.  enumerate_compositions and joint_compositions list the sets
+themselves, for tests and callers that need them.
 """
 
 import itertools
@@ -85,6 +88,10 @@ def _column(row, n):
     return z0, tuple(powers[z].item(n - z * lo) for z in range(z0, z1 + 1))
 
 
+# at most this many profiles are kept (_profile)
+_PROFILE_ENTRIES = 2048
+
+
 def jump_profile(rates, nbar):
     """The scaled jump-count profile of the state nbar, as (z0, S).
 
@@ -97,21 +104,38 @@ def jump_profile(rates, nbar):
     sum_z S[z] * (c Lambda)^z K(z) / z!; at c = 1 / Lambda and
     K(z) = z! P{Z_t = z} that is the pmf sum_z S[z] P{Z_t = z}.
 
-    Each component's column comes from the table of its own row; columns
-    join by the binomial convolution S[z] = sum_y C(z, y) p^(z-y)
-    (1-p)^y S_a[z-y] S_b[y], p the rate share joined so far, whose weights
-    are the table of the two-size row (p, 1-p).
+    The profile depends on the rates and the state only, never on a
+    clock or a time, so it is memoised (_profile) and S is a tuple: every
+    variant, time and route that reads a state shares one profile.
     """
-    z0, out, mass = 0, (1.0,), 0.0
-    for row, total, n in zip(rates.rows, rates.row_totals, nbar):
-        c0, col = _column(row, n)
-        if mass:
-            shares = (mass / (mass + total), total / (mass + total))
-            _, _, binom = _powers(shares, _table_size(z0 + c0 + len(out) + len(col)))
-            joined = [0.0] * max(0, len(out) + len(col) - 1)
-            for m, a in enumerate(out):
-                for k, b in enumerate(col):
-                    joined[m + k] += binom[z0 + m + c0 + k].item(c0 + k) * a * b
-            col = joined
-        z0, out, mass = z0 + c0, col, mass + total
-    return z0, out
+    return _profile(rates.rows, tuple(nbar))
+
+
+@lru_cache(maxsize=_PROFILE_ENTRIES)
+def _profile(rows, nbar):
+    """jump_profile of the state nbar under the rate rows, memoised.
+
+    The last component's column joins the memoised profile of the leading
+    ones, so a box joins each prefix once.  Each column comes from the
+    table of its own row; columns join by the binomial convolution
+    S[z] = sum_y C(z, y) p^(z-y) (1-p)^y S_a[z-y] S_b[y], p the rate share
+    of the leading rows, whose weights are the table of the two-size row
+    (p, 1-p).  An entry holds at most 1 + n_1 + ... + n_q floats at 32
+    bytes each, so the memo's worst case is _PROFILE_ENTRIES * 32 * (N + 1)
+    bytes for states of total N: 11 MB at N = 170.
+    """
+    c0, col = _column(rows[-1], nbar[-1])
+    if len(rows) == 1:
+        return c0, col
+    z0, out = _profile(rows[:-1], nbar[:-1])
+    mass = 0.0
+    for row in rows[:-1]:
+        mass += math.fsum(row)
+    total = math.fsum(rows[-1])
+    shares = (mass / (mass + total), total / (mass + total))
+    _, _, binom = _powers(shares, _table_size(z0 + c0 + len(out) + len(col)))
+    joined = [0.0] * max(0, len(out) + len(col) - 1)
+    for m, a in enumerate(out):
+        for k, b in enumerate(col):
+            joined[m + k] += binom[z0 + m + c0 + k].item(c0 + k) * a * b
+    return z0 + c0, tuple(joined)

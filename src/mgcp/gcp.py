@@ -114,7 +114,16 @@ def _pgf_exponent(rates, ubar):
 
 
 def gcp_pmf(rates_row, n, t):
-    """P{GCP(t) = n} = sum over Omega(k, n) of prod_j Poisson factors."""
+    """P{GCP(t) = n} = sum over Omega(k, n) of prod_j Poisson factors.
+
+    The composition sum of the paper, the independent side of
+    variants.variant_pmf's base-process route.  Each term is formed as
+    exp(-lambda t + sum_j (x_j log(lambda_j t) - log x_j!)), so a deep
+    state neither overflows nor underflows where its value lies in
+    double range.  The exponent's rounding, about 1e-16 of its largest
+    part n log(lambda t), is the relative error: 4e-13 at n = 1050,
+    lambda t = 1050.
+    """
     if n < 0:
         return 0.0
     if not t >= 0:
@@ -125,7 +134,7 @@ def gcp_pmf(rates_row, n, t):
         return 1.0 if n == 0 else 0.0
     terms = []
     for comp in enumerate_compositions(len(row), n):
-        logp = 0.0
+        logp = -lam * t
         ok = True
         for lam_j, x in zip(row, comp):
             if x == 0:
@@ -136,7 +145,7 @@ def gcp_pmf(rates_row, n, t):
             logp += x * math.log(lam_j * t) - math.lgamma(x + 1.0)
         if ok:
             terms.append(math.exp(logp))
-    return math.exp(-lam * t) * math.fsum(terms)
+    return math.fsum(terms)
 
 
 def mgcp_pmf(rates, nbar, t):

@@ -11,10 +11,14 @@ codifference remain.
 Every pmf and transition rate here is a sum over the jump compositions
 of the state that depends on them only through the total jump count z;
 compositions.jump_profile collapses it to a sum over z, and each route
-supplies its own kernel K(z).  Every Levy clock has one table of atoms
-nu_1(k), the rate at which it fires k base jumps at once (_clock_atoms):
-the transition rates read it directly, and Panjer's recursion on it
-gives the pmf's jump-count law.
+supplies its own kernel K(z).  The profile depends on the rates and the
+state only, so one memoised profile serves every variant and time.
+Every Levy clock, the identity clock of the base process included, has
+one table of atoms nu_1(k), the rate at which it fires k base jumps at
+once (_clock_atoms): the transition rates read it directly, and
+Panjer's recursion on it gives the pmf's jump-count law.  The paper's
+composition sum of the base process, gcp.mgcp_pmf, stays the
+independent side of that route.
 """
 
 import cmath
@@ -248,9 +252,13 @@ def _jump_count_law(nu, t, h, zmax):
     terms.  It starts from q(0) = 1 and scales its values down by an
     exact power of two whenever one passes 2^512, so neither a large t
     nor the factor exp(-t h) leaves double range.  q stops short of
-    zmax at the first z whose value is inf.
+    zmax at the first z whose value is inf.  Trailing zero atoms add
+    nothing to a sum and are dropped, so the identity clock's Poisson
+    law, one atom, costs O(zmax).
     """
     katoms = [k * a for k, a in enumerate(nu[:zmax], start=1)]
+    while katoms and not katoms[-1]:
+        katoms.pop()
     q, lg = [1.0], -t * h
     for z in range(1, zmax + 1):
         x = t * (math.fsum(map(operator.mul, katoms[:z], reversed(q))) / z)
@@ -297,7 +305,8 @@ def _inverse_stable_law(beta, x, nu, zmax):
         table = np.empty((zmax + 1, len(s)), dtype=complex)
         table[0] = 1.0 / d
         for z in range(1, zmax + 1):
-            table[z] = np.dot(nu[z - 1 :: -1], table[:z]) / d
+            # an elementwise product, not np.dot: BLAS would thread each small call
+            table[z] = (nu[z - 1 :: -1, None] * table[:z]).sum(0) / d
     values = (table @ (w * (sb / s)[:, None])).real
     q, bounds = values[:, 0::2], np.abs(values[:, 0::2] - values[:, 1::2])
     best = np.argmin(bounds, axis=1)[:, None]
@@ -441,10 +450,15 @@ def variant_pmf(v, rates, nbar, t):
     """P{variant state = nbar at time t}.
 
     sum_z S[z] q_t(z), S the state's jump-count profile and q_t the law
-    of the total jump count Z_t.  Under a Levy clock (stable, tempered,
-    gamma, inverse Gaussian) Z_t is compound Poisson with the clock's
-    atoms, and q_t comes from Panjer's recursion, whose terms are all
-    nonnegative, so the value is exact at any t.  At inverse-stable time, with
+    of the total jump count Z_t.  Under a Levy clock (identity, stable,
+    tempered, gamma, inverse Gaussian) Z_t is compound Poisson with the
+    clock's atoms, and q_t comes from Panjer's recursion, whose terms are
+    all nonnegative, so the value is exact at any t.  The base process
+    (Mgcp) takes this route too: its clock has the one atom Lambda, so
+    q_t is the Poisson(Lambda t) law at O(z) cost, and deep states keep
+    their value where exp(Lambda t) alone leaves double range.
+    gcp.mgcp_pmf, the paper's composition sum, is the independent check
+    of this route.  At inverse-stable time, with
     x = t^beta f(Lambda) (f(Lambda) = Lambda for Mgfcp, Lambda^alpha for
     Mgstfcp), q_t is the paper's Mittag-Leffler series (Mgfcp) or
     alternating r-series (Mgstfcp) while x^(1/beta) stays at or below
@@ -466,6 +480,9 @@ def variant_pmf(v, rates, nbar, t):
     The law q_t, or the series kernel, is computed once per route, clock,
     beta, Lambda, t and table size of the state's deepest jump count
     (_law, an lru_cache of 64 laws) and shared by every cell of a box.
+    The profile S is computed once per rates and state (jump_profile, an
+    lru_cache of compositions._PROFILE_ENTRIES profiles) and shared by
+    every variant and time.
     """
     return _pmf(_pmf_series, v, rates, nbar, t)
 
@@ -474,7 +491,9 @@ def variant_pmf_wright(v, rates, nbar, t):
     """Alternate pmf route through the generalized Wright function.
 
     Only the space-fractional and tempered variants have this
-    representation; it must agree with variant_pmf.
+    representation; it must agree with variant_pmf.  At alpha = 1 their
+    clock is the identity, and the route is the paper's composition sum
+    gcp.mgcp_pmf.
     """
     return _pmf(_wright_series, v, rates, nbar, t)
 
@@ -494,8 +513,6 @@ def _pmf(route, v, rates, nbar, t):
         return 0.0
     clock, beta = _split(v)
     try:
-        if clock is None and beta == 1.0:
-            return mgcp_pmf(rates, nbar, t)
         return route(clock, beta, rates, nbar, t)
     except OverflowError as exc:
         raise ValueError(
@@ -556,6 +573,8 @@ def _fractional_series(clock, beta, rates, nbar, t):
 
 
 def _wright_series(clock, beta, rates, nbar, t):
+    if clock is None and beta == 1.0:
+        return mgcp_pmf(rates, nbar, t)
     if beta != 1.0 or not isinstance(clock, (subs.Stable, subs.TemperedStable)):
         raise ValueError("Wright form exists only for Mgsfcp and Tempered")
     alpha, tilt, scale = _stable_form(clock)

@@ -12,6 +12,10 @@ evaluates the same formula in mpmath, with alpha y formed in mpf.
 negative_binomial_law is the gamma clock's jump-count law in closed
 form, the independent side of Panjer's recursion on the gamma atoms.
 
+mp_threshold_tail is the IncGamma threshold's tail from mpmath's own
+generalized incomplete gamma, the independent side of the series in
+specfun.generalized_incomplete_gamma.
+
 complex_ecf_moments is the codifference estimator's statistics in
 complex arithmetic: exp(1j * ...) rows and np.cov, the independent side
 of montecarlo._ecf_moments, which builds them from real cos and sin rows.
@@ -137,6 +141,16 @@ def negative_binomial_law(a, b, lam, t, zmax):
     front = math.exp(bt * (math.log(a) - math.log(r)))
     factors = ((bt + k) * lam / (r * (k + 1)) for k in range(zmax))
     return [front * x for x in itertools.accumulate(factors, operator.mul, initial=1.0)]
+
+
+def mp_threshold_tail(mpmath, a, p, n):
+    """Pr{N > n} of the IncGamma(a, p) threshold in mpmath at the caller's precision.
+
+    int_a^p x^n e^(-x) dx / (e^(-a) - e^(-p)), the numerator mpmath's
+    gammainc(n + 1, a, p).
+    """
+    a, p = mpmath.mpf(a), mpmath.mpf(p)
+    return mpmath.gammainc(n + 1, a, p) / (mpmath.exp(-a) - mpmath.exp(-p))
 
 
 def complex_ecf_moments(x, y):

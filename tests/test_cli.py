@@ -73,6 +73,20 @@ class TestPmfCommand:
         assert {"n1", "n2", "p"} == set(doc["rows"][0])
         assert len(doc["rows"]) == 4
 
+    def test_deep_base_process_box_exits_0(self, capsys):
+        # the base process reads Panjer's Poisson law, so states past
+        # where exp(lambda t) leaves double range keep their value
+        code, out, _ = run(
+            capsys,
+            ["pmf", "--model", '{"rates": [[0.7]]}', "--variant", "mgcp",
+             "--t", "1500", "--box", "1100"],
+        )
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert len(rows) == 1101
+        assert all(0.0 <= float(p) <= 1.0 for _, p in rows)
+        assert abs(float(rows[1050][1]) - 0.0123106489871148167) <= 1e-12 * 0.0123
+
     def test_model_from_file(self, capsys, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(MODEL)

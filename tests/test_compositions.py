@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mgcp import compositions
 from mgcp.compositions import enumerate_compositions, jump_profile, joint_compositions
 from mgcp.gcp import RateMatrix, mgcp_pmf
 
@@ -134,3 +135,26 @@ def test_profile_deep_single_size_row_is_cheap():
     # single atom S[n] = 1 however deep n is
     z0, s = jump_profile(RateMatrix([[0.7]]), (100000,))
     assert (z0, list(s)) == (100000, [1.0])
+
+
+@pytest.mark.parametrize("box", sorted(PROFILE_BOXES))
+def test_profile_is_a_tuple(box):
+    # the profile is memoised, so a caller must not be able to change it
+    rates, top = PROFILE_BOXES[box]
+    for nbar in itertools.product(*(range(b + 1) for b in top)):
+        z0, s = jump_profile(rates, nbar)
+        assert isinstance(z0, int) and isinstance(s, tuple), nbar
+
+
+def test_profile_memo_is_bounded():
+    memo = compositions._profile
+    assert memo.cache_info().maxsize == compositions._PROFILE_ENTRIES
+    rates = RateMatrix([[0.7], [0.3]])
+    before = jump_profile(rates, (3, 4))
+    for n in range(compositions._PROFILE_ENTRIES // 2 + 1):
+        jump_profile(rates, (n, n))
+    # each state also keeps its one-row prefix, so the memo is full and
+    # (3, 4), read first, has been evicted
+    assert memo.cache_info().currsize == compositions._PROFILE_ENTRIES
+    again = jump_profile(rates, (3, 4))
+    assert again == before and again is not before

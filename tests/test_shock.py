@@ -1,8 +1,8 @@
 """Shock-model reliability: threshold laws, hazard, survival, failure split.
 
-IncGamma frozen values come from /root/notes/oracles.py (mpmath at 50
-digits); the other laws are checked against classical closed forms or
-direct quadrature.  The level pmf is checked against the paper's signed
+IncGamma frozen values are checked against mpmath's generalized
+incomplete gamma (oracles.mp_threshold_tail); the other laws are checked
+against classical closed forms or direct quadrature.  The level pmf is checked against the paper's signed
 formula (tests/oracles.py) in doubles at small t and in mpmath at large t.
 """
 
@@ -65,10 +65,18 @@ class TestThresholdLaws:
             Logarithmic(1.0)
 
     def test_inc_gamma_frozen(self):
-        # oracle: incgamma(0, .5) tail q_1 / pmf n=1
+        # incgamma(0, .5) tail q_1 / pmf n=1, each pinned value checked
+        # against mpmath at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        tail, pmf = 0.22925295873160086, 0.77074704126839914
+        with mpmath.workdps(50):
+            want_tail = oracles.mp_threshold_tail(mpmath, 0.0, 0.5, 1)
+            want_pmf = oracles.mp_threshold_tail(mpmath, 0.0, 0.5, 0) - want_tail
+        assert abs(tail - want_tail) <= 1e-13 * want_tail
+        assert abs(pmf - want_pmf) <= 1e-13 * want_pmf
         d = IncGamma(0.0, 0.5)
-        assert_allclose(threshold_tail(d, 1), 0.22925295873160086, rtol=1e-13)
-        assert_allclose(threshold_pmf(d, 1), 0.77074704126839914, rtol=1e-13)
+        assert_allclose(threshold_tail(d, 1), tail, rtol=1e-13)
+        assert_allclose(threshold_pmf(d, 1), pmf, rtol=1e-13)
         with pytest.raises(ValueError):
             IncGamma(0.5, 0.5)
 

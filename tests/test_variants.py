@@ -8,6 +8,7 @@ the generating call is quoted next to each value.
 import cmath
 import itertools
 import math
+import time
 import warnings
 
 import pytest
@@ -16,7 +17,7 @@ from scipy import integrate
 
 from oracles import negative_binomial_law
 from mgcp.bernstein import Named, g_lambda_u
-from mgcp.compositions import enumerate_compositions
+from mgcp.compositions import enumerate_compositions, jump_profile
 from mgcp.gcp import RateMatrix, component_symbol, mgcp_pmf
 from mgcp.specfun import CancellationWarning, NumericsWarning, mittag_leffler
 from mgcp.subordinators import (
@@ -30,6 +31,7 @@ from mgcp.subordinators import (
     ig_density,
     laplace_exponent,
 )
+from mgcp import compositions as compositions_module
 from mgcp import specfun as specfun_module
 from mgcp import variants as variants_module
 from mgcp.variants import (
@@ -58,6 +60,7 @@ from mgcp.variants import (
 
 FIG1 = RateMatrix([[0.5], [0.5, 0.5]])
 ONE = RateMatrix([[1.0]])
+Q3 = RateMatrix([[0.4, 0.2], [0.3, 0.3, 0.1], [0.5]])
 
 LEVY_VARIANTS = [
     Mgsfcp(0.7),
@@ -273,6 +276,57 @@ def test_panjer_takes_states_past_170_jumps():
     assert abs(got - 2.0**-401) <= 1e-13 * 2.0**-401
 
 
+def _mp_poisson(mpmath, lam, n, t):
+    """P{Poisson(lam t) = n} in mpmath, lam and t the doubles given."""
+    mean = mpmath.mpf(lam) * mpmath.mpf(t)
+    return mpmath.exp(-mean + n * mpmath.log(mean) - mpmath.loggamma(n + 1))
+
+
+# one-row base-process states deeper than exp(lam t) leaves double range
+DEEP_POISSON = [(1050, 1500.0), (4000, 4000 / 0.7)]
+
+
+@pytest.mark.parametrize("n, t", DEEP_POISSON)
+def test_deep_base_process_pmf_matches_mpmath(n, t):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = _mp_poisson(mpmath, 0.7, n, t)
+    got = variant_pmf(Mgcp(), RateMatrix([[0.7]]), (n,), t)
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_identity_clock_law_is_linear_in_the_jump_count():
+    # the Poisson law has one atom, so the recursion costs O(z): a
+    # 16000-jump state takes milliseconds, where a full O(z^2) sum over
+    # the 16384-entry atom table would take many seconds
+    mpmath = pytest.importorskip("mpmath")
+    t = 16000 / 0.7
+    with mpmath.workdps(40):
+        want = _mp_poisson(mpmath, 0.7, 16000, t)
+    variants_module._law.cache_clear()
+    start = time.perf_counter()
+    got = variant_pmf(Mgcp(), RateMatrix([[0.7]]), (16000,), t)
+    assert time.perf_counter() - start < 1.0
+    assert abs(got - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("t", [1.0, 20.0])
+@pytest.mark.parametrize("rates, box", [(FIG1, (12, 12)), (Q3, (7, 7, 7))], ids=["fig1", "q3"])
+def test_base_process_matches_composition_sum(rates, box, t):
+    """Panjer's Poisson law over the jump profile against gcp.mgcp_pmf,
+    the paper's composition sum: two independent codes."""
+    for n in itertools.product(*(range(b + 1) for b in box)):
+        want = mgcp_pmf(rates, n, t)
+        assert abs(variant_pmf(Mgcp(), rates, n, t) - want) <= 1e-12 * want, n
+
+
+@pytest.mark.parametrize("n, t", DEEP_POISSON)
+def test_deep_base_process_matches_composition_sum(n, t):
+    rates = RateMatrix([[0.7]])
+    want = mgcp_pmf(rates, (n,), t)
+    assert abs(variant_pmf(Mgcp(), rates, (n,), t) - want) <= 1e-11 * want
+
+
 def test_deep_stable_pmf_matches_mpmath_panjer():
     """Panjer's recursion run in mpmath on the stable atoms
     nu_1(k) = alpha Gamma(k - alpha) / (Gamma(1 - alpha) k!) at Lambda = 1."""
@@ -416,8 +470,6 @@ def test_deep_series_pmf_frozen():
     got = variant_pmf(Mgsfcp(0.7), FIG1, (150, 150), 1.0)
     assert abs(got - want) <= 1e-10 * want
 
-
-Q3 = RateMatrix([[0.4, 0.2], [0.3, 0.3, 0.1], [0.5]])
 
 # (variant, (alpha, tilt, scale) of its clock exponent
 # scale ((s + tilt)^alpha - tilt^alpha)), written out for the oracles
@@ -700,6 +752,41 @@ def test_box_does_not_depend_on_call_order(v, t):
     deep = box(sorted(states, key=sum, reverse=True))
     variants_module._law.cache_clear()
     assert shallow == deep == box(states)
+
+
+def _clear_memos():
+    for memo in (
+        compositions_module._profile,
+        compositions_module._column,
+        compositions_module._powers,
+        variants_module._law,
+        variants_module._clock_atoms,
+    ):
+        memo.cache_clear()
+
+
+@pytest.mark.parametrize("t", [1.0, 20.0])
+@pytest.mark.parametrize("rates, box", [(FIG1, (12, 12)), (Q3, (7, 7, 7))], ids=["fig1", "q3"])
+def test_box_does_not_depend_on_the_profile_memo(rates, box, t):
+    """A box read forward, in reverse and from cleared memos gives the
+    same profile bits and the same pmf bits for every variant."""
+    states = list(itertools.product(*(range(b + 1) for b in box)))
+
+    def bits(order):
+        profiles = {n: jump_profile(rates, n) for n in order}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericsWarning)
+            cells = {(v, n): variant_pmf(v, rates, n, t) for v in ALL_VARIANTS for n in order}
+        return (
+            [(profiles[n][0], [x.hex() for x in profiles[n][1]]) for n in states],
+            [cells[v, n].hex() for v in ALL_VARIANTS for n in states],
+        )
+
+    _clear_memos()
+    forward = bits(states)
+    backward = bits(states[::-1])
+    _clear_memos()
+    assert forward == backward == bits(states)
 
 
 @pytest.mark.parametrize("v", INVERSE_STABLE, ids=vid)
