@@ -37,7 +37,7 @@ _CHUNK = 1 << 15
 def __getattr__(name):
     # montecarlo.stats (scipy.stats) is loaded only on first access: no
     # sampler or estimator calls it, and it stays reachable only until
-    # the benchmark tracer stops probing its ppf functions (ROADMAP item 6)
+    # the benchmark tracer stops probing its ppf functions (ROADMAP item 8)
     if name == "stats":
         from scipy import stats
 

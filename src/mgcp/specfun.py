@@ -2,13 +2,13 @@
 
 Mittag-Leffler and generalized Wright series run under one fixed
 truncation policy (_REL_TOL, _MAX_TERMS, _CANCELLATION_WARN_RATIO).
-Past the series' reach the Mittag-Leffler function, and the
-inverse-stable jump-count laws of the variants module, come from
-Laplace inversion on one fixed Talbot contour (_talbot).
+Past the series' reach the Mittag-Leffler function comes from Laplace
+inversion on one fixed Talbot contour (_talbot).  _ml_scaled takes both
+routes over a numpy array, scaled in logs: the variants module reads
+the pgf of its inverse-stable jump-count laws through it.
 The incomplete integrals here are the ones the shock thresholds need.
 """
 
-import cmath
 import math
 import warnings
 
@@ -144,14 +144,6 @@ def _gamma_ratio(u, v):
 # absolute, about e^(-1.36 N) times the size of F on the contour, and
 # needs F analytic off the negative real axis.
 _CONTOUR_N = 24
-# a jump-count law also uses two finer contours, since its integrands
-# x^z / (s^beta + x)^(z + 1) grow sharper with z: at x = 16.4,
-# beta = 0.8 the relative error stays near 1e-13 up to z = 20 with
-# N = 24, up to z = 60 with N = 48 and up to z = 100 with N = 96, while
-# the round-off at z = 0 grows from 2e-13 to 7e-8 over the same N.
-# Each N is checked against a contour of 5/6 its nodes, whose error is
-# some e^(1.36 N / 6) times larger: their distance bounds the error
-_LAW_NS = (_CONTOUR_N, 2 * _CONTOUR_N, 4 * _CONTOUR_N)
 # the series give way to the contour once the saddle |x|^(1 / alpha) of
 # e^s F(s) passes this constant: there the series' cancellation ratio,
 # about e^(|x|^(1/alpha)) / |E|, has grown to some 1e3 while the
@@ -168,34 +160,10 @@ def _talbot(n):
     return s, np.exp(s) * ds / (1j * n)
 
 
-def _upper(nodes):
-    """theta > 0 only: for a real f the lower half is the mirror image of
-    the upper one, so f = Re sum 2 w F over the upper nodes."""
-    s, w = nodes
-    half = len(s) // 2
-    return s[half:], 2.0 * w[half:]
-
-
 _FULL = _talbot(_CONTOUR_N)
-_UPPER = _upper(_FULL)
-
-
-def _law_nodes():
-    """(s, W) for a real f: the upper nodes of every contour in _LAW_NS
-    and of its check.  Column 2j of Re(F(s) @ W) is the value of the
-    j-th contour, column 2j + 1 that of its check; each rule's weights
-    are zero on the other rules' nodes."""
-    rules = [_upper(_talbot(m)) for n in _LAW_NS for m in (n, 5 * n // 6)]
-    s = np.concatenate([nodes for nodes, _ in rules])
-    weights = np.zeros((len(s), len(rules)), dtype=complex)
-    start = 0
-    for col, (nodes, w) in enumerate(rules):
-        weights[start : start + len(nodes), col] = w
-        start += len(nodes)
-    return s, weights
-
-
-_LAW_NODES = _law_nodes()
+# theta > 0 only: for a real f the lower half is the mirror image of the
+# upper one, so f = Re sum 2 w F over the upper nodes
+_UPPER = (_FULL[0][_CONTOUR_N // 2 :], 2.0 * _FULL[1][_CONTOUR_N // 2 :])
 
 
 def series_reach(alpha, x):
@@ -225,58 +193,84 @@ def mittag_leffler(alpha, beta, gamma, x):
 
 
 def _has_pole(alpha, x):
-    """True when s^alpha = x has a root on the principal sheet."""
-    return abs(cmath.phase(x)) < alpha * math.pi
+    """True where s^alpha = x has a root on the principal sheet; x may be an array."""
+    return np.abs(np.angle(x)) < alpha * np.pi
 
 
-def _ml_contour(alpha, beta, gamma, x):
-    """E^gamma_{alpha,beta}(x) by inversion at t = 1 on the Talbot contour.
+def _ml_contour(alpha, beta, gamma, x, log_scale=0.0):
+    """E^gamma_{alpha,beta}(x) exp(-log_scale) by inversion at t = 1 on the Talbot contour.
 
+    x is a scalar or a numpy array, and log_scale broadcasts against it.
     A root s* = x^(1 / alpha) on the principal sheet (gamma = 1 only) is
     a simple pole with residue rho = s*^(1 - beta) / alpha.  Its pole
     rho / (s - s*) is taken out of F before the quadrature and its
-    exact inverse rho e^(s*) added back, so the pole may lie on either
-    side of the contour, or next to it, without harm.  A real x whose
-    residue leaves double range gives inf; a complex one raises
-    OverflowError.
+    exact inverse rho e^(s* - log_scale) added back, so the pole may lie
+    on either side of the contour, or next to it, without harm.  A real
+    x whose pole term leaves double range gives inf; a complex scalar
+    raises OverflowError.
     """
-    real = not isinstance(x, complex)
+    real = not np.iscomplexobj(x)
     s, w = _UPPER if real else _FULL
-    f = s ** (alpha * gamma - beta) / (s**alpha - x) ** gamma
-    pole = 0.0
-    if _has_pole(alpha, x):
-        root = complex(x) ** (1.0 / alpha)
-        rho = root ** (1.0 - beta) / alpha
-        f = f - rho / (s - root)
-        try:
-            pole = rho * cmath.exp(root)
-        except OverflowError:
-            if real:
-                return math.inf
-            raise OverflowError(
-                "mittag_leffler: the pole term at x = %r leaves double range" % (x,)
-            ) from None
-    value = complex(np.dot(w, f)) + pole
-    return value.real if real else value
+    x = np.asarray(x)
+    f = s ** (alpha * gamma - beta) / (s**alpha - x[..., None]) ** gamma
+    pole = _has_pole(alpha, x)
+    root = np.where(pole, x, 1.0).astype(complex) ** (1.0 / alpha)
+    rho = np.where(pole, root ** (1.0 - beta) / alpha, 0.0)
+    f = f - rho[..., None] / (s - root[..., None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        residue = np.where(pole, rho * np.exp(root - log_scale), 0.0)
+    if not real and x.ndim == 0 and not np.isfinite(residue):
+        raise OverflowError(
+            "mittag_leffler: the pole term at x = %r leaves double range" % (x.item(),)
+        )
+    value = (f @ w) * np.exp(-log_scale) + residue
+    if real:
+        value = value.real
+    return value if value.ndim else value.item()
 
 
 def _ml_series(alpha, beta, gamma, x):
-    """The power series of mittag_leffler, under the module's truncation policy."""
-    return _ml_sum(alpha, beta, gamma, x).finish()
+    """The power series of mittag_leffler, under the module's truncation policy.
 
-
-def _ml_sum(alpha, beta, gamma, x):
-    """The summed _Accumulator of _ml_series, its flags not yet warned."""
-    term = reciprocal_gamma(beta)
-    acc = _Accumulator("mittag_leffler")
+    x is a scalar or a numpy array.  The sum runs until every element has
+    met the stop rule, and the call warns once, for its worst element.
+    """
+    x = np.asarray(x)
+    term = np.full(x.shape, reciprocal_gamma(beta), dtype=np.result_type(x, float))
+    total = np.zeros_like(term)
+    largest = np.zeros(x.shape)
+    run = np.zeros(x.shape, dtype=int)
     for r in range(_MAX_TERMS):
-        if acc.add(term):
+        total = total + term
+        mag = np.abs(term)
+        largest = np.maximum(largest, mag)
+        run = np.where(mag < _REL_TOL * np.abs(total), run + 1, 0)
+        if (run >= 3).all():
             break
         # term_{r+1}/term_r = (gamma+r)/(r+1) * x * G(ar+b)/G(ar+a+b)
         u = alpha * r + beta
         ratio = math.exp(math.lgamma(u) - math.lgamma(u + alpha))
         term = term * ((gamma + r) / (r + 1.0)) * ratio * x
-    return acc
+    ratio = np.max(largest / np.maximum(np.abs(total), math.ulp(0.0)), initial=0.0)
+    _warn_flags("mittag_leffler", bool((run >= 3).all()), ratio)
+    return total if total.ndim else total.item()
+
+
+def _ml_scaled(alpha, x, log_scale=0.0):
+    """E_alpha(x) exp(-log_scale) over a numpy array x, in one pass per route.
+
+    Each element takes the route mittag_leffler takes at it.  log_scale
+    broadcasts against x; a pole term e^(x^(1/alpha)) stays in double
+    range when log_scale is near its exponent.
+    """
+    x = np.asarray(x)
+    scale = np.broadcast_to(log_scale, x.shape)
+    far = (alpha < 1.0) & (series_reach(alpha, x) > _CONTOUR_FROM)
+    out = np.empty(x.shape, dtype=np.result_type(x, float))
+    out[far] = _ml_contour(alpha, 1.0, 1.0, x[far], scale[far])
+    near = ~far
+    out[near] = _ml_series(alpha, 1.0, 1.0, x[near]) * np.exp(-scale[near])
+    return out
 
 
 def wright_1_1(a, alpha_a, b, beta_b, x):

@@ -33,10 +33,9 @@ from .compositions import _table_size, jump_profile
 from .gcp import _check_state, _pgf_exponent, component_symbol, mgcp_pmf
 from .specfun import (
     _CONTOUR_FROM,
-    _LAW_NODES,
     _MAX_TERMS,
     _Accumulator,
-    _ml_sum,
+    _ml_scaled,
     _warn_flags,
     falling_factorial,
     mittag_leffler,
@@ -47,16 +46,6 @@ from . import subordinators as subs
 
 # largest z with z! in double range
 _MAX_FACTORIAL = 170
-# an inverse-stable pmf from the contour stands when its error bound is
-# at most _CONTOUR_RTOL of it.  The contour's error grows with the jump
-# count, the more so as beta nears 1; a deeper state takes the series
-# while the reach |x|^(1/beta) is at most _SERIES_TO (a cancellation
-# ratio near e^12, some 1e-11 of relative error).  Past it the contour's
-# value still stands when its bound is at most _CONTOUR_ATOL, and the
-# call raises otherwise
-_CONTOUR_RTOL = 1e-6
-_CONTOUR_ATOL = 1e-13
-_SERIES_TO = 12.0
 # the jump-count recursion rescales its values past this bound
 _RESCALE = 2.0**512
 _LN2 = math.log(2.0)
@@ -282,35 +271,103 @@ def _times_exp(y, lg):
     return math.ldexp(y * math.exp(lg - k * _LN2), k)
 
 
-def _inverse_stable_law(beta, x, nu, zmax):
-    """(q, err): q_t(z), z = 0..zmax, at inverse beta-stable time by contour, and an error bound.
+def _cauchy_law(clock, beta, lam, t, size):
+    """q_t(z), z = 0..size, at inverse beta-stable time, read off the pgf.
 
-    x = t^beta H, H the total rate of the Levy clock, and nu[k - 1] =
-    t^beta nu_1(k) its atoms at the same scale, or None for the
-    identity clock.  The law has the Laplace pair s^(beta - 1) Q(s^beta, z)
-    at time 1 (Meerschaert, Nane and Vellaisamy 2011), where Q solves
-    the forward equation (s^beta + x) Q(z) = delta_z0 + sum_k nu[k - 1]
-    Q(z - k), which is x^z / (s^beta + x)^(z + 1) for the identity clock.
-    One numpy pass over the nodes of every contour gives every z; each z
-    takes the contour whose distance from its check, err[z], is least.
-    The error is absolute and grows with z.
+    The total jump count Z_t has the pgf G(s) = E_beta(-t^beta f(lam (1 - s)))
+    for the Levy clock's exponent f, so q_t(z) is the Cauchy integral of
+    G(s) s^(-z - 1) over a circle, which the trapezoid rule resolves
+    geometrically fast.  The identity clock (None) makes G entire and
+    each z takes its own saddle-point circle (_saddle_law).  The stable
+    clock puts a branch point at s = 1, and one FFT on a fixed circle
+    inside it gives every z at once (Abate and Whitt 1992, Oper. Res.
+    Lett. 12): M = max(1024, 8 size) nodes on r = 10^(-13/M) alias at
+    most r^M = 1e-13 of the law's tail onto each z, and the rounding
+    grows by r^(-z) <= 10^(13/8).
     """
-    s, w = _LAW_NODES
-    sb = s**beta
-    d = sb + x
-    if nu is None:
-        table = (x / d) ** np.arange(zmax + 1)[:, None] / d
-    else:
-        nu = np.asarray(nu)
-        table = np.empty((zmax + 1, len(s)), dtype=complex)
-        table[0] = 1.0 / d
-        for z in range(1, zmax + 1):
-            # an elementwise product, not np.dot: BLAS would thread each small call
-            table[z] = (nu[z - 1 :: -1, None] * table[:z]).sum(0) / d
-    values = (table @ (w * (sb / s)[:, None])).real
-    q, bounds = values[:, 0::2], np.abs(values[:, 0::2] - values[:, 1::2])
-    best = np.argmin(bounds, axis=1)[:, None]
-    return np.take_along_axis(q, best, 1)[:, 0], np.take_along_axis(bounds, best, 1)[:, 0]
+    scale = t**beta
+    if clock is None:
+        return _saddle_law(beta, scale * lam, size)
+    m = max(1024, 8 * size)
+    r = 10.0 ** (-13.0 / m)
+    s = r * np.exp(2j * np.pi / m * np.arange(m // 2 + 1))
+    g = _ml_scaled(beta, -scale * (lam * (1.0 - s)) ** clock.alpha)
+    # G(conj s) = conj G(s): the half circle gives the real transform
+    return np.fft.irfft(g.conj(), m)[: size + 1] * r ** -np.arange(size + 1.0)
+
+
+def _saddle_law(beta, x, size):
+    """q(z), z = 0..size, for the identity clock at inverse beta-stable time, x = t^beta Lambda.
+
+    G(s) = E_beta(x (s - 1)) is entire, and on the circle of radius r_z,
+    the minimiser of log G(r) - z log r, the trapezoid rule's error is
+    relative rather than absolute (Bornemann 2011, Found. Comput. Math.
+    11).  r_z comes from log G on a grid of radii; its slope is the mean
+    m(r) of the tilted law q(k) r^k / G(r), which is z at r_z.  A rule of
+    N nodes adds the tilted mass at z + N and z - N to q(z), and the
+    Chernoff bound on that mass is exp(Phi(z + N) - Phi(z) + N log r_z),
+    Phi(m) = min_r [log G(r) - m log r], read off the same grid.  Each z
+    takes the fewest nodes, a power of two from 128 up, whose bound is
+    below 2^-52, the rounding of the sum.  Every circle is scaled by
+    G(r_z), so no value leaves double range, and q(z) =
+    exp(log G(r_z) - z log r_z) times the circle's mean, which
+    underflows to 0 only where q(z) does.
+    """
+    # m(r) <= r x / Gamma(1 + beta) for r <= 1 and m(r) >= y^(1/beta) / beta
+    # for a large y = x (r - 1) > 0, so the grid spans m = 1 to twice
+    # 4 size + 1024; its step resolves the spread of the tilted law, the
+    # root of the slope's slope, at every saddle up to m = size
+    lo = min(0.0, -math.log(x)) - 5.0
+    hi = math.log1p(2.0 * (beta * (4 * size + 1024)) ** beta / x)
+    step = 0.01
+    while True:
+        u = np.arange(lo, hi, step)
+        y = x * np.expm1(u)
+        # log G, with the pole term e^(y^(1/beta)) of a positive argument taken out
+        front = np.maximum(y, 0.0) ** (1.0 / beta)
+        lg = front + np.log(_ml_scaled(beta, y, front))
+        slope = np.gradient(lg, u)
+        spread = np.gradient(slope, u)[slope <= size].max()
+        if spread * step**2 <= 0.25:
+            break
+        step = 0.5 / math.sqrt(spread)
+
+    def saddle(m):
+        # the grid point nearest the saddle of m, clipped to the grid
+        return np.minimum(np.searchsorted(slope, m), len(u) - 1)
+
+    def phi(m):
+        k = saddle(m)
+        return lg[k] - m * u[k]
+
+    z = np.arange(1, size + 1)
+    k = saddle(z)
+    uz, lz = u[k], lg[k]
+    nodes = np.full(size, 128)
+    while True:
+        below = np.where(z >= nodes, phi(np.maximum(z - nodes, 0)) - nodes * uz, -np.inf)
+        bound = np.maximum(phi(z + nodes) + nodes * uz, below) - (lz - z * uz)
+        short = bound > -52.0 * _LN2
+        if not short.any():
+            break
+        nodes[short] *= 2
+        if nodes.max() > 1 << 16:
+            raise ValueError("the jump-count law at x = %r needs more than 2^16 nodes" % (x,))
+    q = np.empty(size + 1)
+    q[0] = _ml_scaled(beta, np.array([-x]))[0]
+    for n in np.unique(nodes):
+        theta = 2.0 * np.pi / n * np.arange(n // 2 + 1)
+        # G(conj s) = conj G(s): the upper half circle, the inner nodes twice
+        weights = np.full(n // 2 + 1, 2.0 / n)
+        weights[[0, -1]] = 1.0 / n
+        rows = np.flatnonzero(nodes == n)
+        # at most 2^14 nodes at once, each a row of Talbot nodes
+        for block in np.array_split(rows, -(-len(rows) * len(theta) // (1 << 14))):
+            s = np.exp(uz[block, None] + 1j * theta)
+            g = _ml_scaled(beta, x * (s - 1.0), lz[block, None])
+            mean = (g * np.exp(-1j * z[block, None] * theta)).real @ weights
+            q[block + 1] = mean * np.exp(lz[block] - z[block] * uz[block])
+    return q
 
 
 @lru_cache(maxsize=64)
@@ -320,39 +377,22 @@ def _law(route, clock, beta, lam, t, size):
     Every cell of a box at one clock, beta, Lambda = lam and t reads the
     same law.  size is compositions._table_size of the cell's deepest
     jump count, so the order in which cells come never changes a value.
-    Each route has its own entries, so the series and the contour stay
-    independent code:
+    Each route has its own entries, so the series and the Cauchy
+    integrals stay independent code:
     - "panjer": (q, lg) of _jump_count_law on the Levy clock's atoms,
       cut short where it leaves double range;
-    - "contour": (q, err) of _inverse_stable_law;
-    - "series": the ktilde of the paper's inverse-stable series, a
-      _SeriesKernel.
+    - "cauchy": q of _cauchy_law at inverse-stable time;
+    - "series": the ktilde of the paper's r-series for the stable clock
+      at inverse-stable time, a _SeriesKernel.
     """
     if route == "panjer":
         q, lg = _jump_count_law(_clock_atoms(clock, lam, size), t, _total_rate(clock, lam), size)
         return tuple(q), lg
-    scale = t**beta
-    if route == "contour":
-        nu = None if clock is None else [scale * a for a in _clock_atoms(clock, lam, size)]
-        q, err = _inverse_stable_law(beta, scale * _total_rate(clock, lam), nu, size)
-        return tuple(q.tolist()), tuple(err.tolist())
-    if clock is None:
-        # plain clock at inverse-stable time: K(z) = E^(z+1)_(beta, beta z + 1)(-x)
-        x = lam * scale
-
-        def term(z):
-            if beta * z > _MAX_FACTORIAL:
-                raise OverflowError("1/Gamma(beta z + 1) underflows")
-            power = x**z
-            acc = _ml_sum(beta, beta * z + 1.0, z + 1.0, -x)
-            return power * acc.total, acc
-
-        return _SeriesKernel(term)
-
-    # the stable clock at inverse-stable time
+    if route == "cauchy":
+        return tuple(_cauchy_law(clock, beta, lam, t, size).tolist())
     alpha = clock.alpha
     c = -1.0 / lam
-    a = lam**alpha * scale
+    a = lam**alpha * t**beta
 
     def term(z):
         power = (c * lam) ** z
@@ -458,24 +498,15 @@ def variant_pmf(v, rates, nbar, t):
     q_t is the Poisson(Lambda t) law at O(z) cost, and deep states keep
     their value where exp(Lambda t) alone leaves double range.
     gcp.mgcp_pmf, the paper's composition sum, is the independent check
-    of this route.  At inverse-stable time, with
-    x = t^beta f(Lambda) (f(Lambda) = Lambda for Mgfcp, Lambda^alpha for
-    Mgstfcp), q_t is the paper's Mittag-Leffler series (Mgfcp) or
-    alternating r-series (Mgstfcp) while x^(1/beta) stays at or below
-    specfun._CONTOUR_FROM = 4.  Past it the series cancel, and q_t comes
-    from Laplace inversion on the N = 24 node Talbot contour
-    (_inverse_stable_law), whose error is absolute, about 1e-15 of the
-    largest q_t(z) at small z; deeper jump counts take contours of 48 or
-    96 nodes, each z the one with the least error bound (its distance
-    from a contour of 5/6 the nodes).  A value whose bound exceeds 1e-6
-    of it goes back to the series while x^(1/beta) <= 12; past that it
-    stands if the bound is at most 1e-13, and raises ValueError if not.
-
-    The inverse-stable series form z!, so off the contour states that
-    need more than 170 jumps in one component raise ValueError, as does
-    the time-fractional series once 1/Gamma(beta z + 1) leaves double
-    range: no value is better than garbage there.  The contour and
-    Panjer's recursion form no z! and take deeper states.
+    of this route.  At inverse-stable time the pgf of Z_t is
+    E_beta(-t^beta f(Lambda (1 - s))), and q_t is its Cauchy integral on
+    a circle (_cauchy_law).  Mgfcp's pgf is entire, and each jump count
+    takes its own saddle-point circle, whose error is relative, at every
+    t and depth.  Mgstfcp takes one FFT on a circle inside the branch
+    point s = 1 past the switch x^(1/beta) > specfun._CONTOUR_FROM = 4,
+    x = t^beta Lambda^alpha, and below it the paper's r-series, which
+    cancels little there; the series forms z!, so its states that need
+    more than 170 jumps in one component raise ValueError.
 
     The law q_t, or the series kernel, is computed once per route, clock,
     beta, Lambda, t and table size of the state's deepest jump count
@@ -521,55 +552,26 @@ def _pmf(route, v, rates, nbar, t):
 
 
 def _pmf_series(clock, beta, rates, nbar, t):
-    if beta != 1.0:
-        # inverse-stable time over the identity or the stable clock
-        reach = series_reach(beta, t**beta * _total_rate(clock, rates.total))
-        if reach > _CONTOUR_FROM:
-            value, err = _pmf_contour(clock, beta, rates, nbar, t)
-            if err <= _CONTOUR_RTOL * value:
-                return value
-            if reach > _SERIES_TO:
-                if err <= _CONTOUR_ATOL:
-                    # the true value is >= 0 and within err of this one
-                    return max(value, 0.0)
-                raise ValueError(
-                    "state %r is too deep for the pmf at t = %r: the contour's value "
-                    "%.3g has an error bound of %.1e, and the series cancel" % (nbar, t, value, err)
-                )
-
-    if beta != 1.0:
-        # the series forms z!, so it stops at 170 jumps in a component;
-        # the contour and Panjer's recursion form none
-        for row, n in zip(rates.rows, nbar):
-            smallest = next(j for j, rate in enumerate(row, start=1) if rate > 0.0)
-            if n // smallest > _MAX_FACTORIAL:
-                raise OverflowError("more than %d jumps in one component" % _MAX_FACTORIAL)
-        return _fractional_series(clock, beta, rates, nbar, t)
-
-    # a Levy clock: the jump count is compound Poisson with the clock's atoms
-    z0, prof = jump_profile(rates, nbar)
-    zmax = z0 + len(prof) - 1
-    q, lg = _law("panjer", clock, beta, rates.total, t, _table_size(zmax))
-    if zmax >= len(q):
-        raise ValueError("t = %r is too large for the jump-count recursion" % (t,))
-    return _times_exp(math.fsum(s * x for s, x in zip(prof, q[z0:]) if s), lg)
-
-
-def _pmf_contour(clock, beta, rates, nbar, t):
-    """(p, err): the inverse-stable pmf sum_z S[z] q_t(z), q_t from
-    _inverse_stable_law, and its error bound sum_z S[z] err[z]."""
-    z0, prof = jump_profile(rates, nbar)
-    q, err = _law("contour", clock, beta, rates.total, t, _table_size(z0 + len(prof) - 1))
-    pairs = [(s, x, e) for s, x, e in zip(prof, q[z0:], err[z0:]) if s]
-    return math.fsum(s * x for s, x, _ in pairs), math.fsum(s * e for s, _, e in pairs)
-
-
-def _fractional_series(clock, beta, rates, nbar, t):
-    """The paper's series for the inverse-stable pmfs, cancelling as t grows."""
     profile = jump_profile(rates, nbar)
     z0, prof = profile
-    ktilde = _law("series", clock, beta, rates.total, t, _table_size(z0 + len(prof) - 1))
-    return _kernel_sum(profile, nbar, ktilde)
+    zmax = z0 + len(prof) - 1
+    lam = rates.total
+    if beta == 1.0:
+        # a Levy clock: the jump count is compound Poisson with the clock's atoms
+        q, lg = _law("panjer", clock, beta, lam, t, _table_size(zmax))
+        if zmax >= len(q):
+            raise ValueError("t = %r is too large for the jump-count recursion" % (t,))
+        return _times_exp(math.fsum(s * x for s, x in zip(prof, q[z0:]) if s), lg)
+    if clock is None or series_reach(beta, t**beta * _total_rate(clock, lam)) > _CONTOUR_FROM:
+        q = _law("cauchy", clock, beta, lam, t, _table_size(zmax))
+        return math.fsum(s * x for s, x in zip(prof, q[z0:]) if s)
+    # the stable clock below the switch: the paper's r-series forms z!,
+    # so it stops at 170 jumps in a component
+    for row, n in zip(rates.rows, nbar):
+        smallest = next(j for j, rate in enumerate(row, start=1) if rate > 0.0)
+        if n // smallest > _MAX_FACTORIAL:
+            raise OverflowError("more than %d jumps in one component" % _MAX_FACTORIAL)
+    return _kernel_sum(profile, nbar, _law("series", clock, beta, lam, t, _table_size(zmax)))
 
 
 def _wright_series(clock, beta, rates, nbar, t):

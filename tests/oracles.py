@@ -12,6 +12,11 @@ evaluates the same formula in mpmath, with alpha y formed in mpf.
 negative_binomial_law is the gamma clock's jump-count law in closed
 form, the independent side of Panjer's recursion on the gamma atoms.
 
+fractional_poisson_law is the paper's Mittag-Leffler series for the
+jump count at inverse-stable time under the identity clock (Mgfcp),
+summed in doubles: the independent side of the Cauchy integrals of
+variants._cauchy_law at shallow cells, where the series cancels little.
+
 mp_threshold_tail is the IncGamma threshold's tail from mpmath's own
 generalized incomplete gamma, the independent side of the series in
 specfun.generalized_incomplete_gamma.
@@ -141,6 +146,32 @@ def negative_binomial_law(a, b, lam, t, zmax):
     front = math.exp(bt * (math.log(a) - math.log(r)))
     factors = ((bt + k) * lam / (r * (k + 1)) for k in range(zmax))
     return [front * x for x in itertools.accumulate(factors, operator.mul, initial=1.0)]
+
+
+def fractional_poisson_law(beta, x, zmax):
+    """P{Z = z}, z = 0..zmax, for a Poisson count run at inverse beta-stable time.
+
+    x = t^beta Lambda, and P{Z = z} = x^z E^(z+1)_(beta, beta z + 1)(-x)
+    = sum_r (z + 1)_r / r! (-1)^r x^(z + r) / Gamma(beta (z + r) + 1).
+    The first term is formed in logs, so a deep z underflows to 0 rather
+    than overflowing.  The terms alternate and peak near e^(x^(1/beta)), so
+    the sum keeps about 16 - x^(1/beta) / ln 10 digits: an oracle for
+    x^(1/beta) up to 5 or so.
+    """
+    out = []
+    for z in range(zmax + 1):
+        term = math.exp(z * math.log(x) - math.lgamma(beta * z + 1))
+        total, largest, r = 0.0, 0.0, 0
+        while True:
+            total += term
+            largest = max(largest, abs(term))
+            if r > 2 * x ** (1 / beta) + 10 and abs(term) < 1e-17 * largest:
+                break
+            u = beta * (z + r) + 1
+            term *= -x * (z + 1 + r) / (r + 1) * math.exp(math.lgamma(u) - math.lgamma(u + beta))
+            r += 1
+        out.append(total)
+    return out
 
 
 def mp_threshold_tail(mpmath, a, p, n):

@@ -257,12 +257,13 @@ class TestEstimateCommand:
         assert doc["workers"] == 1
         assert doc["rows"][0]["label"] == "covariance"
 
-    def test_mgfcp_pmf_emits_quality_warnings(self, capsys):
-        """Deep default-box cells push the three-parameter series into
-        its flagged-cancellation regime; the report must keep the flags
-        and the exit code must say so."""
-        argv = ["estimate", "--model", MODEL, "--variant", "mgfcp", "--beta",
-                "0.5", "--samples", "2000", "--seed", "1"]
+    def test_mgstfcp_pmf_emits_quality_warnings(self, capsys):
+        """At beta = 0.3 and alpha = 0.9, t = 1 lies below the switch, and
+        deep default-box cells push the space-time-fractional r-series
+        into its flagged-cancellation regime; the report must keep the
+        flags and the exit code must say so."""
+        argv = ["estimate", "--model", MODEL, "--variant", "mgstfcp", "--alpha", "0.9",
+                "--beta", "0.3", "--samples", "2000", "--seed", "1"]
         code, out, _ = run(capsys, argv + ["--format", "json"])
         assert code == 3
         doc = json.loads(out)

@@ -1,8 +1,10 @@
 """Time-changed variants: pmf series, pgf, rates, moments, codifference.
 
-Frozen expected values were produced by the standalone high-precision
-script /root/notes/oracles.py (mpmath at 50 digits, no package imports);
-the generating call is quoted next to each value.
+Frozen expected values come from the mpmath helpers of this module:
+_mp_composition_sum over a jump-count law from _mp_jump_count_law
+(tempered-stable clocks), _mp_inverse_stable_law (inverse-stable time)
+or the negative binomial (gamma clock), and _mp_mittag_leffler for the
+codifference.  The generating call is quoted next to each value.
 """
 
 import cmath
@@ -15,7 +17,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
-from oracles import negative_binomial_law
+from oracles import fractional_poisson_law, negative_binomial_law
 from mgcp.bernstein import Named, g_lambda_u
 from mgcp.compositions import enumerate_compositions, jump_profile
 from mgcp.gcp import RateMatrix, component_symbol, mgcp_pmf
@@ -43,8 +45,7 @@ from mgcp.variants import (
     Mgstfcp,
     Tempered,
     _clock_atoms,
-    _fractional_series,
-    _pmf_contour,
+    _kernel_sum,
     _split,
     _stable_atom,
     clock_spec,
@@ -118,10 +119,17 @@ class TestClockSpec:
 
 
 class TestFrozenPmfValues:
-    """Oracle: python3 /root/notes/oracles.py (mpmath, dps=50)."""
+    """Each value is _mp_composition_sum(FIG1, n, c, kernel) in mpmath.
+
+    c = 1 / Lambda and kernel(z) = z! law[z] for a law from
+    _mp_jump_count_law(mpmath, form, 1.5, 1.0, 3) at 40 digits, form the
+    clock's (alpha, tilt, scale) as in LARGE_T, or from
+    _mp_inverse_stable_law(mpmath, v, 1.5, 1.0, 3) at _mp_digits(v, 1.5,
+    1.0, 3) digits; the gamma clock's value is spelled out below.
+    """
 
     def test_mgsfcp(self):
-        # mgsfcp fig1 a=.7 t=1 (1,2) / (0,0)
+        # form (0.7, 0, 1), n = (1, 2) and n = (0, 0)
         assert_allclose(
             variant_pmf(Mgsfcp(0.7), FIG1, (1, 2), 1.0),
             0.043198702813736397,
@@ -134,7 +142,7 @@ class TestFrozenPmfValues:
         )
 
     def test_tempered(self):
-        # tempered fig1 .6/.9 t=1 (1,2)
+        # form (0.6, 0.9, 1), n = (1, 2)
         assert_allclose(
             variant_pmf(Tempered(0.6, 0.9), FIG1, (1, 2), 1.0),
             0.035427388032042166,
@@ -142,7 +150,7 @@ class TestFrozenPmfValues:
         )
 
     def test_mgfcp(self):
-        # mgfcp fig1 b=.6 t=1 (1,2)
+        # _mp_inverse_stable_law with v = Mgfcp(0.6), n = (1, 2)
         assert_allclose(
             variant_pmf(Mgfcp(0.6), FIG1, (1, 2), 1.0),
             0.053845900458499257,
@@ -150,7 +158,7 @@ class TestFrozenPmfValues:
         )
 
     def test_mgstfcp(self):
-        # mgstfcp fig1 .7/.6 t=1 (1,2)
+        # _mp_inverse_stable_law with v = Mgstfcp(0.7, 0.6), n = (1, 2)
         assert_allclose(
             variant_pmf(Mgstfcp(0.7, 0.6), FIG1, (1, 2), 1.0),
             0.034236142144272016,
@@ -158,7 +166,8 @@ class TestFrozenPmfValues:
         )
 
     def test_gammatc(self):
-        # gammatc fig1 1.2/.8 t=1 (1,2)
+        # (a / r)^b _mp_composition_sum(FIG1, (1, 2), 1 / r, lambda z: rf(b, z))
+        # with a = 1.2, b = 0.8 and r = Lambda + a, as in test_deep_gamma_pmf_matches_mpmath
         assert_allclose(
             variant_pmf(GammaTC(1.2, 0.8), FIG1, (1, 2), 1.0),
             0.032504546474288595,
@@ -166,7 +175,7 @@ class TestFrozenPmfValues:
         )
 
     def test_igtc(self):
-        # igtc fig1 1.1/.7 t=1 (1,2)
+        # form (0.5, 0.7^2 / 2, 1.1 sqrt(2)), n = (1, 2)
         assert_allclose(
             variant_pmf(IgTC(1.1, 0.7), FIG1, (1, 2), 1.0),
             0.046839768307644027,
@@ -262,11 +271,13 @@ def test_heavy_tail_partial_mass():
 
 
 def test_deep_state_raises_cleanly():
-    # past z ~ 170 the inverse-stable series needs z! in double range
+    # past z ~ 170 the space-time-fractional series needs z! in double range
     with pytest.raises(ValueError, match="too deep"):
         variant_pmf(Mgstfcp(0.7, 0.8), ONE, (300,), 1.0)
-    with pytest.raises(ValueError, match="too deep"):
-        variant_pmf(Mgfcp(0.8), ONE, (300,), 1.0)
+    # the Cauchy integrals form no z!, and the true value, 5.855e-471 by
+    # _mp_inverse_stable_law(mpmath, Mgfcp(0.8), 1.0, 1.0, 300)[300] at
+    # _mp_digits(...) digits, lies below double range
+    assert variant_pmf(Mgfcp(0.8), ONE, (300,), 1.0) == 0.0
 
 
 def test_panjer_takes_states_past_170_jumps():
@@ -569,10 +580,7 @@ INVERSE_STABLE = [Mgfcp(0.8), Mgstfcp(0.7, 0.8)]
 @pytest.mark.parametrize("rates, box", [(FIG1, (6, 6)), (Q3, (3, 3, 3))], ids=["fig1", "q3"])
 @pytest.mark.parametrize("v", INVERSE_STABLE, ids=vid)
 def test_inverse_stable_pmf_and_pgf_match_mpmath(v, rates, box, t):
-    """Contour route against the paper's series summed in mpmath.
-
-    The contour's error is absolute, some 1e-15 of the largest q_t(z).
-    """
+    """The Cauchy integrals against the paper's series summed in mpmath."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(_mp_digits(v, rates.total, t, sum(box))):
         law = _mp_inverse_stable_law(mpmath, v, rates.total, t, sum(box))
@@ -603,8 +611,7 @@ def test_inverse_stable_pmf_and_pgf_match_mpmath(v, rates, box, t):
 @pytest.mark.parametrize("t", [20.0, 60.0])
 @pytest.mark.parametrize("v", INVERSE_STABLE, ids=vid)
 def test_inverse_stable_deep_cells_match_mpmath(v, t):
-    """Up to 57 jumps: the 48- and 96-node contours take over from the
-    24-node one as the jump count grows."""
+    """Up to 57 jumps, at every one of which the error stays relative."""
     mpmath = pytest.importorskip("mpmath")
     states = [(20, 20), (30, 30), (0, 57), (45, 10)]
     zmax = max(a + b for a, b in states)
@@ -631,63 +638,106 @@ def _mp_mittag_leffler(mpmath, beta, x):
         r += 1
 
 
+def _t_at_reach(v, reach):
+    """The t at which x^(1/beta) = reach, x = t^beta Lambda^alpha on FIG1."""
+    return reach / FIG1.total ** (getattr(v, "alpha", 1.0) / v.beta)
+
+
 @pytest.mark.parametrize("v", INVERSE_STABLE, ids=vid)
 @pytest.mark.parametrize("reach", [2.5, 3.5, 4.5, 5.0])
 def test_series_and_contour_agree_around_the_switch(v, reach):
-    """The two inverse-stable pmf routes are independent code; near the
-    switch, where |x|^(1/beta) = reach, both are accurate."""
-    scale = FIG1.total ** getattr(v, "alpha", 1.0)
-    t = reach / scale ** (1 / v.beta)
+    """Near the switch, where x^(1/beta) = reach, the paper's series is
+    still accurate, and the Cauchy integrals must agree with it: for
+    Mgstfcp the r-series against the FFT, for Mgfcp the Mittag-Leffler
+    series of oracles.fractional_poisson_law against the saddle-point
+    circles.  The two sides are independent code."""
+    t = _t_at_reach(v, reach)
     clock, beta = _split(v)
+    lam = FIG1.total
+    law = variants_module._law("cauchy", clock, beta, lam, t, 16)
+    if clock is None:
+        series = fractional_poisson_law(beta, t**beta * lam, 12)
     for n in itertools.product(range(7), range(7)):
-        series = _fractional_series(clock, beta, FIG1, n, t)
-        contour, _ = _pmf_contour(clock, beta, FIG1, n, t)
-        assert abs(series - contour) <= 1e-12, n
+        profile = jump_profile(FIG1, n)
+        if clock is None:
+            want = _kernel_sum(profile, n, series.__getitem__)
+        else:
+            want = _kernel_sum(profile, n, variants_module._law("series", clock, beta, lam, t, 16))
+        assert abs(_kernel_sum(profile, n, law.__getitem__) - want) <= 1e-12, n
 
 
 @pytest.mark.parametrize("v", INVERSE_STABLE, ids=vid)
 def test_inverse_stable_route_switch(v, monkeypatch):
-    """variant_pmf takes the contour exactly where |x|^(1/beta) passes the
-    switch constant, and leaves every t = 1 cell on the series."""
+    """Mgstfcp takes the Cauchy integrals exactly where x^(1/beta) passes
+    the switch constant and the series below it; Mgfcp takes the Cauchy
+    integrals at every t."""
     taken = []
+    law = variants_module._law
     monkeypatch.setattr(
-        variants_module, "_pmf_contour", lambda *a: taken.append(a[-1]) or (0.5, 0.0)
+        variants_module, "_law", lambda route, *a: taken.append((route, a[-2])) or law(route, *a)
     )
-    scale = FIG1.total ** getattr(v, "alpha", 1.0)
-    t_switch = specfun_module._CONTOUR_FROM / scale ** (1 / v.beta)
-    for t in (1.0, 0.99 * t_switch, 1.01 * t_switch, 20.0):
+    t_switch = _t_at_reach(v, specfun_module._CONTOUR_FROM)
+    times = (1.0, 0.99 * t_switch, 1.01 * t_switch, 20.0)
+    for t in times:
         variant_pmf(v, FIG1, (1, 1), t)
-    assert taken == [1.01 * t_switch, 20.0]
+    if isinstance(v, Mgfcp):
+        assert taken == [("cauchy", t) for t in times]
+    else:
+        assert taken == [("series", 1.0), ("series", 0.99 * t_switch),
+                         ("cauchy", 1.01 * t_switch), ("cauchy", 20.0)]
 
 
-def test_deep_state_past_the_switch_takes_the_series():
-    """The contour's error grows with the jump count: at (60, 60) and
-    t = 3 (reach 4.5) even the 96-node contour's bound dwarfs the value,
-    so the series, still accurate there, gives the pmf."""
-    v, n, t = Mgfcp(0.99), (60, 60), 3.0
-    clock, beta = _split(v)
-    value, err = _pmf_contour(clock, beta, FIG1, n, t)
-    assert err > 1e-6 * abs(value)
-    assert variant_pmf(v, FIG1, n, t) == _fractional_series(clock, beta, FIG1, n, t)
+# Mgfcp cells whose series cancel, or whose z! leaves double range.  Each
+# value is _mp_composition_sum(FIG1, n, 1 / Lambda, z! law[z]) with law =
+# _mp_inverse_stable_law(mpmath, Mgfcp(beta), 1.5, t, sum(n)) at
+# _mp_digits(Mgfcp(beta), 1.5, t, sum(n)) digits
+DEEP_MGFCP = [
+    # the ROADMAP's band rows: reach 11 and 8, and the CLI's t = 6 box
+    (0.7, (60, 60), 11 / 1.5 ** (1 / 0.7), 1.861826091983713e-46, 1e-12),
+    (0.8, (60, 60), 8 / 1.5 ** (1 / 0.8), 1.91965027946822e-60, 1e-12),
+    (0.7, (60, 60), 6.0, 4.776084314545983e-47, 1e-12),
+    (0.9, (40, 40), 6.0, 1.96024796969772e-34, 1e-12),
+    # below the switch, where the paper's series in doubles loses every digit
+    (0.3, (20, 20), 1.0, 2.3427016788459805e-13, 1e-10),
+    (0.5, (60, 60), 1.0, 4.4667639332951533e-63, 1e-10),
+    (0.3, (0, 170), 1.0, 8.058977949167504e-57, 1e-10),
+]
 
 
-def test_deep_state_far_past_the_switch_raises():
-    # reach 75: the series cancels by some e^75, and the contour's bound
-    # at 340 jumps is 1.6e-10, both above 1e-13 and above the value
-    with pytest.raises(ValueError, match="too deep for the pmf at t = 50"):
-        variant_pmf(Mgfcp(0.999), FIG1, (170, 170), 50.0)
+@pytest.mark.parametrize("beta, n, t, want, rtol", DEEP_MGFCP)
+def test_deep_mgfcp_cells_match_mpmath(beta, n, t, want, rtol):
+    got = _no_numerics_warnings(lambda: variant_pmf(Mgfcp(beta), FIG1, n, t))
+    assert abs(got - want) <= rtol * want
+
+
+def test_deep_state_past_the_switch_matches_mpmath():
+    """(60, 60) at t = 3 (reach 4.5): p is 1e-97, far below the absolute
+    error of any fixed contour, so only a relative error resolves it.
+    _mp_composition_sum as for DEEP_MGFCP."""
+    want = 2.497357176278148e-97
+    assert abs(variant_pmf(Mgfcp(0.99), FIG1, (60, 60), 3.0) - want) <= 1e-12 * want
+
+
+def test_deep_state_far_past_the_switch_matches_mpmath():
+    """(170, 170) at t = 50 (reach 75): 340 jumps, past the 170-jump cap
+    of any series that forms z!, and the series cancel by some e^75.
+    _mp_composition_sum as for DEEP_MGFCP."""
+    want = 1.4554153723027317e-93
+    assert abs(variant_pmf(Mgfcp(0.999), FIG1, (170, 170), 50.0) - want) <= 1e-12 * want
 
 
 def test_deep_state_far_past_the_switch_is_nonnegative():
-    # reach 33: the bound is below 1e-13 but above the value itself,
-    # which the contour puts at -2.1e-49
+    """(100, 100) at t = 20 (reach 33): p is 2.6e-59, where an absolute
+    error of 1e-49 would allow a negative value.  _mp_composition_sum as
+    for DEEP_MGFCP."""
+    want = 2.590378640434325e-59
     p = variant_pmf(Mgfcp(0.8), FIG1, (100, 100), 20.0)
-    assert 0.0 <= p <= 1e-13
+    assert abs(p - want) <= 1e-12 * want
 
 
 def test_contour_takes_states_past_170_jumps():
-    """The contour forms no z!, so the 170-jump cap of the other routes
-    does not bind it.  The frozen value is _mp_composition_sum(FIG1,
+    """The Cauchy integrals form no z!, so the 170-jump cap of the series
+    does not bind them.  The frozen value is _mp_composition_sum(FIG1,
     (0, 171), 1 / Lambda, z! law[z]) with law = _mp_inverse_stable_law(
     mpmath, Mgfcp(0.8), 1.5, 60, 171) at _mp_digits(...) digits."""
     got = variant_pmf(Mgfcp(0.8), FIG1, (0, 171), 60.0)
@@ -695,11 +745,13 @@ def test_contour_takes_states_past_170_jumps():
 
 
 def test_series_state_past_170_jumps_raises():
-    # t = 1 is below the switch, so the series, which forms z!, takes it
-    with pytest.raises(ValueError, match="too deep"):
-        variant_pmf(Mgfcp(0.8), FIG1, (0, 171), 1.0)
+    # t = 1 is below the switch, so Mgstfcp takes the series, which forms z!
     with pytest.raises(ValueError, match="too deep"):
         variant_pmf(Mgstfcp(0.7, 0.8), FIG1, (171, 0), 1.0)
+    # Mgfcp takes the Cauchy integrals at every t: _mp_composition_sum as
+    # for DEEP_MGFCP
+    want = 5.11036475720193e-121
+    assert abs(variant_pmf(Mgfcp(0.8), FIG1, (0, 171), 1.0) - want) <= 1e-12 * want
 
 
 def _numerics_warnings(call):
@@ -709,28 +761,112 @@ def _numerics_warnings(call):
     return [w for w in caught if issubclass(w.category, NumericsWarning)]
 
 
+def _no_numerics_warnings(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NumericsWarning)
+        return call()
+
+
 def test_series_flags_replay_on_every_read():
     """The law memo keeps each series kernel's flags and emits them on
     every read: a second call warns exactly as the first, one warning
-    per jump count the cell reads (21 here, one per flagged z)."""
+    per flagged jump count the cell reads (6 here).  Mgstfcp(0.9, 0.3)
+    at reach 3 is below the switch, and its deep jump counts cancel."""
     variants_module._law.cache_clear()
-    runs = [
-        _numerics_warnings(lambda: variant_pmf(Mgfcp(0.9), FIG1, (40, 40), 6.0))
-        for _ in range(2)
-    ]
+    v = Mgstfcp(0.9, 0.3)
+    t = _t_at_reach(v, 3.0)
+    runs = [_numerics_warnings(lambda: variant_pmf(v, FIG1, (10, 10), t)) for _ in range(2)]
     for caught in runs:
-        assert len(caught) == 21
+        assert len(caught) == 6
         assert all(w.category is CancellationWarning for w in caught)
     assert [str(w.message) for w in runs[0]] == [str(w.message) for w in runs[1]]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="between the switch and reach 12 a deep state whose contour bound "
-    "fails takes the series, which cancels (ROADMAP item 1, open part)",
-)
 def test_deep_state_between_the_switch_and_reach_12_does_not_cancel():
     assert not _numerics_warnings(lambda: variant_pmf(Mgfcp(0.9), FIG1, (40, 40), 6.0))
+
+
+# (beta, reach, state, p) for Mgfcp and for Mgstfcp(0.7, beta) at
+# t = _t_at_reach(v, reach): _mp_composition_sum as for DEEP_MGFCP, with
+# law = _mp_inverse_stable_law(mpmath, v, 1.5, t, sum(n))
+ROUTE_SWEEP = {
+    "Mgfcp": [
+        (0.5, 3.9, (20, 20), 1.929745883360304e-14),
+        (0.5, 3.9, (40, 40), 7.938207482374214e-33),
+        (0.5, 3.9, (60, 60), 4.3221160124377575e-54),
+        (0.5, 8.0, (20, 20), 1.4115625223114444e-11),
+        (0.5, 8.0, (40, 40), 4.180920199739495e-26),
+        (0.5, 8.0, (60, 60), 2.767499928330028e-43),
+        (0.5, 11.0, (20, 20), 1.7122235789606854e-10),
+        (0.5, 11.0, (40, 40), 1.9462386541585348e-23),
+        (0.5, 11.0, (60, 60), 6.642136306938756e-39),
+        (0.7, 3.9, (20, 20), 8.225097928790003e-17),
+        (0.7, 3.9, (40, 40), 1.2247150931665416e-41),
+        (0.7, 3.9, (60, 60), 5.017744051968832e-71),
+        (0.7, 8.0, (20, 20), 4.455219700979615e-12),
+        (0.7, 8.0, (40, 40), 1.1665382333828577e-30),
+        (0.7, 8.0, (60, 60), 1.2320330943543707e-53),
+        (0.7, 11.0, (20, 20), 2.5325331971630314e-10),
+        (0.7, 11.0, (40, 40), 2.9738399221908584e-26),
+        (0.7, 11.0, (60, 60), 1.861826091983713e-46),
+        (0.9, 3.9, (20, 20), 1.7954468058953794e-20),
+        (0.9, 3.9, (40, 40), 2.4021257279453767e-53),
+        (0.9, 3.9, (60, 60), 2.438480709870563e-92),
+        (0.9, 8.0, (20, 20), 1.792738994235096e-13),
+        (0.9, 8.0, (40, 40), 8.939338802832888e-38),
+        (0.9, 8.0, (60, 60), 3.414682603438116e-68),
+        (0.9, 11.0, (20, 20), 8.238573426117355e-11),
+        (0.9, 11.0, (40, 40), 2.4871536601968433e-31),
+        (0.9, 11.0, (60, 60), 6.006423440657256e-58),
+    ],
+    "Mgstfcp": [
+        (0.5, 3.9, (20, 20), 1.328133339185175e-06),
+        (0.5, 3.9, (40, 40), 2.2847876048318237e-09),
+        (0.5, 3.9, (60, 60), 7.78245155310976e-12),
+        (0.5, 8.0, (20, 20), 2.0452625375139814e-06),
+        (0.5, 8.0, (40, 40), 3.4590994646624096e-09),
+        (0.5, 8.0, (60, 60), 1.1646511866263049e-11),
+        (0.5, 11.0, (20, 20), 2.475300674458709e-06),
+        (0.5, 11.0, (40, 40), 4.1769585154341165e-09),
+        (0.5, 11.0, (60, 60), 1.3989053034344682e-11),
+        (0.7, 3.9, (20, 20), 1.7312920831795733e-06),
+        (0.7, 3.9, (40, 40), 2.958601541960235e-09),
+        (0.7, 3.9, (60, 60), 1.0051102345479574e-11),
+        (0.7, 8.0, (20, 20), 3.203910419131767e-06),
+        (0.7, 8.0, (40, 40), 5.34489190961261e-09),
+        (0.7, 8.0, (60, 60), 1.783448470894491e-11),
+        (0.7, 11.0, (20, 20), 4.1801208093089565e-06),
+        (0.7, 11.0, (40, 40), 7.0147274359488155e-09),
+        (0.7, 11.0, (60, 60), 2.322960125390644e-11),
+        (0.9, 3.9, (20, 20), 2.1638287802916124e-06),
+        (0.9, 3.9, (40, 40), 3.6852097011725714e-09),
+        (0.9, 3.9, (60, 60), 1.2506459282784433e-11),
+        (0.9, 8.0, (20, 20), 4.842511976891905e-06),
+        (0.9, 8.0, (40, 40), 7.968939386730874e-09),
+        (0.9, 8.0, (60, 60), 2.6374508266626865e-11),
+        (0.9, 11.0, (20, 20), 6.79814452522847e-06),
+        (0.9, 11.0, (40, 40), 1.1408118797179357e-08),
+        (0.9, 11.0, (60, 60), 3.7391726323605936e-11),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "v, reach, n, want",
+    [
+        pytest.param(Mgfcp(b) if name == "Mgfcp" else Mgstfcp(0.7, b), reach, n, want,
+                     id="%s-%g-%g-%d" % (name, b, reach, n[0]))
+        for name, rows in ROUTE_SWEEP.items()
+        for b, reach, n, want in rows
+    ],
+)
+def test_route_sweep_matches_mpmath(v, reach, n, want):
+    """Both sides of the switch, up to reach 11: Mgstfcp takes the series
+    at reach 3.9 and the FFT past it, Mgfcp the saddle-point circles
+    throughout.  No cell may warn."""
+    got = _no_numerics_warnings(lambda: variant_pmf(v, FIG1, n, _t_at_reach(v, reach)))
+    assert 0.0 <= got <= 1.0
+    assert abs(got - want) <= 1e-10 * want
 
 
 @pytest.mark.parametrize("t", [1.0, 20.0])
@@ -1080,7 +1216,8 @@ class TestCovariance:
 
 class TestCodifference:
     def test_frozen_mgfcp_value(self):
-        # oracle: codiff mgfcp fig1 t=.7 (beta=0.8, i=0, l=1)
+        # lncf(w_i + w_l) - lncf(w_i) - lncf(w_l) of
+        # test_mgfcp_large_t_matches_mpmath at t = 0.7 and 50 digits
         tau = codifference(Mgfcp(0.8), FIG1, 0, 1, 0.7)
         assert_allclose(tau.real, 0.082449728933176099, rtol=1e-12)
         assert_allclose(tau.imag, -0.028082322729526682, rtol=1e-12)
