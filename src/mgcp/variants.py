@@ -354,7 +354,7 @@ def _saddle_law(beta, x, size):
         if nodes.max() > 1 << 16:
             raise ValueError("the jump-count law at x = %r needs more than 2^16 nodes" % (x,))
     q = np.empty(size + 1)
-    q[0] = _ml_scaled(beta, np.array([-x]))[0]
+    q[0] = mittag_leffler(beta, 1.0, 1.0, -x)
     for n in np.unique(nodes):
         theta = 2.0 * np.pi / n * np.arange(n // 2 + 1)
         # G(conj s) = conj G(s): the upper half circle, the inner nodes twice
