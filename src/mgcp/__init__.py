@@ -39,10 +39,10 @@ from .gcp import (
 )
 from .subordinators import (
     GammaSub,
+    Identity,
     InverseGaussian,
-    InverseStable,
+    InverseStableTime,
     Stable,
-    StableTimeInverseStable,
     TemperedStable,
     gamma_density,
     ig_density,

@@ -37,11 +37,11 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class Named:
-    """A measure belonging to one of the four Levy clocks.
+    """The Levy measure of a clock with a density (Stable, TemperedStable,
+    GammaSub or InverseGaussian).
 
-    It offers density, singularity_exponent and decay_rate as Custom
-    does, read off the clock; decay_rate is None, so tails run to
-    infinity.
+    It offers density and singularity_exponent, the clock's own, and
+    decay_rate as Custom does; decay_rate is None, so tails run to infinity.
     """
 
     spec: object
@@ -55,10 +55,10 @@ class Named:
 
     @property
     def singularity_exponent(self):
-        return subs.levy_singularity_exponent(self.spec)
+        return self.spec.singularity_exponent
 
     def density(self, s):
-        return subs.levy_density(self.spec, s)
+        return self.spec.density(s)
 
 
 @dataclass(frozen=True, eq=False)

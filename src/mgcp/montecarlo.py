@@ -159,15 +159,7 @@ def sample_variant(v, rates, t, rng):
 def sample_variant_many(v, rates, t, rng, size):
     if not t >= 0:
         raise ValueError("t must be non-negative")
-    return sample_mgcp_many(rates, _clock_draws(v, t, rng, size), rng)
-
-
-def _clock_draws(v, t, rng, size):
-    """Operational times: size clock draws, or t itself for the base process."""
-    spec = clock_spec(v)
-    if spec is None:
-        return np.full(size, float(t))
-    return subs.sample_many(spec, t, rng, size)
+    return sample_mgcp_many(rates, subs.sample_many(clock_spec(v), t, rng, size), rng)
 
 
 def _pmf_counts(v, rates, t, seed, k, n_samples, dims):
@@ -178,7 +170,7 @@ def _pmf_counts(v, rates, t, seed, k, n_samples, dims):
     # can hold, so it lands in the tail as the uncapped draw would; a NaN
     # or infinite clock value goes to the cap too
     operational = np.fmin(
-        _clock_draws(v, t, rng, min(_CHUNK, n_samples - k * _CHUNK)),
+        subs.sample_many(clock_spec(v), t, rng, min(_CHUNK, n_samples - k * _CHUNK)),
         _operational_cap(rates),
     )
     samples = sample_mgcp_many(rates, operational, rng)

@@ -14,9 +14,9 @@ compositions.jump_profile collapses it to a sum over z, and each route
 supplies its own kernel K(z).  The profile depends on the rates and the
 state only, so one memoised profile serves every variant and time.
 Every Levy clock, the identity clock of the base process included, has
-one table of atoms nu_1(k), the rate at which it fires k base jumps at
-once (_clock_atoms): the transition rates read it directly, and
-Panjer's recursion on it gives the pmf's jump-count law.  The paper's
+atoms nu_1(k), the rates at which it fires k base jumps at once
+(_clock_atoms): the transition rates read them directly, and Panjer's
+recursion on them gives the pmf's jump-count law.  The paper's
 composition sum of the base process, gcp.mgcp_pmf, stays the
 independent side of that route.
 """
@@ -43,9 +43,8 @@ from .specfun import (
     wright_1_1,
 )
 from . import subordinators as subs
+from .subordinators import _MAX_FACTORIAL
 
-# largest z with z! in double range
-_MAX_FACTORIAL = 170
 # the jump-count recursion rescales its values past this bound
 _RESCALE = 2.0**512
 _LN2 = math.log(2.0)
@@ -130,105 +129,46 @@ class IgTC:
             raise ValueError("delta and gamma must be positive")
 
 
-def clock_spec(v):
-    """The random clock driving the variant; None for the identity clock.
-
-    The one place that reads variant fields.  alpha = 1 and beta = 1 are
-    exact branch points: a stable or tempered clock at alpha = 1 is the
-    identity, and inverse-stable time at beta = 1 is plain time.
-    """
-    if isinstance(v, (Mgcp, Mgsfcp, Mgfcp, Mgstfcp)):
-        # each is Mgstfcp with its missing parameters at 1
-        alpha, beta = getattr(v, "alpha", 1.0), getattr(v, "beta", 1.0)
-        if beta == 1.0:
-            return None if alpha == 1.0 else subs.Stable(alpha)
-        if alpha == 1.0:
-            return subs.InverseStable(beta)
-        return subs.StableTimeInverseStable(alpha, beta)
-    if isinstance(v, Tempered):
-        # Psi(s) = (s + theta) - theta = s at alpha = 1
-        return None if v.alpha == 1.0 else subs.TemperedStable(v.alpha, v.theta)
-    if isinstance(v, GammaTC):
-        return subs.GammaSub(v.a, v.b)
-    if isinstance(v, IgTC):
-        return subs.InverseGaussian(v.delta, v.gamma)
-    raise ValueError("unknown variant %r" % (v,))
+_IDENTITY = subs.Identity()
 
 
 def _split(v):
-    """(Levy clock or None for the identity, beta) of the variant's clock."""
-    clock = clock_spec(v)
-    if isinstance(clock, subs.InverseStable):
-        return None, clock.beta
-    if isinstance(clock, subs.StableTimeInverseStable):
-        return subs.Stable(clock.alpha), clock.beta
-    return clock, 1.0
+    """(Levy clock, beta): the variant runs the Levy clock at inverse beta-stable time.
 
-
-def _stable_form(clock):
-    """(alpha, tilt, scale) of a tempered-stable family clock, else None.
-
-    Exponent scale ((s + tilt)^alpha - tilt^alpha); the inverse Gaussian
-    clock is the tempered 1/2-stable one at scale delta sqrt(2).
+    The one place that reads variant fields.  alpha = 1 and beta = 1 are
+    exact branch points: a stable or tempered clock at alpha = 1 is the
+    identity (the one _IDENTITY), and inverse-stable time at beta = 1 is
+    plain time.
     """
-    if isinstance(clock, subs.Stable):
-        return clock.alpha, 0.0, 1.0
-    if isinstance(clock, subs.TemperedStable):
-        return clock.alpha, clock.theta, 1.0
-    if isinstance(clock, subs.InverseGaussian):
-        return 0.5, 0.5 * clock.gamma**2, clock.delta * math.sqrt(2.0)
-    return None
+    if isinstance(v, (Mgcp, Mgsfcp, Mgfcp, Mgstfcp)):
+        # each is Mgstfcp with its missing parameters at 1
+        alpha = getattr(v, "alpha", 1.0)
+        return (_IDENTITY if alpha == 1.0 else subs.Stable(alpha)), getattr(v, "beta", 1.0)
+    if isinstance(v, Tempered):
+        # Psi(s) = (s + theta) - theta = s at alpha = 1
+        return (_IDENTITY if v.alpha == 1.0 else subs.TemperedStable(v.alpha, v.theta)), 1.0
+    if isinstance(v, GammaTC):
+        return subs.GammaSub(v.a, v.b), 1.0
+    if isinstance(v, IgTC):
+        return subs.InverseGaussian(v.delta, v.gamma), 1.0
+    raise ValueError("unknown variant %r" % (v,))
 
 
-def _stable_atom(form, lam):
-    """nu_1(z): rate at which a tempered-stable family clock fires z base jumps at once.
-
-    With exponent scale ((s + tilt)^alpha - tilt^alpha) and base rate lam,
-    f(lam (1 - u)) = f(lam) - sum_z nu_1(z) u^z, where nu_1(z) =
-    scale (lam + tilt)^alpha (lam / (lam + tilt))^z |C(alpha, z)| and
-    |C(alpha, z)| = alpha Gamma(z - alpha) / (Gamma(1 - alpha) z!).
-    The gamma ratio is a quotient while z! is a double: a difference of
-    log-gammas is up to 6e-15 off below z = 17 and 1e-13 by z = 100, and
-    the shock reliability multiplies that error by Lambda^alpha t.
-    """
-    alpha, tilt, scale = form
-    denom = lam + tilt
-    front = scale * denom**alpha * alpha / math.gamma(1.0 - alpha)
-    log_ratio = math.log(lam / denom)
-
-    def atom(z):
-        if z <= _MAX_FACTORIAL:
-            ratio = math.gamma(z - alpha) / math.gamma(z + 1.0)
-        else:
-            ratio = math.exp(math.lgamma(z - alpha) - math.lgamma(z + 1.0))
-        return front * ratio * math.exp(z * log_ratio)
-
-    return atom
+def clock_spec(v):
+    """The random clock driving the variant: a Levy clock, Identity() for
+    the base process, or a subordinators.InverseStableTime."""
+    clock, beta = _split(v)
+    return clock if beta == 1.0 else subs.InverseStableTime(clock, beta)
 
 
 @lru_cache(maxsize=64)
 def _clock_atoms(clock, lam, size):
-    """(nu_1(1), ..., nu_1(size)): the rates at which a Levy clock fires k base jumps at once.
+    """clock.atoms(lam, size), memoised: nu_1(1), ..., nu_1(size) at base rate lam.
 
-    f(lam (1 - u)) = f(lam) - sum_k nu_1(k) u^k for the clock's exponent
-    f at base rate lam: (lam, 0, ...) for the identity clock (None),
-    b r^k / k with r = lam / (lam + a) for the gamma clock, and
-    _stable_atom for the tempered-stable family.  Callers pass
-    compositions._table_size of the deepest jump count they need, so
-    every cell of a box reads one table.
+    Callers pass compositions._table_size of the deepest jump count they
+    need, so every cell of a box reads one table.
     """
-    if clock is None:
-        return (lam,) + (0.0,) * (size - 1)
-    if isinstance(clock, subs.GammaSub):
-        ratio = lam / (lam + clock.a)
-        return tuple(clock.b * ratio**k / k for k in range(1, size + 1))
-    atom = _stable_atom(_stable_form(clock), lam)
-    return tuple(atom(k) for k in range(1, size + 1))
-
-
-def _total_rate(clock, lam):
-    """f(lam): the rate at which a Levy clock (None for the identity) fires any base jump."""
-    return lam if clock is None else subs.laplace_exponent(clock, lam)
+    return clock.atoms(lam, size)
 
 
 def _jump_count_law(nu, t, h, zmax):
@@ -277,7 +217,7 @@ def _cauchy_law(clock, beta, lam, t, size):
     The total jump count Z_t has the pgf G(s) = E_beta(-t^beta f(lam (1 - s)))
     for the Levy clock's exponent f, so q_t(z) is the Cauchy integral of
     G(s) s^(-z - 1) over a circle, which the trapezoid rule resolves
-    geometrically fast.  The identity clock (None) makes G entire and
+    geometrically fast.  The identity clock (alpha = 1) makes G entire and
     each z takes its own saddle-point circle (_saddle_law).  The stable
     clock puts a branch point at s = 1, and one FFT on a fixed circle
     inside it gives every z at once (Abate and Whitt 1992, Oper. Res.
@@ -286,12 +226,12 @@ def _cauchy_law(clock, beta, lam, t, size):
     grows by r^(-z) <= 10^(13/8).
     """
     scale = t**beta
-    if clock is None:
+    if clock.alpha == 1.0:
         return _saddle_law(beta, scale * lam, size)
     m = max(1024, 8 * size)
     r = 10.0 ** (-13.0 / m)
     s = r * np.exp(2j * np.pi / m * np.arange(m // 2 + 1))
-    g = _ml_scaled(beta, -scale * (lam * (1.0 - s)) ** clock.alpha)
+    g = _ml_scaled(beta, -scale * clock.exponent(lam * (1.0 - s)))
     # G(conj s) = conj G(s): the half circle gives the real transform
     return np.fft.irfft(g.conj(), m)[: size + 1] * r ** -np.arange(size + 1.0)
 
@@ -386,7 +326,7 @@ def _law(route, clock, beta, lam, t, size):
       at inverse-stable time, a _SeriesKernel.
     """
     if route == "panjer":
-        q, lg = _jump_count_law(_clock_atoms(clock, lam, size), t, _total_rate(clock, lam), size)
+        q, lg = _jump_count_law(_clock_atoms(clock, lam, size), t, clock.exponent(lam), size)
         return tuple(q), lg
     if route == "cauchy":
         return tuple(_cauchy_law(clock, beta, lam, t, size).tolist())
@@ -423,22 +363,6 @@ class _SeriesKernel:
             got = self._sums[z] = (value, acc.flags())
         _warn_flags(*got[1], stacklevel=3)
         return got[0]
-
-
-def _tilt_prefactor(t, scale, tilt, alpha):
-    """exp(t scale tilt^alpha), which undoes the tempering of the series.
-
-    Its overflow is a property of t, not of the state, so it raises its
-    own ValueError rather than the "too deep" one.
-    """
-    x = t * scale * tilt**alpha
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise ValueError(
-            "t = %r is too large for the pmf series: its prefactor "
-            "exp(t scale tilt^alpha) = exp(%.6g) overflows" % (t, x)
-        ) from None
 
 
 def _profile_sum(rates, nbar, ktilde):
@@ -530,7 +454,7 @@ def variant_pmf_wright(v, rates, nbar, t):
 
 
 def _pmf(route, v, rates, nbar, t):
-    """The checks both pmf routes share; route(clock, beta, ...) does the rest."""
+    """The checks both pmf routes share; route(v, ...) does the rest."""
     _check_state(rates, nbar)
     if not t >= 0:
         raise ValueError("t must be non-negative")
@@ -542,16 +466,16 @@ def _pmf(route, v, rates, nbar, t):
         if any(nbar):
             raise ValueError("t = inf is too large for a pmf of a non-empty state")
         return 0.0
-    clock, beta = _split(v)
     try:
-        return route(clock, beta, rates, nbar, t)
+        return route(v, rates, nbar, t)
     except OverflowError as exc:
         raise ValueError(
             "state %r is too deep for the double-precision pmf series" % (nbar,)
         ) from exc
 
 
-def _pmf_series(clock, beta, rates, nbar, t):
+def _pmf_series(v, rates, nbar, t):
+    clock, beta = _split(v)
     profile = jump_profile(rates, nbar)
     z0, prof = profile
     zmax = z0 + len(prof) - 1
@@ -562,7 +486,7 @@ def _pmf_series(clock, beta, rates, nbar, t):
         if zmax >= len(q):
             raise ValueError("t = %r is too large for the jump-count recursion" % (t,))
         return _times_exp(math.fsum(s * x for s, x in zip(prof, q[z0:]) if s), lg)
-    if clock is None or series_reach(beta, t**beta * _total_rate(clock, lam)) > _CONTOUR_FROM:
+    if clock.alpha == 1.0 or series_reach(beta, t**beta * clock.exponent(lam)) > _CONTOUR_FROM:
         q = _law("cauchy", clock, beta, lam, t, _table_size(zmax))
         return math.fsum(s * x for s, x in zip(prof, q[z0:]) if s)
     # the stable clock below the switch: the paper's r-series forms z!,
@@ -574,18 +498,28 @@ def _pmf_series(clock, beta, rates, nbar, t):
     return _kernel_sum(profile, nbar, _law("series", clock, beta, lam, t, _table_size(zmax)))
 
 
-def _wright_series(clock, beta, rates, nbar, t):
-    if clock is None and beta == 1.0:
-        return mgcp_pmf(rates, nbar, t)
-    if beta != 1.0 or not isinstance(clock, (subs.Stable, subs.TemperedStable)):
+def _wright_series(v, rates, nbar, t):
+    clock, beta = _split(v)
+    if beta != 1.0 or isinstance(v, (GammaTC, IgTC)):
         raise ValueError("Wright form exists only for Mgsfcp and Tempered")
-    alpha, tilt, scale = _stable_form(clock)
+    if clock.alpha == 1.0:
+        return mgcp_pmf(rates, nbar, t)
+    # a stable clock is the tempered one at theta = 0
+    alpha, tilt = clock.alpha, clock.theta
     lam = rates.total
     denom = lam + tilt
-    arg = -scale * denom**alpha * t
+    arg = -(denom**alpha) * t
     # the exp(t theta^alpha) prefactor is required for the two pmf
-    # routes to agree (check the empty state against the pgf)
-    pref = _tilt_prefactor(t, scale, tilt, alpha)
+    # routes to agree (check the empty state against the pgf); its
+    # overflow is a fault of t, not of the state, so it is not "too deep"
+    x = t * tilt**alpha
+    try:
+        pref = math.exp(x)
+    except OverflowError:
+        raise ValueError(
+            "t = %r is too large for the pmf series: its prefactor "
+            "exp(t theta^alpha) = exp(%.6g) overflows" % (t, x)
+        ) from None
 
     def ktilde(z):
         kz = wright_1_1(1.0, alpha, 1.0 - z, alpha, arg)
@@ -604,7 +538,7 @@ def variant_pgf(v, rates, ubar, t):
     if not t >= 0:
         raise ValueError("t must be non-negative")
     clock, beta = _split(v)
-    f = w if clock is None else subs.laplace_exponent(clock, w)
+    f = clock.exponent(w)
     if t == math.inf:
         # every clock grows without bound: the limit is 1 where the
         # exponent vanishes (as at u = 1) and 0 elsewhere
@@ -636,7 +570,7 @@ def holding_rate(v, rates):
     clock, beta = _split(v)
     if beta != 1.0:
         raise ValueError("inverse-stable clocks give no holding rate")
-    return _total_rate(clock, rates.total)
+    return clock.exponent(rates.total)
 
 
 def variant_levy_measure(v, rates, nbar):
@@ -676,8 +610,8 @@ def covariance(v, rates, i, l, t):
     m_i = rates.mean_rate(i)
     m_l = rates.mean_rate(l)
     clock, b = _split(v)
-    if clock is None:
-        # plain clock at inverse b-stable time
+    if clock.alpha == 1.0:
+        # the identity clock at inverse b-stable time, b = 1 for plain time
         bracket = 2.0 / math.gamma(2.0 * b + 1.0) - 1.0 / math.gamma(b + 1.0) ** 2
         out = m_i * m_l * t ** (2.0 * b) * bracket
         if i == l:
@@ -703,15 +637,15 @@ def codifference(v, rates, i, l, t):
         raise ValueError("t must be non-negative")
     if not isinstance(v, (Mgfcp, Mgstfcp, Tempered)):
         raise ValueError("codifference formula exists only for Mgfcp, Mgstfcp, Tempered")
+    if t == math.inf:
+        raise ValueError("t = inf has no finite codifference")
     w_i = complex(component_symbol(rates.rows[i], cmath.exp(1j)))
     w_l = complex(component_symbol(rates.rows[l], cmath.exp(-1j)))
     clock, beta = _split(v)
-    # the identity clock is the alpha = 1 stable one
-    alpha, tilt, scale = _stable_form(clock) or (1.0, 0.0, 1.0)
 
     def lncf(warg):
         # ln E exp(-warg D(t)) through the clock exponent at complex warg
-        f = scale * ((warg + tilt) ** alpha - tilt**alpha)
+        f = clock.exponent(warg)
         if beta == 1.0:
             return -t * f
         return cmath.log(mittag_leffler(beta, 1.0, 1.0, -(t**beta) * f))

@@ -28,8 +28,9 @@ from mgcp import (
     Geometric,
     IgTC,
     IncGamma,
+    Identity,
     InverseGaussian,
-    InverseStable,
+    InverseStableTime,
     Logarithmic,
     Mgcp,
     Mgfcp,
@@ -338,7 +339,7 @@ def test_criterion_08_monte_carlo_concordance():
     assert cod.passed
 
     rng = stream_rng(314, 0)
-    draws = sample_many(InverseStable(0.7), 1.0, rng, 100_000)
+    draws = sample_many(InverseStableTime(Identity(), 0.7), 1.0, rng, 100_000)
     moment_rel = max(
         abs(float(np.mean(draws**n)) - inverse_stable_moment(0.7, n, 1.0))
         / inverse_stable_moment(0.7, n, 1.0)

@@ -25,8 +25,9 @@ from mgcp.gcp import RateMatrix, mgcp_pgf, pgf_symbol
 from mgcp.specfun import mittag_leffler
 from mgcp.subordinators import (
     GammaSub,
+    Identity,
     InverseGaussian,
-    InverseStable,
+    InverseStableTime,
     Stable,
     TemperedStable,
     laplace_exponent,
@@ -76,7 +77,9 @@ def sid(spec):
 class TestMeasureValidation:
     def test_named_rejects_non_levy(self):
         with pytest.raises(ValueError):
-            Named(InverseStable(0.5))
+            Named(InverseStableTime(Identity(), 0.5))
+        with pytest.raises(ValueError):
+            Named(Identity())
         with pytest.raises(ValueError):
             Named("stable")
 

@@ -46,8 +46,8 @@ EXPORTS = {
         "preset_rates",
     ),
     "subordinators": (
-        "GammaSub", "InverseGaussian", "InverseStable", "Stable",
-        "StableTimeInverseStable", "TemperedStable", "gamma_density",
+        "GammaSub", "Identity", "InverseGaussian", "InverseStableTime",
+        "Stable", "TemperedStable", "gamma_density",
         "ig_density", "inverse_stable_moment", "laplace_exponent",
         "levy_density", "levy_singularity_exponent", "sample", "sample_many",
         "stream_rng",

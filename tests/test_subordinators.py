@@ -5,6 +5,7 @@ against exp(-t f(s)) (or the Mittag-Leffler transform for the
 inverse-stable clocks), with fixed seeds and 5-sigma bands.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -16,10 +17,10 @@ from mgcp import subordinators as subs
 from mgcp.specfun import mittag_leffler
 from mgcp.subordinators import (
     GammaSub,
+    Identity,
     InverseGaussian,
-    InverseStable,
+    InverseStableTime,
     Stable,
-    StableTimeInverseStable,
     TemperedStable,
     clock_budget,
     clock_from_uniforms,
@@ -41,19 +42,19 @@ LEVY_CLOCKS = [
     InverseGaussian(1.2, 0.9),
 ]
 
+# the inverse-stable clocks keep the ids of the two classes they replaced
 ALL_CLOCKS = LEVY_CLOCKS + [
-    InverseStable(0.7),
-    StableTimeInverseStable(0.6, 0.8),
+    pytest.param(InverseStableTime(Identity(), 0.7), id="InverseStable"),
+    pytest.param(InverseStableTime(Stable(0.6), 0.8), id="StableTimeInverseStable"),
 ]
 
 
 def laplace_reference(spec, t, s):
     """E[exp(-s D(t))] from the analytic route."""
-    if isinstance(spec, InverseStable):
-        return mittag_leffler(spec.beta, 1.0, 1.0, -s * t**spec.beta)
-    if isinstance(spec, StableTimeInverseStable):
-        # condition on the inner clock: E exp(-Y s^alpha)
-        return mittag_leffler(spec.beta, 1.0, 1.0, -(s**spec.alpha) * t**spec.beta)
+    if isinstance(spec, InverseStableTime):
+        # condition on the inner clock at E_t: E exp(-E_t f(s))
+        f = laplace_exponent(spec.inner, s)
+        return mittag_leffler(spec.beta, 1.0, 1.0, -f * t**spec.beta)
     return math.exp(-t * laplace_exponent(spec, s))
 
 
@@ -66,7 +67,7 @@ class TestSpecValidation:
 
     def test_inverse_stable_beta(self):
         with pytest.raises(ValueError):
-            InverseStable(1.2)
+            InverseStableTime(Identity(), 1.2)
 
     def test_tempered(self):
         with pytest.raises(ValueError):
@@ -84,7 +85,7 @@ class TestSpecValidation:
 
     def test_composition(self):
         with pytest.raises(ValueError):
-            StableTimeInverseStable(0.5, 1.0)
+            InverseStableTime(Stable(0.5), 1.0)
 
 
 class TestLaplaceExponent:
@@ -106,9 +107,9 @@ class TestLaplaceExponent:
 
     def test_rejects_non_levy_clocks(self):
         with pytest.raises(ValueError):
-            laplace_exponent(InverseStable(0.5), 1.0)
+            laplace_exponent(InverseStableTime(Identity(), 0.5), 1.0)
         with pytest.raises(ValueError):
-            laplace_exponent(StableTimeInverseStable(0.5, 0.5), 1.0)
+            laplace_exponent(InverseStableTime(Stable(0.5), 0.5), 1.0)
 
     def test_rejects_negative_s(self):
         with pytest.raises(ValueError):
@@ -130,7 +131,9 @@ def test_levy_density_reproduces_exponent(spec):
 
 def test_levy_density_rejects_non_levy():
     with pytest.raises(ValueError):
-        levy_density(InverseStable(0.5), 1.0)
+        levy_density(InverseStableTime(Identity(), 0.5), 1.0)
+    with pytest.raises(ValueError):
+        levy_density(Identity(), 1.0)
     with pytest.raises(ValueError):
         levy_density(Stable(0.5), 0.0)
 
@@ -233,7 +236,7 @@ def test_tempered_sampler_mean():
 
 
 def test_inverse_stable_sampler_moments():
-    spec = InverseStable(0.7)
+    spec = InverseStableTime(Identity(), 0.7)
     t, size = 1.8, 60000
     draws = sample_many(spec, t, stream_rng(31), size)
     for n in (1, 2):
@@ -264,9 +267,9 @@ def test_interior_clamps_endpoints():
 class TestClockBudget:
     def test_fixed_budgets(self):
         assert clock_budget(Stable(0.5), 1.0) == 2
-        assert clock_budget(InverseStable(0.5), 7.0) == 2
+        assert clock_budget(InverseStableTime(Identity(), 0.5), 7.0) == 2
         assert clock_budget(InverseGaussian(1.0, 1.0), 1.0) == 2
-        assert clock_budget(StableTimeInverseStable(0.5, 0.5), 1.0) == 4
+        assert clock_budget(InverseStableTime(Stable(0.5), 0.5), 1.0) == 4
         assert clock_budget(GammaSub(1.0, 1.0), 1.0) == 1
 
     def test_tempered_budget_scales_with_t(self):
@@ -352,3 +355,86 @@ def test_nan_time_is_rejected():
         sample(Stable(0.6), math.nan, rng)
     with pytest.raises(ValueError, match="non-negative"):
         inverse_stable_moment(0.7, 2, math.nan)
+
+
+@pytest.mark.parametrize("lam", [0.875, 1.5])
+@pytest.mark.parametrize(
+    "spec", [Identity()] + LEVY_CLOCKS, ids=lambda c: type(c).__name__
+)
+def test_atoms_agree_with_the_exponent(spec, lam):
+    """f(lam) - f(lam (1 - u)) = sum_k nu_1(k) u^k: the atoms are the
+    power series of the clock's own exponent at base rate lam."""
+    atoms = spec.atoms(lam, 512)
+    assert len(atoms) == 512
+    for u in (0.3, 0.9):
+        want = spec.exponent(lam) - spec.exponent(lam * (1.0 - u))
+        got = math.fsum(a * u**k for k, a in enumerate(atoms, start=1))
+        assert abs(got - want) <= 1e-13 * want, u
+
+
+@pytest.mark.parametrize("spec", LEVY_CLOCKS, ids=lambda c: type(c).__name__)
+def test_complex_exponent_is_the_levy_integral(spec):
+    """f(w) = int (1 - e^(-w x)) nu(dx) at a complex w, each part by quadrature."""
+    w = 0.8 + 0.6j
+    parts = []
+    for part in (np.real, np.imag):
+
+        def integrand(x, part=part):
+            return part(1.0 - cmath.exp(-w * x)) * levy_density(spec, x)
+
+        head, _ = integrate.quad(integrand, 0.0, 1.0, limit=200)
+        tail, _ = integrate.quad(integrand, 1.0, np.inf, limit=200)
+        parts.append(head + tail)
+    got = spec.exponent(w)
+    assert isinstance(got, complex)
+    assert_allclose([got.real, got.imag], parts, rtol=1e-8)
+    # on the real axis the exponent stays a float
+    assert isinstance(spec.exponent(0.8), float)
+
+
+def test_identity_clock():
+    clock = Identity()
+    assert clock == Identity() and hash(clock) == hash(Identity())
+    assert laplace_exponent(clock, 2.5) == 2.5
+    assert clock.exponent(0.5 + 1j) == 0.5 + 1j
+    assert clock.atoms(1.5, 3) == (1.5, 0.0, 0.0)
+    assert np.array_equal(sample_many(clock, 2.5, stream_rng(1), 3), np.full(3, 2.5))
+    with pytest.raises(ValueError, match="no Levy density"):
+        levy_singularity_exponent(clock)
+
+
+# sample_many(clock, 1.5, stream_rng(7, 0), 4).tolist(): the README
+# promises byte-deterministic seeds, so a change to any sampler's use of
+# the stream shows here
+SEEDED_DRAWS = [
+    (Stable(0.7), "[3.7967037397101007, 1.3191624097415748, 0.910983401086938, 1.331869852889673]"),
+    (
+        TemperedStable(0.6, 1.0),
+        "[0.49304885932724757, 2.1748320281980815, 0.6345689784021581, 0.7548157303091416]",
+    ),
+    (GammaSub(1.0, 2.0), "[0.7084150555058466, 3.8008257934079834, 6.378082064750907, 1.7825100795493676]"),
+    (
+        InverseGaussian(1.0, 1.5),
+        "[0.3299593337686194, 0.6658350957263122, 0.3490709960748276, 1.5030993014071068]",
+    ),
+    (
+        InverseStableTime(Identity(), 0.8),
+        "[0.8728362258957147, 1.7322691645236254, 2.0370991544560595, 1.7088585417048725]",
+    ),
+    (
+        InverseStableTime(Stable(0.7), 0.8),
+        "[0.37542721633484644, 7.748199396057619, 8.838593940932968, 2.5894096122471044]",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, want",
+    SEEDED_DRAWS,
+    ids=[
+        "Stable", "TemperedStable", "GammaSub", "InverseGaussian",
+        "InverseStable", "StableTimeInverseStable",
+    ],
+)
+def test_seeded_draws_stay_the_same(spec, want):
+    assert repr(sample_many(spec, 1.5, stream_rng(7, 0), 4).tolist()) == want

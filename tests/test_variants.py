@@ -24,11 +24,12 @@ from mgcp.gcp import RateMatrix, component_symbol, mgcp_pmf
 from mgcp.specfun import CancellationWarning, NumericsWarning, mittag_leffler
 from mgcp.subordinators import (
     GammaSub,
+    Identity,
     InverseGaussian,
-    InverseStable,
+    InverseStableTime,
     Stable,
-    StableTimeInverseStable,
     TemperedStable,
+    _stable_atoms,
     gamma_density,
     ig_density,
     laplace_exponent,
@@ -47,7 +48,6 @@ from mgcp.variants import (
     _clock_atoms,
     _kernel_sum,
     _split,
-    _stable_atom,
     clock_spec,
     codifference,
     covariance,
@@ -102,20 +102,20 @@ class TestVariantValidation:
 
 class TestClockSpec:
     def test_mapping(self):
-        assert clock_spec(Mgcp()) is None
+        assert clock_spec(Mgcp()) == Identity()
         assert clock_spec(Mgsfcp(0.7)) == Stable(0.7)
-        assert clock_spec(Mgfcp(0.6)) == InverseStable(0.6)
-        assert clock_spec(Mgstfcp(0.7, 0.6)) == StableTimeInverseStable(0.7, 0.6)
+        assert clock_spec(Mgfcp(0.6)) == InverseStableTime(Identity(), 0.6)
+        assert clock_spec(Mgstfcp(0.7, 0.6)) == InverseStableTime(Stable(0.7), 0.6)
         assert clock_spec(Tempered(0.6, 0.9)) == TemperedStable(0.6, 0.9)
         assert clock_spec(GammaTC(1.2, 0.8)) == GammaSub(1.2, 0.8)
         assert clock_spec(IgTC(1.1, 0.7)) == InverseGaussian(1.1, 0.7)
 
     def test_boundary_reduction(self):
-        assert clock_spec(Mgsfcp(1.0)) is None
-        assert clock_spec(Mgfcp(1.0)) is None
-        assert clock_spec(Mgstfcp(1.0, 0.6)) == InverseStable(0.6)
+        assert clock_spec(Mgsfcp(1.0)) == Identity()
+        assert clock_spec(Mgfcp(1.0)) == Identity()
+        assert clock_spec(Mgstfcp(1.0, 0.6)) == InverseStableTime(Identity(), 0.6)
         assert clock_spec(Mgstfcp(0.7, 1.0)) == Stable(0.7)
-        assert clock_spec(Tempered(1.0, 2.0)) is None
+        assert clock_spec(Tempered(1.0, 2.0)) == Identity()
 
 
 class TestFrozenPmfValues:
@@ -392,7 +392,7 @@ def test_deep_stable_atom_matches_mpmath(mbar):
 def test_stable_atoms_match_mpmath(form, lam):
     """nu_1(z) while z! is a double: a log-gamma difference is 1e-13 off by z = 100."""
     mpmath = pytest.importorskip("mpmath")
-    atom = _stable_atom(form, lam)
+    atoms = _stable_atoms(form, lam, 170)
     with mpmath.workdps(40):
         alpha, tilt, scale = (mpmath.mpf(x) for x in form)
         base = mpmath.mpf(lam)
@@ -402,11 +402,11 @@ def test_stable_atoms_match_mpmath(form, lam):
                 * alpha * mpmath.gamma(z - alpha)
                 / (mpmath.gamma(1 - alpha) * mpmath.factorial(z))
             )
-            assert abs(atom(z) - want) <= 1e-13 * want, z
+            assert abs(atoms[z - 1] - want) <= 1e-13 * want, z
 
 
 @pytest.mark.parametrize(
-    "clock, lam", [(None, 1.5), (GammaSub(1.2, 0.8), 1.5), (GammaSub(1.0, 2.0), 0.875)]
+    "clock, lam", [(Identity(), 1.5), (GammaSub(1.2, 0.8), 1.5), (GammaSub(1.0, 2.0), 0.875)]
 )
 def test_identity_and_gamma_atoms_match_mpmath(clock, lam):
     """nu_1(k) = int e^(-lam s) (lam s)^k / k! nu(ds) over the clock's Levy
@@ -415,7 +415,7 @@ def test_identity_and_gamma_atoms_match_mpmath(clock, lam):
     mpmath = pytest.importorskip("mpmath")
     atoms = _clock_atoms(clock, lam, 64)
     assert len(atoms) == 64
-    if clock is None:
+    if clock == Identity():
         assert atoms == (lam,) + (0.0,) * 63
         return
     with mpmath.workdps(30):
@@ -655,11 +655,11 @@ def test_series_and_contour_agree_around_the_switch(v, reach):
     clock, beta = _split(v)
     lam = FIG1.total
     law = variants_module._law("cauchy", clock, beta, lam, t, 16)
-    if clock is None:
+    if clock == Identity():
         series = fractional_poisson_law(beta, t**beta * lam, 12)
     for n in itertools.product(range(7), range(7)):
         profile = jump_profile(FIG1, n)
-        if clock is None:
+        if clock == Identity():
             want = _kernel_sum(profile, n, series.__getitem__)
         else:
             want = _kernel_sum(profile, n, variants_module._law("series", clock, beta, lam, t, 16))
@@ -1393,3 +1393,13 @@ def test_nan_time_is_rejected_by_the_moments():
         covariance(Mgfcp(0.8), FIG1, 0, 1, math.nan)
     with pytest.raises(ValueError, match="non-negative"):
         codifference(Tempered(0.6, 0.9), FIG1, 0, 1, math.nan)
+
+
+@pytest.mark.parametrize("v", [Tempered(0.6, 1.0), Mgfcp(0.8)], ids=vid)
+def test_infinite_time_codifference_is_rejected(v):
+    # the Levy clock's -t f is nan at t = inf, and E_beta's pole term
+    # leaves double range, so both raise rather than return a value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t = inf"):
+            codifference(v, FIG1, 0, 1, math.inf)
