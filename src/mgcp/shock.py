@@ -13,6 +13,9 @@ jumps, which come at rate Lambda^alpha with size law pi.  So the level
 pmf is sum_m Pois(Lambda^alpha t; m) pi^{*m}(n), a sum of nonnegative
 terms.  The table of the convolution powers pi^{*m} depends only on
 (rates, alpha) and is cached, as are the tails of each threshold law.
+reliability_curve evaluates its whole t grid at once, with one
+Poisson-weight matrix and one table product per table size;
+reliability is its one-point case, and each t keeps its stop rule.
 hazard_rate keeps the paper's finite-difference double sum per jump
 count, so its numerator is an independent route.
 """
@@ -236,12 +239,17 @@ def _poisson_weights(a, nmax):
     is small where the mass is, so at a = 250 the weights there are
     within 1e-14 relative, where exp(-a + n log a - log n!) cancels
     terms of size a log a and is 4e-13 off (C. Loader, Fast and accurate
-    computation of binomial probabilities, 2000).
+    computation of binomial probabilities, 2000).  A 1-D array a gives
+    one column per value, the scalar's weights within an ulp.
     """
     n, c = _stirling_terms(nmax)
+    if np.ndim(a):
+        n, c, first = n[:, None], c[:, None], np.exp(-a)
+    else:
+        first = math.exp(-a)
     d = n - a
-    out = np.empty(nmax + 1)
-    out[0] = math.exp(-a)
+    out = np.empty((nmax + 1,) + d.shape[1:])
+    out[0] = first
     np.exp(c - (n * np.log1p(d / a) - d), out=out[1:])
     return out
 
@@ -280,8 +288,10 @@ def _jump_rates(rates, alpha, i):
 
 @lru_cache
 def _tail_values(threshold, upto):
-    """(q_0, ..., q_upto): the law's tails, computed once per law and length."""
-    return tuple(threshold_tail(threshold, n) for n in range(upto + 1))
+    """q_0, ..., q_upto as a read-only array, computed once per law and length."""
+    tails = np.array([threshold_tail(threshold, n) for n in range(upto + 1)])
+    tails.flags.writeable = False
+    return tails
 
 
 def hazard_rate(model, i, l, nbar, t):
@@ -337,7 +347,7 @@ def _failure_series(model, i, levels):
     suffix = _jump_rates(model.rates, model.alpha, i)[1]
     nmax = _NMAX_START
     while True:
-        tails = np.array(_tail_values(model.threshold, nmax))
+        tails = _tail_values(model.threshold, nmax)
         # terms[n - 1] is term n, n = 1..nmax
         terms = -np.diff(tails) * np.convolve(levels(nmax), suffix)[:nmax]
         small = (np.abs(terms) < _TERM_TOL) & (tails[1:] < _TAIL_TOL)
@@ -354,42 +364,75 @@ def _failure_series(model, i, levels):
         nmax = min(2 * nmax, _NMAX_CAP)
 
 
-def reliability(model, t):
-    """Survival probability L(t) = sum_n q_n P{total shock count = n}.
+def _survival(model, ts):
+    """[L(t) for t in ts]: a whole grid, one table size at a time.
 
-    The sum over n <= N drops at most q_(N+1) P{total > N}, since the
-    tails do not increase.  N doubles from 32 until that bound is below
-    1e-13 L(t); past n = 512 the sum stops with a TruncationWarning that
-    states the bound.  Where even the bound exceeds the sum, as when the
-    level pmf has moved past n = 512 (large t), the value is unknown:
-    ValueError naming t.
+    L(t) = sum_n q_n P{total = n at t} = sum_m Pois(a; m) r_m, with
+    a = Lambda^alpha t and r_m = sum_n q_n L[n, m] the chance that the
+    threshold outlasts m level jumps: the level pmf L @ Pois(a) summed
+    against the tails in the other order.  The sum over n <= N drops at
+    most q_(N+1) P{total > N}, since the tails do not increase, and
+    P{total <= N} = sum_m Pois(a; m) c_m with c the column sums of L.
+    N doubles from 32 for the t whose bound is not yet below 1e-13 L(t),
+    so each table size takes one Poisson-weight matrix and one product
+    of it with the two table rows r and c.  Past n = 512 a sum stops
+    with a TruncationWarning that states the bound.  Where even the
+    bound exceeds the sum, as when the level pmf has moved past n = 512
+    (large t), the value is unknown: ValueError naming t.  Errors and
+    warnings come in grid order and name the caller of the public
+    function.
     """
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be non-negative and finite, got t = %r" % (t,))
+    bad = next((k for k, t in enumerate(ts) if not 0 <= t < math.inf), len(ts))
+    a = model.rates.total**model.alpha * np.array(ts[:bad], dtype=float)
+    # at t = 0 no shock has come: L(0) = q_0 = 1 with nothing dropped
+    values = np.ones(bad)
+    dropped = np.zeros(bad)
+    todo = np.flatnonzero(a > 0.0)
     nmax = _NMAX_START
-    while True:
-        plevel = _level_pmf(model, t, nmax)
-        tails = np.array(_tail_values(model.threshold, nmax + 1))
-        total = float(tails[:-1] @ plevel)
-        dropped = tails[-1] * max(0.0, 1.0 - plevel.sum())
-        if dropped <= _MASS_TOL * total:
-            return total
+    while todo.size:
+        table, _ = _tables(model.rates, model.alpha, nmax)
+        tails = _tail_values(model.threshold, nmax + 1)
+        rows = np.stack((tails[:-1] @ table, table.sum(axis=0)))
+        # each t sums its own contiguous row of terms, so its value does
+        # not depend on the rest of the grid
+        pois = _poisson_weights(a[todo], nmax).T[:, None]
+        values[todo], kept = np.multiply(pois, rows, order="C").sum(axis=2).T
+        dropped[todo] = tails[-1] * np.maximum(0.0, 1.0 - kept)
+        todo = todo[dropped[todo] > _MASS_TOL * values[todo]]
         if nmax >= _NMAX_CAP:
             break
         nmax = min(2 * nmax, _NMAX_CAP)
-    if dropped > total:
-        raise ValueError(
-            "t = %r is too large for the threshold series: the levels "
-            "up to n = %d give %.6g, and the mass past them may be up to %.6g"
-            % (t, nmax, total, dropped)
+    values, dropped = values.tolist(), dropped.tolist()
+    for t, total, drop in zip(ts, values, dropped):
+        if drop <= _MASS_TOL * total:
+            continue
+        if drop > total:
+            raise ValueError(
+                "t = %r is too large for the threshold series: the levels "
+                "up to n = %d give %.6g, and the mass past them may be up to %.6g"
+                % (t, _NMAX_CAP, total, drop)
+            )
+        warnings.warn(
+            "threshold series not converged by n=%d: the dropped mass is at "
+            "most %.3g of L(t)" % (_NMAX_CAP, drop / total),
+            TruncationWarning,
+            stacklevel=3,
         )
-    warnings.warn(
-        "threshold series not converged by n=%d: the dropped mass is at "
-        "most %.3g of L(t)" % (nmax, dropped / total),
-        TruncationWarning,
-        stacklevel=2,
-    )
-    return total
+    if bad < len(ts):
+        raise ValueError("t must be non-negative and finite, got t = %r" % (ts[bad],))
+    return values
+
+
+def reliability(model, t):
+    """Survival probability L(t) = sum_n q_n P{total shock count = n}.
+
+    The one-point case of reliability_curve.  The sum stops once the
+    mass it drops, at most q_(N+1) P{total > N}, is below 1e-13 L(t);
+    past n = 512 it stops with a TruncationWarning that states the
+    bound, and where the bound exceeds the sum (large t) it raises a
+    ValueError naming t.
+    """
+    return _survival(model, [t])[0]
 
 
 def failure_density(model, i, t):
@@ -438,7 +481,13 @@ def figure_rates(which):
 
 
 def reliability_curve(model, t_grid, case="general"):
-    """Sampled survival curve [(t, L(t))] with the preset-case checks."""
+    """Sampled survival curve [(t, L(t))] with the preset-case checks.
+
+    The whole grid is evaluated at once: one Poisson-weight matrix and
+    one table product per table size, and each t keeps reliability's
+    stop rule.  The values, warnings and errors are those of calling
+    reliability at each t in grid order.
+    """
     if case != "general":
         family = _FIG_FAMILY.get(case)
         if family is None:
@@ -449,4 +498,5 @@ def reliability_curve(model, t_grid, case="general"):
             raise ValueError(
                 "%s pairs with the %s threshold" % (case, family.__name__)
             )
-    return [(float(t), reliability(model, float(t))) for t in t_grid]
+    ts = [float(t) for t in t_grid]
+    return list(zip(ts, _survival(model, ts)))

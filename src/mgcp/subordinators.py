@@ -157,6 +157,11 @@ class InverseStableTime:
     beta: float
 
     def __post_init__(self):
+        if not isinstance(self.inner, (Identity, Stable)):
+            raise ValueError(
+                "the inner clock at inverse-stable time must be Identity or "
+                "Stable, got %r; other clocks there are ROADMAP item 5" % (self.inner,)
+            )
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
 

@@ -42,6 +42,7 @@ from mgcp.variants import Mgsfcp, variant_pmf, variant_transition_rate
 
 FIG1 = figure_rates(1)
 MODEL = ShockModel(FIG1, 0.9, Geometric(0.5))
+LAWS = (Geometric(0.5), Logarithmic(0.5), IncGamma(0.0, 0.5), SineIntegral(0.0, 0.5))
 
 
 class TestThresholdLaws:
@@ -169,6 +170,15 @@ def test_poisson_weights_match_mpmath(a):
     assert_allclose(got, want, rtol=1e-12, atol=1e-300)
     # below 15 levels the tabulated Stirling remainders alone are read
     np.testing.assert_array_equal(_poisson_weights(a, 8), got[:9])
+
+
+def test_poisson_weight_columns_are_the_scalar_weights():
+    a = (1e-3, 0.7, 26.2, 244.9)
+    cols = _poisson_weights(np.array(a), 512)
+    assert cols.shape == (513, 4)
+    for k, x in enumerate(a):
+        want = _poisson_weights(x, 512)
+        assert np.all(np.abs(cols[:, k] - want) <= np.spacing(want))
 
 
 def test_level_pmf_normalizes_at_zero_time():
@@ -340,6 +350,24 @@ class TestReliability:
         with pytest.warns(TruncationWarning):
             reliability(model, 1.0)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="failure_density stops on an absolute 1e-12 term, not on a "
+        "dropped-mass bound: ROADMAP item 7",
+    )
+    def test_failure_density_keeps_its_mass_at_large_t(self):
+        # at t = 50 the density returns 4.5499e-22, 8.5% below the
+        # untruncated 512-level sum h_0(t) = J_0(1) sum_n p_n P{total = n - 1}
+        # (component 0 has k_0 = 1)
+        model = ShockModel(FIG1, 0.5, Geometric(0.5))
+        plevel = _level_pmf(model, 50.0, 512)
+        jump = variant_transition_rate(Mgsfcp(0.5), FIG1, (1, 0))
+        want = jump * math.fsum(
+            threshold_pmf(model.threshold, n) * plevel[n - 1] for n in range(1, 514)
+        )
+        assert want == pytest.approx(4.9728e-22, rel=1e-4)
+        assert failure_density(model, 0, 50.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 class TestFailureSplit:
     def test_density_integrates_to_type_probability(self):
@@ -390,6 +418,57 @@ class TestFigurePresets:
         assert [t for t, _ in pts] == [0.0, 1.0, 2.0]
         assert pts[0][1] == pytest.approx(1.0, abs=1e-12)
         assert pts[1][1] > pts[2][1]
+
+    @pytest.mark.parametrize("which", (1, 2))
+    @pytest.mark.parametrize("law", LAWS, ids=lambda d: type(d).__name__)
+    @pytest.mark.parametrize("alpha", (0.05, 0.5, 0.95))
+    def test_curve_is_the_pointwise_reliability(self, which, law, alpha):
+        model = ShockModel(figure_rates(which), alpha, law)
+        grid = [float(t) for t in range(11)]
+        pts = reliability_curve(model, grid)
+        assert [t for t, _ in pts] == grid
+        got = np.array([value for _, value in pts])
+        want = np.array([reliability(model, t) for t in grid])
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+    def test_curve_raises_for_the_same_t(self):
+        model = ShockModel(FIG1, 0.5, Geometric(0.5))
+        with pytest.raises(ValueError, match=r"t = 100000\.0 is too large"):
+            reliability_curve(model, [1.0, 2.0, 1e5])
+        # a grid stops at its first t that fails, in grid order
+        with pytest.raises(ValueError, match=r"t = 100000\.0 is too large"):
+            reliability_curve(model, [1.0, 1e5, math.inf])
+        with pytest.raises(ValueError, match="t = inf"):
+            reliability_curve(model, [1.0, math.inf, 1e5])
+        with pytest.raises(ValueError, match="non-negative"):
+            reliability_curve(model, [1.0, -0.5])
+
+    def test_curve_warns_once_per_unconverged_t_in_grid_order(self):
+        model = ShockModel(FIG1, 0.9, Geometric(1e-4))
+        grid = [0.0, 0.5, 1.0, 3.0]
+        pointwise = []
+        for t in grid:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                reliability(model, t)
+            pointwise.append([str(w.message) for w in caught])
+        # t = 0 converges at once, every later t stops at the cap
+        assert [len(m) for m in pointwise] == [0, 1, 1, 1]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reliability_curve(model, grid)
+        assert [str(w.message) for w in caught] == sum(pointwise, [])
+        assert all(w.category is TruncationWarning for w in caught)
+        # each warning names the line that called reliability_curve
+        assert all(w.filename == __file__ for w in caught)
+
+    def test_zero_time_inside_a_grid_is_exact(self):
+        model = ShockModel(figure_rates(2), 0.5, Logarithmic(0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pts = reliability_curve(model, [0.0, 0.5, 0.0, 1.0])
+        assert pts[0][1] == pts[2][1] == 1.0
+        assert 0.0 < pts[3][1] < pts[1][1] < 1.0
 
     def test_curve_case_validation(self):
         with pytest.raises(ValueError):

@@ -69,6 +69,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             InverseStableTime(Identity(), 1.2)
 
+    @pytest.mark.parametrize(
+        "inner", [TemperedStable(0.6, 1.0), GammaSub(2.0, 1.3)], ids=lambda c: type(c).__name__
+    )
+    def test_inverse_stable_inner(self, inner):
+        # only the identity and the stable clock have a pmf route and a
+        # sampler at inverse-stable time: a tempered inner clock used to
+        # fail in sample_many with a TypeError, a gamma one to sample
+        with pytest.raises(ValueError, match="must be Identity or Stable.*ROADMAP item 5"):
+            InverseStableTime(inner, 0.8)
+
     def test_tempered(self):
         with pytest.raises(ValueError):
             TemperedStable(0.5, 0.0)

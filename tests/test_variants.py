@@ -117,6 +117,35 @@ class TestClockSpec:
         assert clock_spec(Mgstfcp(0.7, 1.0)) == Stable(0.7)
         assert clock_spec(Tempered(1.0, 2.0)) == Identity()
 
+    def test_every_variant_builds_its_clock(self):
+        # InverseStableTime takes an Identity or Stable inner clock only;
+        # every variant's clock passes that check, at the edges too
+        for v in (
+            Mgcp(),
+            Mgsfcp(0.05),
+            Mgsfcp(1.0),
+            Mgfcp(0.05),
+            Mgfcp(0.95),
+            Mgfcp(1.0),
+            Mgstfcp(0.05, 0.95),
+            Mgstfcp(0.95, 0.05),
+            Mgstfcp(1.0, 0.6),
+            Mgstfcp(0.7, 1.0),
+            Mgstfcp(1.0, 1.0),
+            Tempered(0.6, 0.9),
+            Tempered(1.0, 2.0),
+            GammaTC(1.2, 0.8),
+            IgTC(1.1, 0.7),
+        ):
+            spec = clock_spec(v)
+            assert type(getattr(spec, "inner", spec)) in (
+                Identity,
+                Stable,
+                TemperedStable,
+                GammaSub,
+                InverseGaussian,
+            )
+
 
 class TestFrozenPmfValues:
     """Each value is _mp_composition_sum(FIG1, n, c, kernel) in mpmath.
