@@ -13,6 +13,11 @@ jumps, which come at rate Lambda^alpha with size law pi.  So the level
 pmf is sum_m Pois(Lambda^alpha t; m) pi^{*m}(n), a sum of nonnegative
 terms.  The table of the convolution powers pi^{*m} depends only on
 (rates, alpha) and is cached, as are the tails of each threshold law.
+It is built by doubling: pi is one product of the memoised profile
+matrix of the pooled rates with the stable clock's atoms, and once
+column m = pi^{*m} is known, columns m + 1 .. 2m are the lower
+triangular Toeplitz matrix of column m times columns 1 .. m, so a table
+of N levels takes about log2 N matrix products.
 reliability_curve evaluates its whole t grid at once, with one
 Poisson-weight matrix and one table product per table size;
 reliability is its one-point case, and each t keeps its stop rule.
@@ -160,37 +165,92 @@ class ShockModel:
         threshold_tail(self.threshold, 1)
 
 
+@lru_cache(maxsize=8)
+def _level_profiles(rates, nmax):
+    """S[k, z] for k, z <= nmax: the level jumps' profiles, read-only.
+
+    S[k, z] is the chance that z jumps drawn from the rates pooled by
+    jump size add up to k (compositions.jump_profile).  It does not
+    depend on alpha, so every alpha of one rate matrix and table size
+    shares it.
+    """
+    by_size = itertools.zip_longest(*rates.rows, fillvalue=0.0)
+    pooled = RateMatrix([map(math.fsum, by_size)])
+    size = nmax + 1
+    profiles = np.zeros((size, size))
+    for k in range(1, size):
+        z0, col = jump_profile(pooled, (k,))
+        profiles[k, z0 : z0 + len(col)] = col
+    profiles.flags.writeable = False
+    return profiles
+
+
+def _toeplitz_product(d, b):
+    """T @ b for the lower triangular Toeplitz matrix T[r, s] = d[r - s].
+
+    T is cut into square blocks.  Block (I, J) is the Toeplitz block T_D
+    of offset D = I - J, zero for D < 0, so row block I of the product
+    is sum_{D <= I} T_D @ b_(I - D): one stacked product per D, which
+    skips the zero blocks above the diagonal.  The side is the largest
+    with side^2 * w <= 2^18 multiply-adds per block product, b having w
+    columns: OpenBLAS computes such a product on the calling thread,
+    and larger ones, which it splits across threads, stalled for 8-16 ms
+    each on a 2-CPU Xeon.  For tables of up to 64 levels each call is
+    one product.
+    """
+    k, w = b.shape
+    side = min(k, math.isqrt((1 << 18) // w))
+    nb = -(-k // side)
+    pad = nb * side
+    padded = np.zeros(pad + side - 1)
+    padded[side - 1 : side - 1 + k] = d
+    # windows[i, j] = padded[i + j], so blocks[D][r, s] = windows[D side + r,
+    # side - 1 - s] = d[D side + r - s]; the reshape copies
+    windows = np.ndarray((pad, side), buffer=padded, strides=padded.strides * 2)
+    blocks = windows[:, ::-1].reshape(nb, side, side)
+    rows = np.zeros((pad, w))
+    rows[:k] = b
+    rows = rows.reshape(nb, side, w)
+    out = blocks[0] @ rows
+    for offset in range(1, nb):
+        out[offset:] += blocks[offset] @ rows[: nb - offset]
+    return out.reshape(pad, w)[:k]
+
+
 @lru_cache(maxsize=32)
 def _tables(rates, alpha, nmax):
     """(L, G): the level-jump convolution table and its time integrals.
 
     The total shock count is compound Poisson.  Its level jumps come at
     rate Lambda^alpha, and one has size k with probability
-    pi(k) = sum_z S_k[z] nu_1(z) / Lambda^alpha: nu_1 the stable clock's
+    pi(k) = sum_z S[k, z] nu_1(z) / Lambda^alpha: nu_1 the stable clock's
     atoms (z base jumps at once; the variants._clock_atoms table that
-    the Mgsfcp pmf and transition rates read) and S_k the jump-count
-    profile of k under the rates pooled by jump size.
+    the Mgsfcp pmf and transition rates read) and S the jump-count
+    profiles of the rates pooled by jump size (_level_profiles), so pi
+    is one matrix-vector product.
     L[n, m] = pi^{*m}(n) is the chance that m level jumps add up to n,
     zero for m > n, so P{total = n at t} = sum_m L[n, m]
-    Pois(Lambda^alpha t; m).
+    Pois(Lambda^alpha t; m).  Lower triangular Toeplitz matrices
+    multiply as their columns convolve, so once column m is known,
+    columns m + 1 .. 2m are its Toeplitz matrix times columns 1 .. m,
+    restricted to the rows n > m and the terms that can be nonzero
+    (_toeplitz_product): columns 1, 2, 4, ... double in about log2 nmax
+    products.  Each entry differs from the column-by-column convolution
+    only in the order of its sum.
     G[n] = sum_m L[n, m] / Lambda^alpha is that pmf integrated over
     t in (0, inf).  Every entry is a sum of nonnegative terms.
     """
-    size = nmax + 1
-    by_size = itertools.zip_longest(*rates.rows, fillvalue=0.0)
-    pooled = RateMatrix([map(math.fsum, by_size)])
     rate = rates.total**alpha
     nu = np.array((0.0,) + _clock_atoms(Stable(alpha), rates.total, nmax)) / rate
-    pi = np.zeros(size)
-    for k in range(1, size):
-        z0, col = jump_profile(pooled, (k,))
-        pi[k] = np.dot(col, nu[z0 : z0 + len(col)])
-    table = np.zeros((size, size))
+    table = np.zeros((nmax + 1, nmax + 1))
     table[0, 0] = 1.0
-    for m in range(1, size):
-        # column m is column m - 1 convolved with pi, kept on n >= m
-        step = np.convolve(table[m - 1 : -1, m - 1], pi[1 : size - m + 1])
-        table[m:, m] = step[: size - m]
+    table[:, 1] = _level_profiles(rates, nmax) @ nu
+    m = 1
+    while m < nmax:
+        k, w = nmax - m, min(m, nmax - m)
+        step = _toeplitz_product(table[m:nmax, m], table[1 : k + 1, 1 : w + 1])
+        table[m + 1 :, m + 1 : m + 1 + w] = step
+        m *= 2
     return table, table.sum(axis=1) / rate
 
 

@@ -9,6 +9,10 @@ x.  The inner sum over x alternates, so in doubles the route is only
 good while Lambda^alpha t stays small (t <= 10 or so); mp_level_pmf
 evaluates the same formula in mpmath, with alpha y formed in mpf.
 
+convolution_level_table is the nonnegative level table built one column
+at a time, each column the last one convolved with the level-jump law:
+the independent side of the Toeplitz doubling of shock._tables.
+
 negative_binomial_law is the gamma clock's jump-count law in closed
 form, the independent side of Panjer's recursion on the gamma atoms.
 
@@ -40,6 +44,8 @@ from scipy.special import gammaln
 
 from mgcp.compositions import enumerate_compositions, jump_profile
 from mgcp.gcp import RateMatrix
+from mgcp.subordinators import Stable
+from mgcp.variants import _clock_atoms
 
 
 def pooled_row(rates):
@@ -94,6 +100,29 @@ def signed_level_integrals(rates, alpha, nmax):
     """
     b, _, u = signed_level_tables(rates, alpha, nmax)
     return rates.total**-alpha * (b @ u)
+
+
+def convolution_level_table(rates, alpha, nmax):
+    """(L, G) of shock._tables, column by column.
+
+    pi(k) = sum_z S_k[z] nu_1(z) / Lambda^alpha, one dot per level k;
+    column m of L is column m - 1 convolved with pi, kept on n >= m;
+    G[n] = sum_m L[n, m] / Lambda^alpha.
+    """
+    size = nmax + 1
+    pooled = pooled_row(rates)
+    rate = rates.total**alpha
+    nu = np.array((0.0,) + _clock_atoms(Stable(alpha), rates.total, nmax)) / rate
+    pi = np.zeros(size)
+    for k in range(1, size):
+        z0, col = jump_profile(pooled, (k,))
+        pi[k] = np.dot(col, nu[z0 : z0 + len(col)])
+    table = np.zeros((size, size))
+    table[0, 0] = 1.0
+    for m in range(1, size):
+        step = np.convolve(table[m - 1 : -1, m - 1], pi[1 : size - m + 1])
+        table[m:, m] = step[: size - m]
+    return table, table.sum(axis=1) / rate
 
 
 def mp_level_pmf(mpmath, rates, alpha, t, nmax):

@@ -3,7 +3,8 @@
 IncGamma frozen values are checked against mpmath's generalized
 incomplete gamma (oracles.mp_threshold_tail); the other laws are checked
 against classical closed forms or direct quadrature.  The level pmf is checked against the paper's signed
-formula (tests/oracles.py) in doubles at small t and in mpmath at large t.
+formula (tests/oracles.py) in doubles at small t and in mpmath at large t,
+and the level table against the column-by-column convolution recursion.
 """
 
 import itertools
@@ -41,6 +42,8 @@ from mgcp.specfun import TruncationWarning
 from mgcp.variants import Mgsfcp, variant_pmf, variant_transition_rate
 
 FIG1 = figure_rates(1)
+FIG2 = figure_rates(2)
+Q3 = RateMatrix([[0.4, 0.2], [0.3, 0.3, 0.1], [0.5]])
 MODEL = ShockModel(FIG1, 0.9, Geometric(0.5))
 LAWS = (Geometric(0.5), Logarithmic(0.5), IncGamma(0.0, 0.5), SineIntegral(0.0, 0.5))
 
@@ -221,6 +224,35 @@ class TestLevelTables:
         # column m is the law of m level jumps, cut at level 64
         assert np.all(table.sum(axis=0) <= 1.0 + 1e-15)
         assert np.all(np.triu(table, 1) == 0.0)
+
+    @pytest.mark.parametrize("nmax", (32, 64, 128, 512))
+    @pytest.mark.parametrize("alpha", (0.05, 0.5, 0.95))
+    @pytest.mark.parametrize("rates", (FIG1, FIG2, Q3), ids=("fig1", "fig2", "q3"))
+    def test_table_matches_the_convolution_recursion(self, rates, alpha, nmax):
+        table, g = _tables(rates, alpha, nmax)
+        want, want_g = oracles.convolution_level_table(rates, alpha, nmax)
+        assert np.all(np.triu(table, 1) == 0.0)
+        # the doubling sums each entry in another order.  Below 1e-300 the
+        # terms pass through subnormals, which keep fewer digits or flush
+        # to 0: at alpha = 0.05 and nmax = 512 about 2,100 entries that are
+        # subnormal or 0 in the recursion differ, so entries below 1e-300
+        # are only held below 1e-299
+        normal = want >= 1e-300
+        assert_allclose(table[normal], want[normal], rtol=1e-13)
+        assert np.all(table[~normal] < 1e-299)
+        assert_allclose(g, want_g, rtol=1e-13)
+
+    @pytest.mark.parametrize("nmax", (64, 512))
+    def test_a_rebuilt_table_is_bit_identical(self, nmax):
+        # the benchmark rebuilds tables on every pass and requires the
+        # same outputs from each
+        first = _tables(Q3, 0.05, nmax)
+        shock._tables.cache_clear()
+        shock._level_profiles.cache_clear()
+        second = _tables(Q3, 0.05, nmax)
+        assert second is not first
+        np.testing.assert_array_equal(second[0], first[0])
+        np.testing.assert_array_equal(second[1], first[1])
 
     def test_table_cache_keeps_its_statistics(self):
         # the benchmark reads the table cache statistics on every pass
