@@ -256,8 +256,8 @@ def _ml_series(alpha, beta, gamma, x):
     return total if total.ndim else total.item()
 
 
-def _ml_scaled(alpha, x, log_scale=0.0):
-    """E_alpha(x) exp(-log_scale) over a numpy array x, in one pass per route.
+def _ml_scaled(alpha, x, log_scale=0.0, beta=1.0):
+    """E_{alpha,beta}(x) exp(-log_scale) over a numpy array x, in one pass per route.
 
     Each element takes the route mittag_leffler takes at it.  log_scale
     broadcasts against x; a pole term e^(x^(1/alpha)) stays in double
@@ -267,9 +267,9 @@ def _ml_scaled(alpha, x, log_scale=0.0):
     scale = np.broadcast_to(log_scale, x.shape)
     far = (alpha < 1.0) & (series_reach(alpha, x) > _CONTOUR_FROM)
     out = np.empty(x.shape, dtype=np.result_type(x, float))
-    out[far] = _ml_contour(alpha, 1.0, 1.0, x[far], scale[far])
+    out[far] = _ml_contour(alpha, beta, 1.0, x[far], scale[far])
     near = ~far
-    out[near] = _ml_series(alpha, 1.0, 1.0, x[near]) * np.exp(-scale[near])
+    out[near] = _ml_series(alpha, beta, 1.0, x[near]) * np.exp(-scale[near])
     return out
 
 

@@ -10,15 +10,17 @@ codifference remain.
 
 Every pmf and transition rate here is a sum over the jump compositions
 of the state that depends on them only through the total jump count z;
-compositions.jump_profile collapses it to a sum over z, and each route
-supplies its own kernel K(z).  The profile depends on the rates and the
-state only, so one memoised profile serves every variant and time.
-Every Levy clock, the identity clock of the base process included, has
-atoms nu_1(k), the rates at which it fires k base jumps at once
-(_clock_atoms): the transition rates read them directly, and Panjer's
-recursion on them gives the pmf's jump-count law.  The paper's
+compositions.jump_profile collapses it to a sum over z.  The profile
+depends on the rates and the state only, so one memoised profile serves
+every variant and time, and each pmf weighs it with the law q_t(z) of
+the total jump count (_law).  Every Levy clock, the identity clock of
+the base process included, has atoms nu_1(k), the rates at which it
+fires k base jumps at once (_clock_atoms): the transition rates read
+them directly, and Panjer's recursion on them gives q_t.  The paper's
 composition sum of the base process, gcp.mgcp_pmf, stays the
-independent side of that route.
+independent side of that route.  At inverse-stable time q_t is the
+Cauchy integral of the pgf on a circle (_cauchy_law); the paper's
+r-series for Mgstfcp is its independent side, in the tests only.
 """
 
 import cmath
@@ -31,19 +33,8 @@ import numpy as np
 
 from .compositions import _table_size, jump_profile
 from .gcp import _check_state, _pgf_exponent, component_symbol, mgcp_pmf
-from .specfun import (
-    _CONTOUR_FROM,
-    _MAX_TERMS,
-    _Accumulator,
-    _ml_scaled,
-    _warn_flags,
-    falling_factorial,
-    mittag_leffler,
-    series_reach,
-    wright_1_1,
-)
+from .specfun import _ml_scaled, mittag_leffler, wright_1_1
 from . import subordinators as subs
-from .subordinators import _MAX_FACTORIAL
 
 # the jump-count recursion rescales its values past this bound
 _RESCALE = 2.0**512
@@ -220,10 +211,16 @@ def _cauchy_law(clock, beta, lam, t, size):
     geometrically fast.  The identity clock (alpha = 1) makes G entire and
     each z takes its own saddle-point circle (_saddle_law).  The stable
     clock puts a branch point at s = 1, and one FFT on a fixed circle
-    inside it gives every z at once (Abate and Whitt 1992, Oper. Res.
-    Lett. 12): M = max(1024, 8 size) nodes on r = 10^(-13/M) alias at
-    most r^M = 1e-13 of the law's tail onto each z, and the rounding
-    grows by r^(-z) <= 10^(13/8).
+    inside it gives every z >= 1 at once (Abate and Whitt 1992, Oper.
+    Res. Lett. 12), at every t.  The FFT reads G - 1 = y E_{beta,beta+1}(y),
+    y = -t^beta f(lam (1 - s)), rather than G: at small t, G is near 1
+    on the whole circle and would swamp q(z >= 1) in rounding, while
+    G - 1 has the size of the law's mass off z = 0.  q(0) = G(0) is
+    mittag_leffler's.  M = max(1024, 8 size) nodes on r = 10^(-13/M)
+    alias at most r^M = 1e-13 of the law's tail onto each z.  The
+    rounding of the transform is absolute: about eps max|G - 1| r^(-z)
+    on q(z), r^(-z) <= 10^(13/8), so a deep q(z) far below that is
+    resolved only to that floor, not relative to itself.
     """
     scale = t**beta
     if clock.alpha == 1.0:
@@ -231,9 +228,12 @@ def _cauchy_law(clock, beta, lam, t, size):
     m = max(1024, 8 * size)
     r = 10.0 ** (-13.0 / m)
     s = r * np.exp(2j * np.pi / m * np.arange(m // 2 + 1))
-    g = _ml_scaled(beta, -scale * clock.exponent(lam * (1.0 - s)))
+    y = -scale * clock.exponent(lam * (1.0 - s))
+    g = y * _ml_scaled(beta, y, beta=beta + 1.0)
     # G(conj s) = conj G(s): the half circle gives the real transform
-    return np.fft.irfft(g.conj(), m)[: size + 1] * r ** -np.arange(size + 1.0)
+    q = np.fft.irfft(g.conj(), m)[: size + 1] * r ** -np.arange(size + 1.0)
+    q[0] = mittag_leffler(beta, 1.0, 1.0, -scale * clock.exponent(lam))
+    return q
 
 
 def _saddle_law(beta, x, size):
@@ -311,58 +311,20 @@ def _saddle_law(beta, x, size):
 
 
 @lru_cache(maxsize=64)
-def _law(route, clock, beta, lam, t, size):
-    """The jump-count law one pmf route reads, for z = 0..size.
+def _law(clock, beta, lam, t, size):
+    """(q, lg) with q_t(z) = q[z] exp(lg), z = 0..size: the jump-count law a pmf reads.
 
     Every cell of a box at one clock, beta, Lambda = lam and t reads the
     same law.  size is compositions._table_size of the cell's deepest
     jump count, so the order in which cells come never changes a value.
-    Each route has its own entries, so the series and the Cauchy
-    integrals stay independent code:
-    - "panjer": (q, lg) of _jump_count_law on the Levy clock's atoms,
-      cut short where it leaves double range;
-    - "cauchy": q of _cauchy_law at inverse-stable time;
-    - "series": the ktilde of the paper's r-series for the stable clock
-      at inverse-stable time, a _SeriesKernel.
+    A Levy clock (beta = 1) takes _jump_count_law on its atoms, cut
+    short where it leaves double range; inverse-stable time (beta < 1)
+    takes _cauchy_law, with lg = 0.
     """
-    if route == "panjer":
+    if beta == 1.0:
         q, lg = _jump_count_law(_clock_atoms(clock, lam, size), t, clock.exponent(lam), size)
         return tuple(q), lg
-    if route == "cauchy":
-        return tuple(_cauchy_law(clock, beta, lam, t, size).tolist())
-    alpha = clock.alpha
-    c = -1.0 / lam
-    a = lam**alpha * t**beta
-
-    def term(z):
-        power = (c * lam) ** z
-        acc = _state_sum(a, z, alpha, beta, "variant_pmf")
-        return power * acc.total, acc
-
-    return _SeriesKernel(term)
-
-
-class _SeriesKernel:
-    """ktilde(z) of an inverse-stable series, each z summed on its first read.
-
-    A z keeps its series' flags (label, converged, cancellation ratio)
-    beside its value, and every read emits their NumericsWarnings
-    again, so a cell warns exactly as if it had summed the series
-    itself.  A z that no cell reads is never summed, so it neither
-    raises nor warns; a z whose sum raises is not kept.
-    """
-
-    def __init__(self, term):
-        self._term = term
-        self._sums = {}
-
-    def __call__(self, z):
-        got = self._sums.get(z)
-        if got is None:
-            value, acc = self._term(z)
-            got = self._sums[z] = (value, acc.flags())
-        _warn_flags(*got[1], stacklevel=3)
-        return got[0]
+    return tuple(_cauchy_law(clock, beta, lam, t, size).tolist()), 0.0
 
 
 def _profile_sum(rates, nbar, ktilde):
@@ -386,30 +348,6 @@ def _kernel_sum(profile, nbar, ktilde):
         ) from exc
 
 
-def _state_sum(a, z, slope, beta_denom, label):
-    """sum_r (-a)^r / Gamma(beta_denom r + 1) * C(slope r, z)  (binomial).
-
-    The inner r-series of the fractional pmfs, per jump count z: the
-    falling factorial (slope r)_z over z!, divided once while z! is a
-    double and spread over the factors past that.  Returns the summed
-    _Accumulator, its flags not yet warned.
-    """
-    zfact = float(math.factorial(z)) if z <= _MAX_FACTORIAL else None
-    acc = _Accumulator(label)
-    base = 1.0
-    for r in range(_MAX_TERMS):
-        x = slope * r
-        if zfact:
-            term = base * falling_factorial(x, z) / zfact
-        else:
-            term = base * math.prod((x - m) / (m + 1) for m in range(z))
-        if acc.add(term):
-            break
-        u = beta_denom * r + 1.0
-        base *= -a * math.exp(math.lgamma(u) - math.lgamma(u + beta_denom))
-    return acc
-
-
 def variant_pmf(v, rates, nbar, t):
     """P{variant state = nbar at time t}.
 
@@ -424,17 +362,15 @@ def variant_pmf(v, rates, nbar, t):
     gcp.mgcp_pmf, the paper's composition sum, is the independent check
     of this route.  At inverse-stable time the pgf of Z_t is
     E_beta(-t^beta f(Lambda (1 - s))), and q_t is its Cauchy integral on
-    a circle (_cauchy_law).  Mgfcp's pgf is entire, and each jump count
-    takes its own saddle-point circle, whose error is relative, at every
-    t and depth.  Mgstfcp takes one FFT on a circle inside the branch
-    point s = 1 past the switch x^(1/beta) > specfun._CONTOUR_FROM = 4,
-    x = t^beta Lambda^alpha, and below it the paper's r-series, which
-    cancels little there; the series forms z!, so its states that need
-    more than 170 jumps in one component raise ValueError.
+    a circle (_cauchy_law), which forms no z!.  Mgfcp's pgf is entire,
+    and each jump count takes its own saddle-point circle, whose error is
+    relative, at every t and depth.  Mgstfcp takes one FFT of G - 1 on a
+    circle inside the branch point s = 1 at every t; its error is
+    absolute, the bound that _cauchy_law states.
 
-    The law q_t, or the series kernel, is computed once per route, clock,
-    beta, Lambda, t and table size of the state's deepest jump count
-    (_law, an lru_cache of 64 laws) and shared by every cell of a box.
+    The law q_t is computed once per clock, beta, Lambda, t and table
+    size of the state's deepest jump count (_law, an lru_cache of 64
+    laws) and shared by every cell of a box.
     The profile S is computed once per rates and state (jump_profile, an
     lru_cache of compositions._PROFILE_ENTRIES profiles) and shared by
     every variant and time.
@@ -476,26 +412,12 @@ def _pmf(route, v, rates, nbar, t):
 
 def _pmf_series(v, rates, nbar, t):
     clock, beta = _split(v)
-    profile = jump_profile(rates, nbar)
-    z0, prof = profile
+    z0, prof = jump_profile(rates, nbar)
     zmax = z0 + len(prof) - 1
-    lam = rates.total
-    if beta == 1.0:
-        # a Levy clock: the jump count is compound Poisson with the clock's atoms
-        q, lg = _law("panjer", clock, beta, lam, t, _table_size(zmax))
-        if zmax >= len(q):
-            raise ValueError("t = %r is too large for the jump-count recursion" % (t,))
-        return _times_exp(math.fsum(s * x for s, x in zip(prof, q[z0:]) if s), lg)
-    if clock.alpha == 1.0 or series_reach(beta, t**beta * clock.exponent(lam)) > _CONTOUR_FROM:
-        q = _law("cauchy", clock, beta, lam, t, _table_size(zmax))
-        return math.fsum(s * x for s, x in zip(prof, q[z0:]) if s)
-    # the stable clock below the switch: the paper's r-series forms z!,
-    # so it stops at 170 jumps in a component
-    for row, n in zip(rates.rows, nbar):
-        smallest = next(j for j, rate in enumerate(row, start=1) if rate > 0.0)
-        if n // smallest > _MAX_FACTORIAL:
-            raise OverflowError("more than %d jumps in one component" % _MAX_FACTORIAL)
-    return _kernel_sum(profile, nbar, _law("series", clock, beta, lam, t, _table_size(zmax)))
+    q, lg = _law(clock, beta, rates.total, t, _table_size(zmax))
+    if zmax >= len(q):
+        raise ValueError("t = %r is too large for the jump-count recursion" % (t,))
+    return _times_exp(math.fsum(s * x for s, x in zip(prof, q[z0:]) if s), lg)
 
 
 def _wright_series(v, rates, nbar, t):

@@ -20,6 +20,9 @@ fractional_poisson_law is the paper's Mittag-Leffler series for the
 jump count at inverse-stable time under the identity clock (Mgfcp),
 summed in doubles: the independent side of the Cauchy integrals of
 variants._cauchy_law at shallow cells, where the series cancels little.
+space_time_fractional_law is the paper's r-series for the jump count of
+a stable clock at inverse-stable time (Mgstfcp), summed in doubles: the
+independent side of the FFT of variants._cauchy_law at the same cells.
 
 mp_threshold_tail is the IncGamma threshold's tail from mpmath's own
 generalized incomplete gamma, the independent side of the series in
@@ -201,6 +204,33 @@ def fractional_poisson_law(beta, x, zmax):
             r += 1
         out.append(total)
     return out
+
+
+def space_time_fractional_law(alpha, beta, x, zmax):
+    """P{Z = z}, z = 0..zmax, for a stable(alpha) clock at inverse beta-stable time.
+
+    x = t^beta Lambda^alpha, and the paper's r-series is
+    P{Z = z} = (-1)^z sum_r (-x)^r / Gamma(beta r + 1) C(alpha r, z),
+    each r adding its term to every z at once, C(alpha r, z) by the
+    recurrence in z.  The terms alternate in r and peak near
+    e^(x^(1/beta)), so the sum keeps about 16 - x^(1/beta) / ln 10
+    digits: an oracle for x^(1/beta) up to 5 or so.
+    """
+    sums = [0.0] * (zmax + 1)
+    largest_seen, r = 0.0, 0
+    while True:
+        weight = (-1.0) ** r * math.exp(r * math.log(x) - math.lgamma(beta * r + 1))
+        binom, largest = 1.0, 0.0
+        for z in range(zmax + 1):
+            if z:
+                binom *= (alpha * r - z + 1) / z
+            sums[z] += weight * binom
+            largest = max(largest, abs(weight * binom))
+        largest_seen = max(largest_seen, largest)
+        if r > 2 * x ** (1 / beta) + 10 and largest < 1e-17 * largest_seen:
+            break
+        r += 1
+    return [(-1.0) ** z * total for z, total in enumerate(sums)]
 
 
 def mp_threshold_tail(mpmath, a, p, n):

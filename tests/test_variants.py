@@ -17,11 +17,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
-from oracles import fractional_poisson_law, negative_binomial_law
+from oracles import fractional_poisson_law, negative_binomial_law, space_time_fractional_law
 from mgcp.bernstein import Named, g_lambda_u
 from mgcp.compositions import enumerate_compositions, jump_profile
 from mgcp.gcp import RateMatrix, component_symbol, mgcp_pmf
-from mgcp.specfun import CancellationWarning, NumericsWarning, mittag_leffler
+from mgcp.specfun import NumericsWarning, mittag_leffler
 from mgcp.subordinators import (
     GammaSub,
     Identity,
@@ -300,12 +300,16 @@ def test_heavy_tail_partial_mass():
 
 
 def test_deep_state_raises_cleanly():
-    # past z ~ 170 the space-time-fractional series needs z! in double range
+    # past z ~ 170 the Wright series needs z! in double range
     with pytest.raises(ValueError, match="too deep"):
-        variant_pmf(Mgstfcp(0.7, 0.8), ONE, (300,), 1.0)
-    # the Cauchy integrals form no z!, and the true value, 5.855e-471 by
-    # _mp_inverse_stable_law(mpmath, Mgfcp(0.8), 1.0, 1.0, 300)[300] at
-    # _mp_digits(...) digits, lies below double range
+        variant_pmf_wright(Mgsfcp(0.7), ONE, (300,), 1.0)
+    # the Cauchy integrals form no z!: Mgstfcp's value is
+    # _mp_inverse_stable_law(mpmath, Mgstfcp(0.7, 0.8), 1.0, 1.0, 300)[300]
+    # at _mp_digits(...) digits
+    want = 1.578364281564928e-05
+    assert abs(variant_pmf(Mgstfcp(0.7, 0.8), ONE, (300,), 1.0) - want) <= 1e-10 * want
+    # and Mgfcp's true value, 5.855e-471 by the same call for Mgfcp(0.8),
+    # lies below double range
     assert variant_pmf(Mgfcp(0.8), ONE, (300,), 1.0) == 0.0
 
 
@@ -467,7 +471,7 @@ def test_identity_and_gamma_atoms_match_mpmath(clock, lam):
 )
 def test_gamma_law_matches_negative_binomial(clock, lam, t):
     """Panjer's recursion on the gamma atoms against the closed form."""
-    q, lg = variants_module._law("panjer", clock, 1.0, lam, t, 64)
+    q, lg = variants_module._law(clock, 1.0, lam, t, 64)
     want = negative_binomial_law(clock.a, clock.b, lam, t, 64)
     assert len(q) == len(want) == 65
     for z, (x, w) in enumerate(zip(q, want)):
@@ -675,45 +679,43 @@ def _t_at_reach(v, reach):
 @pytest.mark.parametrize("v", INVERSE_STABLE, ids=vid)
 @pytest.mark.parametrize("reach", [2.5, 3.5, 4.5, 5.0])
 def test_series_and_contour_agree_around_the_switch(v, reach):
-    """Near the switch, where x^(1/beta) = reach, the paper's series is
-    still accurate, and the Cauchy integrals must agree with it: for
-    Mgstfcp the r-series against the FFT, for Mgfcp the Mittag-Leffler
-    series of oracles.fractional_poisson_law against the saddle-point
-    circles.  The two sides are independent code."""
+    """Around x^(1/beta) = 4, where x^(1/beta) = reach, the paper's series
+    is still accurate in doubles, and the Cauchy integrals must agree
+    with it: for Mgstfcp the r-series of oracles.space_time_fractional_law
+    against the FFT, for Mgfcp the Mittag-Leffler series of
+    oracles.fractional_poisson_law against the saddle-point circles.
+    The two sides are independent code."""
     t = _t_at_reach(v, reach)
     clock, beta = _split(v)
     lam = FIG1.total
-    law = variants_module._law("cauchy", clock, beta, lam, t, 16)
+    law, lg = variants_module._law(clock, beta, lam, t, 16)
+    assert lg == 0.0
     if clock == Identity():
         series = fractional_poisson_law(beta, t**beta * lam, 12)
+    else:
+        series = space_time_fractional_law(clock.alpha, beta, t**beta * lam**clock.alpha, 12)
     for n in itertools.product(range(7), range(7)):
         profile = jump_profile(FIG1, n)
-        if clock == Identity():
-            want = _kernel_sum(profile, n, series.__getitem__)
-        else:
-            want = _kernel_sum(profile, n, variants_module._law("series", clock, beta, lam, t, 16))
+        want = _kernel_sum(profile, n, series.__getitem__)
         assert abs(_kernel_sum(profile, n, law.__getitem__) - want) <= 1e-12, n
 
 
 @pytest.mark.parametrize("v", INVERSE_STABLE, ids=vid)
 def test_inverse_stable_route_switch(v, monkeypatch):
-    """Mgstfcp takes the Cauchy integrals exactly where x^(1/beta) passes
-    the switch constant and the series below it; Mgfcp takes the Cauchy
-    integrals at every t."""
+    """Both inverse-stable variants take the Cauchy integrals at every t,
+    on either side of x^(1/beta) = specfun._CONTOUR_FROM, where Mgstfcp
+    once switched from the paper's r-series to the FFT."""
     taken = []
-    law = variants_module._law
+    cauchy = variants_module._cauchy_law
     monkeypatch.setattr(
-        variants_module, "_law", lambda route, *a: taken.append((route, a[-2])) or law(route, *a)
+        variants_module, "_cauchy_law", lambda *a: taken.append(a[-2]) or cauchy(*a)
     )
+    variants_module._law.cache_clear()
     t_switch = _t_at_reach(v, specfun_module._CONTOUR_FROM)
     times = (1.0, 0.99 * t_switch, 1.01 * t_switch, 20.0)
     for t in times:
         variant_pmf(v, FIG1, (1, 1), t)
-    if isinstance(v, Mgfcp):
-        assert taken == [("cauchy", t) for t in times]
-    else:
-        assert taken == [("series", 1.0), ("series", 0.99 * t_switch),
-                         ("cauchy", 1.01 * t_switch), ("cauchy", 20.0)]
+    assert taken == list(times)
 
 
 # Mgfcp cells whose series cancel, or whose z! leaves double range.  Each
@@ -774,11 +776,14 @@ def test_contour_takes_states_past_170_jumps():
 
 
 def test_series_state_past_170_jumps_raises():
-    # t = 1 is below the switch, so Mgstfcp takes the series, which forms z!
+    # the Wright series forms z!, so 171 jumps in a component raise
     with pytest.raises(ValueError, match="too deep"):
-        variant_pmf(Mgstfcp(0.7, 0.8), FIG1, (171, 0), 1.0)
-    # Mgfcp takes the Cauchy integrals at every t: _mp_composition_sum as
-    # for DEEP_MGFCP
+        variant_pmf_wright(Mgsfcp(0.7), FIG1, (171, 0), 1.0)
+    # the inverse-stable variants take the Cauchy integrals at every t:
+    # _mp_composition_sum as for DEEP_MGFCP, law from
+    # _mp_inverse_stable_law(mpmath, v, 1.5, 1.0, 171)
+    want = 1.4370902551990967e-86
+    assert abs(variant_pmf(Mgstfcp(0.7, 0.8), FIG1, (171, 0), 1.0) - want) <= 1e-10 * want
     want = 5.11036475720193e-121
     assert abs(variant_pmf(Mgfcp(0.8), FIG1, (0, 171), 1.0) - want) <= 1e-12 * want
 
@@ -796,19 +801,91 @@ def _no_numerics_warnings(call):
         return call()
 
 
-def test_series_flags_replay_on_every_read():
-    """The law memo keeps each series kernel's flags and emits them on
-    every read: a second call warns exactly as the first, one warning
-    per flagged jump count the cell reads (6 here).  Mgstfcp(0.9, 0.3)
-    at reach 3 is below the switch, and its deep jump counts cancel."""
-    variants_module._law.cache_clear()
+def test_mgstfcp_at_small_reach_does_not_cancel():
+    """Mgstfcp(0.9, 0.3) at reach 3 on (10, 10): the paper's r-series in
+    doubles cancels there and once warned six times, while the FFT of
+    G - 1 gives the value without a warning.  _mp_composition_sum as for
+    DEEP_MGFCP, law from _mp_inverse_stable_law(mpmath, v, 1.5, t, 20)."""
     v = Mgstfcp(0.9, 0.3)
-    t = _t_at_reach(v, 3.0)
-    runs = [_numerics_warnings(lambda: variant_pmf(v, FIG1, (10, 10), t)) for _ in range(2)]
-    for caught in runs:
-        assert len(caught) == 6
-        assert all(w.category is CancellationWarning for w in caught)
-    assert [str(w.message) for w in runs[0]] == [str(w.message) for w in runs[1]]
+    got = _no_numerics_warnings(lambda: variant_pmf(v, FIG1, (10, 10), _t_at_reach(v, 3.0)))
+    want = 1.4563302808927082e-05
+    assert abs(got - want) <= 1e-10 * want
+
+
+def test_mgstfcp_baseline_cell_matches_mpmath():
+    """One component of rate 1, Mgstfcp(0.99, 0.3), 20 jumps at t = 3.9
+    (reach 3.9): the r-series in doubles returned 1.02e-4, above p(19),
+    under a CancellationWarning.  _mp_inverse_stable_law(mpmath, v, 1.0,
+    3.9, 20)[20] at _mp_digits(...) digits."""
+    got = _no_numerics_warnings(lambda: variant_pmf(Mgstfcp(0.99, 0.3), ONE, (20,), 3.9))
+    want = 7.691341256716546e-05
+    assert abs(got - want) <= 1e-10 * want
+
+
+# (alpha, beta, reach, p) of Mgstfcp(alpha, beta) on FIG1 at (10, 10) and
+# t = _t_at_reach(v, reach): _mp_composition_sum as for DEEP_MGFCP, with
+# law = _mp_inverse_stable_law(mpmath, v, 1.5, t, 20)
+SMALL_REACH_MGSTFCP = [
+    (0.7, 0.3, 1.0, 3.287281150144684e-05),
+    (0.7, 0.3, 3.0, 4.8507765409465336e-05),
+    (0.7, 0.3, 3.9, 5.320464646542877e-05),
+    (0.7, 0.5, 1.0, 3.263156105378324e-05),
+    (0.7, 0.5, 3.0, 6.283113917325817e-05),
+    (0.7, 0.5, 3.9, 7.344121480705825e-05),
+    (0.9, 0.3, 1.0, 8.748108857437246e-06),
+    (0.9, 0.3, 3.0, 1.4563302808927082e-05),
+    (0.9, 0.3, 3.9, 1.66774632903616e-05),
+    (0.9, 0.5, 1.0, 8.357665787176731e-06),
+    (0.9, 0.5, 3.0, 1.9028424947242703e-05),
+    (0.9, 0.5, 3.9, 2.4068883707210175e-05),
+    (0.99, 0.3, 1.0, 7.315781081410678e-07),
+    (0.99, 0.3, 3.0, 1.4688824042839307e-06),
+    (0.99, 0.3, 3.9, 1.8602358377698145e-06),
+    (0.99, 0.5, 1.0, 6.812493326711057e-07),
+    (0.99, 0.5, 3.0, 1.7671256095448391e-06),
+    (0.99, 0.5, 3.9, 2.5926826270002964e-06),
+]
+
+
+@pytest.mark.parametrize("alpha, beta, reach, want", SMALL_REACH_MGSTFCP)
+def test_small_reach_mgstfcp_matches_mpmath(alpha, beta, reach, want):
+    """Reach up to 3.9, where the paper's r-series cancelled worst at alpha
+    near 1 and small beta.  No cell may warn."""
+    v = Mgstfcp(alpha, beta)
+    got = _no_numerics_warnings(lambda: variant_pmf(v, FIG1, (10, 10), _t_at_reach(v, reach)))
+    assert abs(got - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("v, t", [(Mgstfcp(0.5, 0.9), 1e-10), (Mgstfcp(0.7, 0.5), 1e-12),
+                                  (Mgstfcp(0.99, 0.99), 1e-8)], ids=str)
+def test_small_t_mgstfcp_law_matches_mpmath(v, t):
+    """At small t, G is within t^beta of 1 on the whole circle, and an FFT
+    of G itself would lose q(z >= 1) to the rounding of that 1 (1e-6
+    relative at z = 20 for the first case); the FFT of G - 1 keeps them
+    relative."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(_mp_digits(v, 1.0, t, 20)):
+        law = _mp_inverse_stable_law(mpmath, v, 1.0, t, 20)
+    for z in range(21):
+        want = float(law[z])
+        assert abs(variant_pmf(v, ONE, (z,), t) - want) <= 1e-10 * want, z
+
+
+# q(z) of Mgstfcp(0.99, 0.3) on one component of rate 1 at t = 3.9:
+# _mp_inverse_stable_law(mpmath, v, 1.0, 3.9, 300)[z] at _mp_digits(...) digits
+DEEP_FFT_CELLS = [(100, 1.8851792636843107e-06), (300, 2.0121355247018352e-07)]
+
+
+@pytest.mark.parametrize("z, want", DEEP_FFT_CELLS)
+def test_fft_rounding_bound_holds_at_deep_cells(z, want):
+    """The FFT's stated bound: an absolute error of about eps max|G - 1|
+    r^(-z) on q(z), with |G - 1| <= 2 on the circle (|G| <= 1 there) and
+    M = max(1024, 8 size) nodes on r = 10^(-13/M), as _cauchy_law
+    states.  Relative to q(z) that is 4e-9 and 2e-8 here."""
+    got = _no_numerics_warnings(lambda: variant_pmf(Mgstfcp(0.99, 0.3), ONE, (z,), 3.9))
+    m = max(1024, 8 * compositions_module._table_size(z))
+    bound = 2.0**-52 * 2.0 * 10.0 ** (13.0 * z / m)
+    assert abs(got - want) <= bound
 
 
 def test_deep_state_between_the_switch_and_reach_12_does_not_cancel():
@@ -890,9 +967,8 @@ ROUTE_SWEEP = {
     ],
 )
 def test_route_sweep_matches_mpmath(v, reach, n, want):
-    """Both sides of the switch, up to reach 11: Mgstfcp takes the series
-    at reach 3.9 and the FFT past it, Mgfcp the saddle-point circles
-    throughout.  No cell may warn."""
+    """Both sides of x^(1/beta) = 4, up to reach 11: Mgstfcp takes the FFT
+    and Mgfcp the saddle-point circles throughout.  No cell may warn."""
     got = _no_numerics_warnings(lambda: variant_pmf(v, FIG1, n, _t_at_reach(v, reach)))
     assert 0.0 <= got <= 1.0
     assert abs(got - want) <= 1e-10 * want
