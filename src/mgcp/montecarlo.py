@@ -174,10 +174,19 @@ def _pmf_counts(v, rates, t, seed, k, n_samples, dims):
         _operational_cap(rates),
     )
     samples = sample_mgcp_many(rates, operational, rng)
-    inside = np.all(samples < dims, axis=1)
-    flat = np.ravel_multi_index(tuple(samples[inside].T), tuple(dims))
-    counts = np.bincount(flat, minlength=int(dims.prod()))
-    return counts, int(samples.shape[0] - inside.sum())
+    # the row-major cell index, built column by column; a draw outside
+    # the box goes to one extra bin past the cells, whatever its index
+    # wrapped to
+    size = int(dims.prod())
+    flat = np.zeros(samples.shape[0], dtype=np.int64)
+    outside = np.zeros(samples.shape[0], dtype=bool)
+    for column, dim in zip(samples.T, dims.tolist()):
+        flat *= dim
+        flat += column
+        outside |= column >= dim
+    flat[outside] = size
+    counts = np.bincount(flat, minlength=size + 1)
+    return counts[:size], int(counts[size])
 
 
 def estimate_pmf(v, rates, t, box, n_samples, seed, workers=1, sigma=4.0):

@@ -296,12 +296,14 @@ class TestReliabilityCommand:
         assert got == [(t, v) for t, v in want]
 
     def test_truncated_curve_emits_quality_warnings(self, capsys):
-        """The IncGamma(0, 1) threshold on fig1 at alpha = 0.5 has not
-        converged by 512 levels at t = 10: the value comes with a bound
-        on the dropped mass, the report keeps the flag and the exit code
-        says so."""
-        argv = ["reliability", "--case", "general", "--model", MODEL, "--alpha", "0.5",
-                "--threshold", "incgamma:0,1", "--tgrid", "10:10:1"]
+        """A custom threshold holding the first 600 tails of IncGamma(0, 1)
+        on fig1 at alpha = 0.5 has not converged by 512 levels at t = 10:
+        the value comes with a bound on the dropped mass, the report keeps
+        the flag and the exit code says so."""
+        tails = [shock.threshold_tail(shock.IncGamma(0.0, 1.0), n) for n in range(600)]
+        base = ["reliability", "--case", "general", "--model", MODEL, "--alpha", "0.5",
+                "--tgrid", "10:10:1", "--threshold"]
+        argv = base + ["custom:" + ",".join(map(repr, tails))]
         code, out, _ = run(capsys, argv + ["--format", "json"])
         assert code == 3
         (flag,) = json.loads(out)["warnings"]
@@ -309,6 +311,13 @@ class TestReliabilityCommand:
         code, out, _ = run(capsys, argv)
         assert code == 3
         assert "# warning: threshold series not converged" in out
+        # the named law takes the mixture route: exit 0, no warning, and
+        # L(10) within 1e-10 of mpmath's quadrature of int G_t dmu
+        code, out, err = run(capsys, base + ["incgamma:0,1"])
+        assert (code, err) == (0, "")
+        assert "# warning" not in out
+        (row,) = csv_rows(out)[1]
+        assert float(row[1]) == pytest.approx(0.006116867035348342, rel=1e-10, abs=0.0)
 
     def test_general_needs_model(self, capsys):
         code, _, err = run(
@@ -363,13 +372,18 @@ class TestReliabilityCommand:
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_unresolvable_t_exits_2_naming_t(self, capsys):
-        code, out, err = run(
-            capsys,
-            ["reliability", "--case", "fig1", "--alpha", "0.5", "--threshold",
-             "geometric:0.5", "--tgrid", "100000:100000:1"],
-        )
+        # a custom threshold with the first 600 tails of geometric(0.5)
+        # takes the table route, whose levels stop at 512
+        tails = ",".join(repr(0.5**n) for n in range(600))
+        base = ["reliability", "--case", "general", "--model", MODEL, "--alpha", "0.5",
+                "--tgrid", "100000:100000:1", "--threshold"]
+        code, out, err = run(capsys, base + ["custom:" + tails])
         assert (code, out) == (2, "")
         assert "t = 100000.0 is too large" in err
+        # the named law's mixture route returns exp(-t 0.875^0.5) = 0.0
+        code, out, err = run(capsys, base + ["geometric:0.5"])
+        assert (code, err) == (0, "")
+        assert [float(x) for x in csv_rows(out)[1][0]] == [1e5, 0.0]
 
 
 class TestPresetsCommand:

@@ -208,6 +208,35 @@ class TestEstimatePmf:
         np.testing.assert_array_equal(counts, want)
         assert outside == size - inside.sum()
 
+    @pytest.mark.parametrize(
+        "v, rates, box",
+        [
+            (Mgsfcp(0.7), FIG1, (6, 6)),
+            (Mgfcp(0.6), FIG1, (2, 9)),
+            (Mgsfcp(0.7), RateMatrix([[0.4, 0.2], [0.3, 0.3, 0.1], [0.5]]), (3, 2, 4)),
+        ],
+    )
+    def test_binning_matches_the_gather_and_ravel(self, v, rates, box):
+        # the box test per draw, a gather of the draws inside and
+        # ravel_multi_index, as estimate_pmf once binned them
+        def binned(draws, dims):
+            inside = np.all(draws < dims, axis=1)
+            flat = np.ravel_multi_index(tuple(draws[inside].T), tuple(dims))
+            return np.bincount(flat, minlength=int(dims.prod())), int(len(draws) - inside.sum())
+
+        n, dims = 2 * _CHUNK + 7, np.array(box) + 1
+        outside_total = 0
+        for k in range(3):
+            size = min(_CHUNK, n - k * _CHUNK)
+            draws = sample_variant_many(v, rates, 0.8, stream_rng(11, k), size)
+            counts, outside = _pmf_counts(v, rates, 0.8, 11, k, n, dims)
+            want, want_outside = binned(draws, dims)
+            np.testing.assert_array_equal(counts, want)
+            assert outside == want_outside
+            outside_total += outside
+        # the heavy tails put draws outside every box
+        assert outside_total > 0
+
     def test_rerun_is_identical(self):
         kwargs = dict(t=0.8, box=(3, 3), n_samples=4000, seed=7, workers=2)
         assert estimate_pmf(Mgfcp(0.6), FIG1, **kwargs) == estimate_pmf(

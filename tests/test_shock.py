@@ -5,6 +5,8 @@ incomplete gamma (oracles.mp_threshold_tail); the other laws are checked
 against classical closed forms or direct quadrature.  The level pmf is checked against the paper's signed
 formula (tests/oracles.py) in doubles at small t and in mpmath at large t,
 and the level table against the column-by-column convolution recursion.
+The named laws' mixture route is checked against the table route, which
+a CustomThreshold holding the same tails takes, and against mpmath.
 """
 
 import itertools
@@ -46,6 +48,14 @@ FIG2 = figure_rates(2)
 Q3 = RateMatrix([[0.4, 0.2], [0.3, 0.3, 0.1], [0.5]])
 MODEL = ShockModel(FIG1, 0.9, Geometric(0.5))
 LAWS = (Geometric(0.5), Logarithmic(0.5), IncGamma(0.0, 0.5), SineIntegral(0.0, 0.5))
+
+
+def twin(law, n=600):
+    """A CustomThreshold holding the first n tails of a named law.
+
+    It takes the table route, where the named law takes the mixture
+    route."""
+    return CustomThreshold(tuple(threshold_tail(law, k) for k in range(n)))
 
 
 class TestThresholdLaws:
@@ -268,10 +278,17 @@ class TestLevelTables:
 
         monkeypatch.setattr(shock, "threshold_tail", counting)
         shock._tail_values.cache_clear()
-        model = ShockModel(FIG1, 0.7, Logarithmic(0.37))
+        # the table route reads the tails of a CustomThreshold
+        model = ShockModel(FIG1, 0.7, twin(Logarithmic(0.37)))
         first = reliability_curve(model, range(11)), prob_failure_type(model, 0)
         assert calls
         del calls[:]
+        again = reliability_curve(model, range(11)), prob_failure_type(model, 0)
+        assert again == first and calls == []
+        # the named law's mixture route reads no tail at all
+        model = ShockModel(FIG1, 0.7, Logarithmic(0.37))
+        del calls[:]
+        first = reliability_curve(model, range(11)), prob_failure_type(model, 0)
         again = reliability_curve(model, range(11)), prob_failure_type(model, 0)
         assert again == first and calls == []
 
@@ -338,18 +355,20 @@ class TestReliability:
         # exp(-t (Lambda - sum_j pooled_j u^j)^alpha)
         rates = figure_rates(which)
         pooled = oracles.pooled_row(rates).rows[0]
-        model = ShockModel(rates, alpha, Geometric(0.5))
         symbol = rates.total - sum(lam * 0.5**j for j, lam in enumerate(pooled, start=1))
-        for t in (30.0, 50.0, 200.0):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                got = reliability(model, t)
-            assert got == pytest.approx(math.exp(-t * symbol**alpha), rel=1e-12, abs=0.0)
-            # the bound q_513 P{total > 512} on the dropped mass is 2e-11
-            # of L(200) at the figure-2 rates with alpha = 0.9: only that
-            # sum stops at the cap, and it says so
-            capped = (which, alpha, t) == (2, 0.9, 200.0)
-            assert [w.category for w in caught] == [TruncationWarning] * capped
+        for law in (twin(Geometric(0.5)), Geometric(0.5)):
+            model = ShockModel(rates, alpha, law)
+            for t in (30.0, 50.0, 200.0):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    got = reliability(model, t)
+                assert got == pytest.approx(math.exp(-t * symbol**alpha), rel=1e-12, abs=0.0)
+                # on the table route the bound q_513 P{total > 512} on the
+                # dropped mass is 2e-11 of L(200) at the figure-2 rates with
+                # alpha = 0.9: only that sum stops at the cap, and it says
+                # so.  The named law's mixture route has no cap and no warning
+                capped = law != Geometric(0.5) and (which, alpha, t) == (2, 0.9, 200.0)
+                assert [w.category for w in caught] == [TruncationWarning] * capped
 
     @pytest.mark.parametrize(
         "alpha, t, value", [(0.9, 30.0, 2.7958900182619e-12), (0.5, 200.0, 5.6356263048878e-82)]
@@ -369,7 +388,12 @@ class TestReliability:
         # over n <= 512 underflows to 0 while the mass it cannot see may
         # be up to q_513, so the value is unknown and the call names t
         with pytest.raises(ValueError, match=r"t = 100000\.0 is too large"):
-            reliability(ShockModel(FIG1, 0.5, Geometric(0.5)), 1e5)
+            reliability(ShockModel(FIG1, 0.5, twin(Geometric(0.5))), 1e5)
+        # the mixture route takes the closed form exp(-t 0.875^0.5),
+        # which underflows to 0.0, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reliability(ShockModel(FIG1, 0.5, Geometric(0.5)), 1e5) == 0.0
         # a threshold with q_1 = 0 leaves nothing past n = 0: L(t) is
         # P{no shock} = exp(-t Lambda^alpha), which underflows to 0.0
         assert reliability(ShockModel(FIG1, 0.5, Geometric(1.0)), 1e5) == 0.0
@@ -378,19 +402,20 @@ class TestReliability:
         )
 
     def test_slow_threshold_warns_at_cap(self):
-        model = ShockModel(FIG1, 0.9, Geometric(1e-4))
+        model = ShockModel(FIG1, 0.9, twin(Geometric(1e-4)))
         with pytest.warns(TruncationWarning):
             reliability(model, 1.0)
+        # the mixture route reads the geometric law as its atom at 1 - p:
+        # L(1) = exp(-c^0.9), c = sum_j pooled_j (1 - (1 - p)^j) = 2p - p^2/2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = reliability(ShockModel(FIG1, 0.9, Geometric(1e-4)), 1.0)
+        assert got == pytest.approx(math.exp(-(2e-4 - 0.5e-8) ** 0.9), rel=1e-14, abs=0.0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="failure_density stops on an absolute 1e-12 term, not on a "
-        "dropped-mass bound: ROADMAP item 7",
-    )
     def test_failure_density_keeps_its_mass_at_large_t(self):
-        # at t = 50 the density returns 4.5499e-22, 8.5% below the
-        # untruncated 512-level sum h_0(t) = J_0(1) sum_n p_n P{total = n - 1}
-        # (component 0 has k_0 = 1)
+        # the untruncated 512-level sum h_0(t) = J_0(1) sum_n p_n
+        # P{total = n - 1} (component 0 has k_0 = 1) at t = 50, against the
+        # mixture route
         model = ShockModel(FIG1, 0.5, Geometric(0.5))
         plevel = _level_pmf(model, 50.0, 512)
         jump = variant_transition_rate(Mgsfcp(0.5), FIG1, (1, 0))
@@ -464,7 +489,7 @@ class TestFigurePresets:
         assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
 
     def test_curve_raises_for_the_same_t(self):
-        model = ShockModel(FIG1, 0.5, Geometric(0.5))
+        model = ShockModel(FIG1, 0.5, twin(Geometric(0.5)))
         with pytest.raises(ValueError, match=r"t = 100000\.0 is too large"):
             reliability_curve(model, [1.0, 2.0, 1e5])
         # a grid stops at its first t that fails, in grid order
@@ -474,10 +499,29 @@ class TestFigurePresets:
             reliability_curve(model, [1.0, math.inf, 1e5])
         with pytest.raises(ValueError, match="non-negative"):
             reliability_curve(model, [1.0, -0.5])
+        # the mixture route returns the closed form exp(-t 0.875^0.5) at
+        # every finite t, and names the first bad t in grid order
+        model = ShockModel(FIG1, 0.5, Geometric(0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = reliability_curve(model, [1.0, 2.0, 1e5])
+        want = [math.exp(-t * 0.875**0.5) for t in (1.0, 2.0, 1e5)]
+        assert [v for _, v in pts] == pytest.approx(want, rel=1e-14, abs=0.0)
+        with pytest.raises(ValueError, match="t = inf"):
+            reliability_curve(model, [1.0, math.inf, 1e5])
+        with pytest.raises(ValueError, match="non-negative"):
+            reliability_curve(model, [1.0, -0.5])
 
     def test_curve_warns_once_per_unconverged_t_in_grid_order(self):
-        model = ShockModel(FIG1, 0.9, Geometric(1e-4))
+        # the mixture route converges at every t, with the closed form
+        named = ShockModel(FIG1, 0.9, Geometric(1e-4))
         grid = [0.0, 0.5, 1.0, 3.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = reliability_curve(named, grid)
+        want = [math.exp(-t * (2e-4 - 0.5e-8) ** 0.9) for t in grid]
+        assert [v for _, v in pts] == pytest.approx(want, rel=1e-14, abs=0.0)
+        model = ShockModel(FIG1, 0.9, twin(Geometric(1e-4)))
         pointwise = []
         for t in grid:
             with warnings.catch_warnings(record=True) as caught:
@@ -535,3 +579,179 @@ def test_nan_time_is_rejected():
         failure_density(MODEL, 0, math.nan)
     with pytest.raises(ValueError, match="positive"):
         hazard_rate(MODEL, 0, 1, (0, 0), math.nan)
+
+
+class TestMixtureRoute:
+    """The named laws as mixtures of geometric laws, q_n = int x^n mu(dx)."""
+
+    @pytest.mark.parametrize("law", LAWS[1:] + (IncGamma(0.2, 1.0),), ids=repr)
+    def test_mixture_moments_are_the_tails(self, law):
+        mu = law.mixture()
+        for n in (1, 2, 5, 20):
+            want, _ = integrate.quad(
+                lambda x: x**n * mu.density(x, 1.0 - x), mu.a, mu.p, epsabs=0.0, epsrel=1e-13
+            )
+            assert_allclose(threshold_tail(law, n), want, rtol=1e-11)
+
+    def test_geometric_is_one_atom_and_custom_has_none(self):
+        assert Geometric(0.25).mixture() == shock.Atom(0.25)
+        assert CustomThreshold((1.0, 0.5)).mixture() is None
+
+    @pytest.mark.parametrize("alpha", (0.05, 0.5, 0.95))
+    @pytest.mark.parametrize("law", LAWS, ids=lambda d: type(d).__name__)
+    @pytest.mark.parametrize("which", (1, 2))
+    def test_matches_the_table_route(self, which, law, alpha):
+        # the first 200 tails hold all but q_200 <= 0.5^200 of each law, and
+        # with q_n = 0 past them every table-route series ends by n = 256
+        named = ShockModel(figure_rates(which), alpha, law)
+        table = ShockModel(figure_rates(which), alpha, twin(law, 200))
+        grid = [float(t) for t in range(11)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [v for _, v in reliability_curve(named, grid)]
+            want = [v for _, v in reliability_curve(table, grid)]
+            assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            for i in range(2):
+                assert_allclose(
+                    prob_failure_type(named, i), prob_failure_type(table, i), rtol=1e-12, atol=0.0
+                )
+                for t in grid[1:]:
+                    assert_allclose(
+                        failure_density(named, i, t),
+                        failure_density(table, i, t),
+                        rtol=1e-12,
+                        atol=0.0,
+                    )
+
+    def test_baseline_rows_match_their_true_values(self):
+        mpmath = pytest.importorskip("mpmath")
+
+        def geometric(alpha, t, c):
+            # the atom at u = 1 - p: L(t) = exp(-t c^alpha), c = c(u)
+            with mpmath.workdps(40):
+                return mpmath.exp(-t * mpmath.mpf(c) ** mpmath.mpf(alpha))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # fig2 at u = 0.5: c = 3 - 1 - 0.5 - 0.25 = 1.75; the fatal
+            # type-0 jumps have rate J_0(1) and chance 1 - u = 0.5
+            model = ShockModel(FIG2, 0.9, Geometric(0.5))
+            jump = variant_transition_rate(Mgsfcp(0.9), FIG2, (1, 0))
+            got = failure_density(model, 0, 10.0)
+            assert abs(got - jump * 0.5 * geometric(0.9, 10.0, 1.75)) <= 1e-10 * got
+            assert got == pytest.approx(2.6241083846938824e-08, rel=1e-10, abs=0.0)
+            # fig1 at u = 0.5: c = 0.875
+            model = ShockModel(FIG1, 0.5, Geometric(0.5))
+            jump = variant_transition_rate(Mgsfcp(0.5), FIG1, (1, 0))
+            got = failure_density(model, 0, 50.0)
+            assert abs(got - jump * 0.5 * geometric(0.5, 50.0, 0.875)) <= 1e-10 * got
+            assert got == pytest.approx(4.972787835102395e-22, rel=1e-10, abs=0.0)
+            got = reliability(model, 400.0)
+            assert abs(got - geometric(0.5, 400.0, 0.875)) <= 1e-10 * got
+            assert got == pytest.approx(3.176028384834194e-163, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "alpha, t, value", [(0.5, 10.0, 0.006116867035348342), (0.1, 400.0, 1.0070214623868089e-20)]
+    )
+    def test_cusp_at_p_one_matches_mpmath(self, alpha, t, value):
+        # IncGamma(0, 1) on fig1: L(t) = int_0^1 exp(-t c(x)^alpha) e^-x dx
+        # / (1 - e^-1), with G_t's layer at 1 - x ~ 1e-17 for alpha = 0.1
+        # at t = 400.  mpmath integrates over the gap d = 1 - x, with
+        # c = sum_j pooled_j (1 - (1 - d)^j) and breakpoints 10^-k
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)
+
+            def integrand(d):
+                c = -mpmath.expm1(mpmath.log1p(-d)) - 0.5 * mpmath.expm1(2 * mpmath.log1p(-d))
+                return mpmath.exp(-t * c**a - (1 - d))
+
+            cuts = [mpmath.mpf(0)] + [mpmath.mpf(10) ** -k for k in range(40, -1, -2)]
+            want = mpmath.quad(integrand, cuts) / (1 - mpmath.exp(-1))
+        assert abs(value - want) <= 1e-15 * want
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = reliability(ShockModel(FIG1, alpha, IncGamma(0.0, 1.0)), t)
+        assert abs(got - want) <= 1e-10 * want
+
+    @pytest.mark.parametrize("alpha", (0.05, 0.5, 0.95))
+    @pytest.mark.parametrize("which", (1, 2))
+    def test_no_warning_up_to_t_400(self, which, alpha):
+        grid = [0.0, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 200.0, 400.0]
+        for law in LAWS + (IncGamma(0.0, 1.0), SineIntegral(0.0, 1.0)):
+            model = ShockModel(figure_rates(which), alpha, law)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = [v for _, v in reliability_curve(model, grid)]
+                split = [prob_failure_type(model, i) for i in range(2)]
+                densities = [failure_density(model, i, t) for i in range(2) for t in grid[1:]]
+            assert all(0.0 <= v <= 1.0 for v in values)
+            assert all(b <= a for a, b in zip(values, values[1:]))
+            assert 0.0 < math.fsum(split) < 1.0
+            assert all(d >= 0.0 for d in densities)
+
+    @pytest.mark.parametrize("alpha", (0.05, 0.5, 0.95))
+    @pytest.mark.parametrize("which", (1, 2))
+    def test_extreme_times_stay_probabilities(self, which, alpha):
+        for law in LAWS + (IncGamma(0.0, 1.0), SineIntegral(0.0, 1.0), Geometric(1.0)):
+            model = ShockModel(figure_rates(which), alpha, law)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = [reliability(model, t) for t in (1e-300, 1e-12, 1e5)]
+            assert all(0.0 <= v <= 1.0 for v in values)
+            assert values[0] >= values[1] >= values[2]
+
+    def test_a_subnormal_value_needs_no_relative_accuracy(self):
+        # L(1000) is about 1.3e-316: its terms keep a few digits each, so
+        # the error check holds it to the smallest normal double instead
+        model = ShockModel(FIG1, 0.99, SineIntegral(0.5, 0.6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = reliability(model, 1000.0)
+            density = failure_density(model, 0, 1000.0)
+        assert 0.0 < value < 1e-310 and 0.0 < density < value
+
+    def test_outputs_repeat_whatever_the_memo_state(self):
+        model = ShockModel(FIG2, 0.3, IncGamma(0.0, 1.0))
+
+        def outputs():
+            curve = reliability_curve(model, [0.0, 0.5, 10.0, 400.0])
+            return curve, prob_failure_type(model, 1), failure_density(model, 1, 2.0)
+
+        first = outputs()
+        assert outputs() == first
+        shock._mixture_rule.cache_clear()
+        shock._jump_rates.cache_clear()
+        assert outputs() == first
+
+
+class TestTableRouteStops:
+    def test_density_stops_on_its_mass_bound(self):
+        # the first 600 tails of geometric(0.5) on fig1 at t = 50: the
+        # level pmf sits near n = 60, so the terms stay above 1e-12 of
+        # the sum well past the absolute 1e-12 that used to stop it
+        model = ShockModel(FIG1, 0.5, twin(Geometric(0.5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = failure_density(model, 0, 50.0)
+        assert got == pytest.approx(4.972787835102395e-22, rel=1e-10, abs=0.0)
+
+    def test_density_warns_with_its_bound_at_the_cap(self):
+        # q_512 of geometric(1e-4) is 0.95: the bound cannot fall
+        model = ShockModel(FIG1, 0.9, twin(Geometric(1e-4)))
+        with pytest.warns(TruncationWarning, match=r"at most .* of h_i\(t\)"):
+            got = failure_density(model, 0, 1.0)
+        assert got > 0.0
+
+    def test_split_of_a_finite_threshold_is_exact(self):
+        # q_n = 0 from n = 3 on: the series has three terms, read whole
+        model = ShockModel(FIG1, 0.5, CustomThreshold((1.0, 0.6, 0.2)))
+        suffix = shock._jump_rates(FIG1, 0.5, 1)[1]
+        _, g = _tables(FIG1, 0.5, 32)
+        p = (0.4, 0.4, 0.2)
+        want = math.fsum(
+            p[n - 1] * g[s] * suffix[n - s - 1]
+            for n in (1, 2, 3)
+            for s in range(max(0, n - 2), n)
+        )
+        assert prob_failure_type(model, 1) == pytest.approx(want, rel=1e-14, abs=0.0)
