@@ -216,7 +216,7 @@ def tcgcp_transition_rate(rates, m, lbar):
     I_Z = int e^(-lam r) r^Z mu(dr), Z the total jump count: the jump's
     profile summed against the measure atoms _measure_atom(m, lam, Z).
     """
-    _check_state(rates, lbar)
+    lbar = _check_state(rates, lbar)
     if not any(lbar):
         raise ValueError("lbar must be a non-zero jump")
     lam = rates.total

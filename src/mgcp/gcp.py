@@ -8,6 +8,7 @@ to these formulas when the clock is deterministic.
 
 import itertools
 import math
+import operator
 
 from .compositions import enumerate_compositions
 
@@ -84,10 +85,21 @@ class RateMatrix:
 
 
 def _check_state(rates, nbar):
+    """The state nbar as a tuple of ints, checked against the rates.
+
+    Entries of any integer type (int, bool, numpy integers) are read
+    through operator.index; anything else raises ValueError, so whether
+    a state is accepted never depends on what a memo holds.
+    """
     if len(nbar) != rates.q:
         raise ValueError("state vector length must equal q")
-    if any(n < 0 for n in nbar):
+    try:
+        nbar = tuple(map(operator.index, nbar))
+    except TypeError:
+        raise ValueError("state entries must be integers") from None
+    if min(nbar) < 0:
         raise ValueError("state entries must be non-negative")
+    return nbar
 
 
 def component_symbol(row, u):
@@ -150,7 +162,7 @@ def gcp_pmf(rates_row, n, t):
 
 def mgcp_pmf(rates, nbar, t):
     """Joint pmf of the MGCP: product of independent component GCPs."""
-    _check_state(rates, nbar)
+    nbar = _check_state(rates, nbar)
     out = 1.0
     for row, n in zip(rates.rows, nbar):
         out *= gcp_pmf(row, n, t)
@@ -167,8 +179,8 @@ def mgcp_pmf_recurrence(rates, nbar, t):
     choices (j_1, ..., j_q).  Requires every n_i >= 1; interior states
     with exhausted components recurse over the active components only.
     """
-    _check_state(rates, nbar)
-    if any(n < 1 for n in nbar):
+    nbar = _check_state(rates, nbar)
+    if min(nbar) < 1:
         raise ValueError("recurrence needs every n_i >= 1")
     if not t > 0:
         raise ValueError("t must be positive")
@@ -209,7 +221,7 @@ def mgcp_pmf_recurrence(rates, nbar, t):
         memo[state] = val
         return val
 
-    return rec(tuple(int(n) for n in nbar))
+    return rec(nbar)
 
 
 def mgcp_pgf(rates, ubar, t):

@@ -396,19 +396,27 @@ def _level_pmf(model, t, nmax):
     return table @ pois
 
 
-@lru_cache(maxsize=32)
-def _jump_rates(rates, alpha, i):
-    """(J_i(1..k_i), suffix sums over l) for single-component jumps."""
+# at most this many (rates, alpha) keep their jump rates (_jump_rates); an
+# entry holds 2 (k_1 + ... + k_q) floats, so the memo stays small while it
+# holds every (rates, alpha) of a long sweep
+_JUMP_RATE_ENTRIES = 1024
+
+
+@lru_cache(maxsize=_JUMP_RATE_ENTRIES)
+def _jump_rates(rates, alpha):
+    """(J_i(1..k_i), suffix sums over l) for single-component jumps, per component i."""
     v = Mgsfcp(alpha)
-    ki = rates.ks[i]
-    js = []
-    for l in range(1, ki + 1):
-        jump = tuple(l if r == i else 0 for r in range(rates.q))
-        js.append(variant_transition_rate(v, rates, jump))
-    suffix = list(js)
-    for m in range(ki - 2, -1, -1):
-        suffix[m] += suffix[m + 1]
-    return tuple(js), tuple(suffix)
+    out = []
+    for i, ki in enumerate(rates.ks):
+        js = []
+        for l in range(1, ki + 1):
+            jump = tuple(l if r == i else 0 for r in range(rates.q))
+            js.append(variant_transition_rate(v, rates, jump))
+        suffix = list(js)
+        for m in range(ki - 2, -1, -1):
+            suffix[m] += suffix[m + 1]
+        out.append((tuple(js), tuple(suffix)))
+    return tuple(out)
 
 
 @lru_cache
@@ -434,7 +442,7 @@ def hazard_rate(model, i, l, nbar, t):
         raise ValueError("jump size out of range")
     if not t > 0:
         raise ValueError("t must be positive")
-    _check_state(rates, nbar)
+    nbar = _check_state(rates, nbar)
     alpha = model.alpha
     a = rates.total**alpha * t
 
@@ -452,7 +460,7 @@ def hazard_rate(model, i, l, nbar, t):
         return (-1.0) ** z * inner / math.factorial(z)
 
     total = _profile_sum(rates, nbar, ktilde)
-    numer = _jump_rates(rates, alpha, i)[0][l - 1] * math.exp(-a) * total
+    numer = _jump_rates(rates, alpha)[i][0][l - 1] * math.exp(-a) * total
     denom = variant_pmf(Mgsfcp(alpha), rates, nbar, t)
     if denom <= 0.0:
         raise ValueError("pmf vanishes at this state; hazard undefined")
@@ -548,7 +556,7 @@ def _quadrature_note(value, error, what):
 
 def _mixture_failure(model, i, t):
     """h_i(t), or Pr{type i} for t = None, by the mixture route."""
-    coef = np.array((0.0,) + _jump_rates(model.rates, model.alpha, i)[0])
+    coef = np.array((0.0,) + _jump_rates(model.rates, model.alpha)[i][0])
     if t is None:
         kernel, what = (lambda cpow, rows: 1.0 / cpow[None, :]), "Pr{type i}"
     else:
@@ -576,7 +584,7 @@ def _failure_series(model, i, levels, density):
     the cap it warns unless three consecutive terms are below 1e-12 with
     tails below 1e-8.
     """
-    suffix = _jump_rates(model.rates, model.alpha, i)[1]
+    suffix = _jump_rates(model.rates, model.alpha)[i][1]
     ki = len(suffix)
     nmax = _NMAX_START
     while True:

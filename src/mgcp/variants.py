@@ -122,14 +122,20 @@ class IgTC:
 
 _IDENTITY = subs.Identity()
 
+# at most this many variants keep their clock (_split)
+_SPLIT_ENTRIES = 64
 
+
+@lru_cache(maxsize=_SPLIT_ENTRIES)
 def _split(v):
     """(Levy clock, beta): the variant runs the Levy clock at inverse beta-stable time.
 
     The one place that reads variant fields.  alpha = 1 and beta = 1 are
     exact branch points: a stable or tempered clock at alpha = 1 is the
     identity (the one _IDENTITY), and inverse-stable time at beta = 1 is
-    plain time.
+    plain time.  Variants are frozen and hashable, so the clock is built
+    once per variant and memoised: equal variants share one clock object,
+    and a pmf cell pays no clock construction.
     """
     if isinstance(v, (Mgcp, Mgsfcp, Mgfcp, Mgstfcp)):
         # each is Mgstfcp with its missing parameters at 1
@@ -373,7 +379,13 @@ def variant_pmf(v, rates, nbar, t):
     laws) and shared by every cell of a box.
     The profile S is computed once per rates and state (jump_profile, an
     lru_cache of compositions._PROFILE_ENTRIES profiles) and shared by
-    every variant and time.
+    every variant and time.  The variant's clock is built once per
+    variant (_split, an lru_cache of _SPLIT_ENTRIES variants), so a warm
+    cell reads two memos and takes one correctly rounded dot product.
+
+    The entries of nbar may be of any integer type (int, bool, numpy
+    integers, as sample_variant_many draws them); anything else raises
+    ValueError, whatever the memos hold.
     """
     return _pmf(_pmf_series, v, rates, nbar, t)
 
@@ -391,7 +403,7 @@ def variant_pmf_wright(v, rates, nbar, t):
 
 def _pmf(route, v, rates, nbar, t):
     """The checks both pmf routes share; route(v, ...) does the rest."""
-    _check_state(rates, nbar)
+    nbar = _check_state(rates, nbar)
     if not t >= 0:
         raise ValueError("t must be non-negative")
     if t == 0:
@@ -417,7 +429,9 @@ def _pmf_series(v, rates, nbar, t):
     q, lg = _law(clock, beta, rates.total, t, _table_size(zmax))
     if zmax >= len(q):
         raise ValueError("t = %r is too large for the jump-count recursion" % (t,))
-    return _times_exp(math.fsum(s * x for s, x in zip(prof, q[z0:]) if s), lg)
+    # every q[z] is finite (_law stops at the first inf), so the zero
+    # entries of the profile add exact zeros
+    return _times_exp(math.fsum(map(operator.mul, prof, q[z0 : zmax + 1])), lg)
 
 
 def _wright_series(v, rates, nbar, t):
@@ -475,16 +489,16 @@ def variant_transition_rate(v, rates, mbar):
 
     sum_z S[z] nu_1(z) over the jump's profile S, nu_1 the clock's atoms.
     """
-    _check_state(rates, mbar)
+    mbar = _check_state(rates, mbar)
     if not any(mbar):
         raise ValueError("mbar must be a non-zero jump")
     clock, beta = _split(v)
     if beta != 1.0:
         raise ValueError("inverse-stable clocks give no constant rates")
-    profile = jump_profile(rates, mbar)
-    z0, s = profile
+    z0, s = jump_profile(rates, mbar)
     nu = _clock_atoms(clock, rates.total, _table_size(z0 + len(s) - 1))
-    return _kernel_sum(profile, mbar, lambda z: nu[z - 1])
+    # S[m] weighs nu_1(z0 + m) = nu[z0 + m - 1]; every atom is finite
+    return math.fsum(map(operator.mul, s, nu[z0 - 1 : z0 - 1 + len(s)]))
 
 
 def holding_rate(v, rates):
@@ -501,7 +515,7 @@ def variant_levy_measure(v, rates, nbar):
     For these subordinated Levy processes the measure is atomic on the
     jump lattice and each atom equals the constant transition rate.
     """
-    _check_state(rates, nbar)
+    nbar = _check_state(rates, nbar)
     if not any(nbar):
         raise ValueError("Levy measures exclude the origin")
     return variant_transition_rate(v, rates, nbar)

@@ -7,6 +7,7 @@ through the quadrature path, which never shortcuts to them.
 
 import math
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -364,3 +365,11 @@ TS = Named(TemperedStable(0.6, 1.0))
 def test_pgf_at_the_accepted_slack_is_at_most_one(pgf):
     """|u| <= 1 + 1e-12 is accepted; a large t must not amplify the slack."""
     assert pgf() <= 1.0
+
+
+def test_state_entries_of_any_integer_type():
+    m = Named(Stable(0.7))
+    want = tcgcp_transition_rate(FIG1, m, (1, 2))
+    assert tcgcp_transition_rate(FIG1, m, (np.int64(1), np.int64(2))) == want
+    with pytest.raises(ValueError, match="state entries must be integers"):
+        tcgcp_transition_rate(FIG1, m, (1.0, 2))

@@ -234,3 +234,17 @@ def test_nan_time_is_rejected():
 def test_nan_pgf_argument_is_rejected():
     with pytest.raises(ValueError, match=r"\|u_i\| <= 1"):
         mgcp_pgf(FIG1, (0.5, math.nan), 1.0)
+
+
+def test_state_entries_of_any_integer_type():
+    want = mgcp_pmf(FIG1, (2, 1), 1.0)
+    assert mgcp_pmf(FIG1, (np.int64(2), np.int32(1)), 1.0) == want
+    assert mgcp_pmf(FIG1, np.array([2, 1]), 1.0) == want
+    assert mgcp_pmf_recurrence(FIG1, (np.int64(2), np.int64(1)), 1.0) == mgcp_pmf_recurrence(
+        FIG1, (2, 1), 1.0
+    )
+    for state in ((2.0, 1.0), (2, 1.5), (np.float64(2.0), 1)):
+        with pytest.raises(ValueError, match="state entries must be integers"):
+            mgcp_pmf(FIG1, state, 1.0)
+        with pytest.raises(ValueError, match="state entries must be integers"):
+            mgcp_pmf_recurrence(FIG1, state, 1.0)

@@ -312,6 +312,12 @@ class TestHazardRate:
         with pytest.raises(ValueError):
             hazard_rate(MODEL, 0, 1, (0, 0), 0.0)
 
+    def test_state_entries_of_any_integer_type(self):
+        want = hazard_rate(MODEL, 1, 2, (3, 1), 2.0)
+        assert hazard_rate(MODEL, 1, 2, (np.int64(3), np.int64(1)), 2.0) == want
+        with pytest.raises(ValueError, match="state entries must be integers"):
+            hazard_rate(MODEL, 1, 2, (3.0, 1), 2.0)
+
 
 class TestReliability:
     def test_starts_at_one_and_decreases(self):
@@ -746,7 +752,7 @@ class TestTableRouteStops:
     def test_split_of_a_finite_threshold_is_exact(self):
         # q_n = 0 from n = 3 on: the series has three terms, read whole
         model = ShockModel(FIG1, 0.5, CustomThreshold((1.0, 0.6, 0.2)))
-        suffix = shock._jump_rates(FIG1, 0.5, 1)[1]
+        suffix = shock._jump_rates(FIG1, 0.5)[1][1]
         _, g = _tables(FIG1, 0.5, 32)
         p = (0.4, 0.4, 0.2)
         want = math.fsum(
@@ -755,3 +761,26 @@ class TestTableRouteStops:
             for s in range(max(0, n - 2), n)
         )
         assert prob_failure_type(model, 1) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+class TestJumpRateMemo:
+    def test_a_second_pass_over_an_alpha_sweep_misses_nothing(self):
+        # 19 alphas on two rate matrices: one entry per (rates, alpha) holds
+        # every component's jump rates
+        models = [
+            ShockModel(rates, round(0.05 * k, 2), Geometric(0.5))
+            for rates in (FIG1, FIG2)
+            for k in range(1, 20)
+        ]
+
+        def sweep():
+            for model in models:
+                for i in range(model.rates.q):
+                    failure_density(model, i, 1.0)
+                    prob_failure_type(model, i)
+
+        shock._jump_rates.cache_clear()
+        sweep()
+        assert shock._jump_rates.cache_info().misses == len(models)
+        sweep()
+        assert shock._jump_rates.cache_info().misses == len(models)

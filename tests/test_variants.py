@@ -8,11 +8,13 @@ codifference.  The generating call is quoted next to each value.
 """
 
 import cmath
+import dataclasses
 import itertools
 import math
 import time
 import warnings
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
@@ -21,6 +23,7 @@ from oracles import fractional_poisson_law, negative_binomial_law, space_time_fr
 from mgcp.bernstein import Named, g_lambda_u
 from mgcp.compositions import enumerate_compositions, jump_profile
 from mgcp.gcp import RateMatrix, component_symbol, mgcp_pmf
+from mgcp.montecarlo import sample_variant_many
 from mgcp.specfun import NumericsWarning, mittag_leffler
 from mgcp.subordinators import (
     GammaSub,
@@ -1002,6 +1005,7 @@ def _clear_memos():
         compositions_module._powers,
         variants_module._law,
         variants_module._clock_atoms,
+        variants_module._split,
     ):
         memo.cache_clear()
 
@@ -1508,3 +1512,94 @@ def test_infinite_time_codifference_is_rejected(v):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="t = inf"):
             codifference(v, FIG1, 0, 1, math.inf)
+
+
+SEVEN = [
+    Mgcp(),
+    Mgsfcp(0.7),
+    Mgfcp(0.8),
+    Mgstfcp(0.7, 0.8),
+    Tempered(0.6, 1.0),
+    GammaTC(1.0, 2.0),
+    IgTC(1.0, 1.5),
+]
+
+
+class TestClockMemo:
+    """_split builds each variant's clock once; every cell reads that clock."""
+
+    @pytest.mark.parametrize("v", SEVEN, ids=vid)
+    def test_equal_variants_share_one_clock(self, v):
+        twin = type(v)(*(getattr(v, f.name) for f in dataclasses.fields(v)))
+        assert twin is not v
+        assert _split(v) is _split(twin)
+
+    @pytest.mark.parametrize(
+        "ints, floats", [(Mgsfcp(1), Mgsfcp(1.0)), (Tempered(0.6, 1), Tempered(0.6, 1.0))], ids=vid
+    )
+    @pytest.mark.parametrize("t", [1.0, 20.0])
+    def test_integer_fields_give_the_float_box(self, ints, floats, t):
+        # equal variants share a memo entry, so the first to arrive sets the
+        # clock every later one reads: each side is filled from cold memos
+        states = list(itertools.product(range(9), range(9)))
+
+        def box(v):
+            _clear_memos()
+            return [variant_pmf(v, FIG1, n, t).hex() for n in states]
+
+        assert box(ints) == box(floats)
+
+    @pytest.mark.parametrize("v", SEVEN, ids=vid)
+    @pytest.mark.parametrize("t", [1.0, 20.0])
+    def test_box_after_the_clock_memo_is_cleared(self, v, t):
+        states = list(itertools.product(range(13), range(13)))
+        warm = [variant_pmf(v, FIG1, n, t).hex() for n in states]
+        _split.cache_clear()
+        assert [variant_pmf(v, FIG1, n, t).hex() for n in states] == warm
+
+
+class TestStateEntryTypes:
+    """Any integer type is a state entry, memo cold or warm; nothing else is."""
+
+    def test_numpy_ints_on_a_cold_memo(self):
+        v = Mgsfcp(0.7)
+        state = (np.int64(2), np.int64(1))
+        _clear_memos()
+        got = variant_pmf(v, FIG1, state, 1.0), variant_transition_rate(v, FIG1, state)
+        _clear_memos()
+        assert got == (variant_pmf(v, FIG1, (2, 1), 1.0), variant_transition_rate(v, FIG1, (2, 1)))
+
+    @pytest.mark.parametrize("v", SEVEN, ids=vid)
+    def test_sampled_states_on_a_cold_memo(self, v):
+        states = sample_variant_many(v, FIG1, 1.0, np.random.default_rng(3), 12)
+        for state in states:
+            _clear_memos()
+            got = variant_pmf(v, FIG1, state, 1.0)
+            _clear_memos()
+            assert got == variant_pmf(v, FIG1, tuple(map(int, state)), 1.0), state
+
+    @pytest.mark.parametrize("state", [(2.0, 1), (2, 1.0), (np.float64(2.0), 1), ("2", 1)], ids=repr)
+    @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+    def test_other_entries_raise_whatever_the_memo_holds(self, state, cold):
+        v = Mgsfcp(0.7)
+        if cold:
+            _clear_memos()
+        else:
+            variant_pmf(v, FIG1, (2, 1), 1.0)
+            variant_transition_rate(v, FIG1, (2, 1))
+        for call in (
+            lambda: variant_pmf(v, FIG1, state, 1.0),
+            lambda: variant_pmf_wright(v, FIG1, state, 1.0),
+            lambda: variant_transition_rate(v, FIG1, state),
+            lambda: variant_levy_measure(v, FIG1, state),
+        ):
+            with pytest.raises(ValueError, match="state entries must be integers"):
+                call()
+
+    def test_bools_and_numpy_arrays_are_integer_states(self):
+        v = Tempered(0.6, 0.9)
+        want = variant_pmf(v, FIG1, (1, 0), 1.0)
+        assert variant_pmf(v, FIG1, (True, False), 1.0) == want
+        assert variant_pmf(v, FIG1, np.array([1, 0], dtype=np.uint8), 1.0) == want
+        with pytest.raises(ValueError, match="non-negative"):
+            variant_pmf(v, FIG1, np.array([1, -1]), 1.0)
