@@ -91,9 +91,10 @@ from .shock import (
 
 __version__ = "0.1.0"
 
-# The quadrature layer loads scipy.integrate, and neither it nor the
-# Monte Carlo layer is on a closed-form path, so their names are looked
-# up on first use (PEP 562).  Each access reads the submodule attribute
+# Neither the quadrature layer nor the Monte Carlo layer is on a
+# closed-form path, so their names are looked up on first use (PEP 562);
+# the quadrature layer in turn loads scipy.integrate on its first
+# quadrature.  Each access reads the submodule attribute
 # afresh rather than caching it here, so a later rebinding of that
 # attribute is what the package name returns.
 _LAZY = {

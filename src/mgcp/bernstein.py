@@ -14,6 +14,11 @@ quadrature.  Custom densities must be safe to call concurrently.
 The module keeps one piece of shared state: a bounded memo of the
 measure atoms nu_1(k) (_measure_atom), keyed by the measure itself, so
 a Custom density must be pure, giving the same value for the same s.
+
+scipy.integrate is loaded on the first quadrature, not on import: quad
+is a module attribute bound on first access (PEP 562), and _quad reads
+it on every call, so a rebinding of bernstein.quad is what integrates.
+Building a Custom integrates, so it loads scipy.integrate too.
 """
 
 import math
@@ -23,12 +28,20 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .gcp import _check_state, _pgf_exponent
 from .specfun import mittag_leffler
 from .variants import _profile_sum
 from . import subordinators as subs
+
+
+def __getattr__(name):
+    if name == "quad":
+        from scipy.integrate import quad
+
+        globals()["quad"] = quad
+        return quad
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 class QuadratureError(RuntimeError):
@@ -84,8 +97,8 @@ class Custom:
             self.singularity_exponent < 1.0
         ):
             raise ValueError("singularity exponent must be < 1")
-        if self.decay_rate is not None and self.decay_rate <= 0:
-            raise ValueError("decay rate must be positive")
+        if self.decay_rate is not None and not 0.0 < self.decay_rate < math.inf:
+            raise ValueError("decay rate must be positive and finite")
         # the defining requirement int (1 ^ s) mu(ds) < inf
         try:
             head, head_err = _head(
@@ -110,9 +123,11 @@ def _tail_top(m):
 
 
 def _quad(fn, lo, hi):
+    # the module attribute, bound on first use and read afresh each call
+    integrate = globals().get("quad") or __getattr__("quad")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return quad(fn, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
+        return integrate(fn, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
 
 
 def _probe_power(fn):
@@ -164,7 +179,7 @@ def _substituted(fn, p):
 
 def bernstein_f(m, s):
     """The Bernstein function f(s) = int (1 - e^(-s r)) mu(dr)."""
-    if s < 0:
+    if not s >= 0:
         raise ValueError("s must be non-negative")
     if s == 0:
         return 0.0

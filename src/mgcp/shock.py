@@ -111,6 +111,10 @@ class Geometric:
         """mu = the unit atom at x = 1 - p."""
         return Atom(self.p)
 
+    def tail(self, n):
+        """q_n for n >= 1."""
+        return (1.0 - self.p) ** n
+
 
 @dataclass(frozen=True)
 class Logarithmic:
@@ -131,6 +135,10 @@ class Logarithmic:
         norm = -math.log1p(-self.p)
         return Density(0.0, self.p, lambda x, gap: 1.0 / (gap * norm))
 
+    def tail(self, n):
+        """q_n for n >= 1."""
+        return incomplete_beta(self.p, n + 1.0, 0.0) / -math.log1p(-self.p)
+
 
 @dataclass(frozen=True)
 class IncGamma:
@@ -147,6 +155,11 @@ class IncGamma:
         """mu(dx) = e^(-x) dx / (e^(-a) - e^(-p)) on (a, p)."""
         norm = math.exp(-self.a) - math.exp(-self.p)
         return Density(self.a, self.p, lambda x, gap: np.exp(-x) / norm)
+
+    def tail(self, n):
+        """q_n for n >= 1."""
+        norm = math.exp(-self.a) - math.exp(-self.p)
+        return generalized_incomplete_gamma(n + 1.0, self.a, self.p) / norm
 
 
 @dataclass(frozen=True)
@@ -165,6 +178,11 @@ class SineIntegral:
         norm = math.cos(self.a) - math.cos(self.p)
         return Density(self.a, self.p, lambda x, gap: np.sin(x) / norm)
 
+    def tail(self, n):
+        """q_n for n >= 1."""
+        norm = math.cos(self.a) - math.cos(self.p)
+        return generalized_sine_integral(n + 1.0, self.a, self.p) / norm
+
 
 @dataclass(frozen=True)
 class CustomThreshold:
@@ -177,12 +195,18 @@ class CustomThreshold:
         object.__setattr__(self, "q", q)
         if not q or q[0] != 1.0:
             raise ValueError("q_0 must be 1")
+        if not all(math.isfinite(x) for x in q):
+            raise ValueError("tails must be finite")
         if any(b > a for a, b in zip(q, q[1:])) or q[-1] < 0.0:
             raise ValueError("tails must be non-increasing and non-negative")
 
     def mixture(self):
         """None: any tail sequence, so the table route sums its series."""
         return None
+
+    def tail(self, n):
+        """q_n for n >= 1."""
+        return self.q[n] if n < len(self.q) else 0.0
 
 
 def threshold_tail(d, n):
@@ -191,19 +215,11 @@ def threshold_tail(d, n):
         raise ValueError("n must be non-negative")
     if n == 0:
         return 1.0
-    if isinstance(d, Geometric):
-        return (1.0 - d.p) ** n
-    if isinstance(d, Logarithmic):
-        return incomplete_beta(d.p, n + 1.0, 0.0) / -math.log1p(-d.p)
-    if isinstance(d, IncGamma):
-        norm = math.exp(-d.a) - math.exp(-d.p)
-        return generalized_incomplete_gamma(n + 1.0, d.a, d.p) / norm
-    if isinstance(d, SineIntegral):
-        norm = math.cos(d.a) - math.cos(d.p)
-        return generalized_sine_integral(n + 1.0, d.a, d.p) / norm
-    if isinstance(d, CustomThreshold):
-        return d.q[n] if n < len(d.q) else 0.0
-    raise ValueError("unknown threshold law %r" % (d,))
+    try:
+        tail = d.tail
+    except AttributeError:
+        raise ValueError("unknown threshold law %r" % (d,)) from None
+    return tail(n)
 
 
 def threshold_pmf(d, n):

@@ -182,7 +182,7 @@ def mittag_leffler(alpha, beta, gamma, x):
     on the Talbot contour instead (_ml_contour), unless gamma != 1 meets
     a pole s^alpha = x on the principal sheet.
     """
-    if alpha <= 0 or beta <= 0 or gamma <= 0:
+    if not (alpha > 0 and beta > 0 and gamma > 0):
         raise ValueError("alpha, beta, gamma must be positive")
     if x == 0:
         return reciprocal_gamma(beta)

@@ -82,8 +82,8 @@ class TemperedStable(_Tempered):
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
 
     def sample(self, t, rng, size):
         return _tempered_stable(self.alpha, self.theta, t, rng, size)
@@ -98,8 +98,8 @@ class GammaSub:
     singularity_exponent = 0.0
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("a and b must be positive")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise ValueError("a and b must be positive and finite")
 
     def exponent(self, w):
         if isinstance(w, complex):
@@ -127,8 +127,8 @@ class InverseGaussian:
     singularity_exponent = 0.5
 
     def __post_init__(self):
-        if self.delta <= 0 or self.gamma <= 0:
-            raise ValueError("delta and gamma must be positive")
+        if not (0.0 < self.delta < math.inf and 0.0 < self.gamma < math.inf):
+            raise ValueError("delta and gamma must be positive and finite")
 
     def exponent(self, w):
         sqrt = cmath.sqrt if isinstance(w, complex) else math.sqrt
@@ -210,14 +210,14 @@ def laplace_exponent(spec, s):
     Defined for the Levy clocks only; a clock at inverse-stable time
     has no such exponent.
     """
-    if s < 0:
+    if not s >= 0:
         raise ValueError("s must be non-negative")
     return _method(spec, "exponent", "%r is not a Levy subordinator")(s)
 
 
 def levy_density(spec, s):
     """Density of the clock's Levy measure at s > 0."""
-    if s <= 0:
+    if not s > 0:
         raise ValueError("s must be positive")
     return _method(spec, "density", "%r has no Levy density")(s)
 

@@ -92,8 +92,8 @@ class Tempered:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,8 @@ class GammaTC:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("a and b must be positive")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise ValueError("a and b must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,8 @@ class IgTC:
     gamma: float
 
     def __post_init__(self):
-        if self.delta <= 0 or self.gamma <= 0:
-            raise ValueError("delta and gamma must be positive")
+        if not (0.0 < self.delta < math.inf and 0.0 < self.gamma < math.inf):
+            raise ValueError("delta and gamma must be positive and finite")
 
 
 _IDENTITY = subs.Identity()

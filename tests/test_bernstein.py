@@ -90,6 +90,13 @@ class TestMeasureValidation:
         with pytest.raises(ValueError):
             Custom(lambda s: math.exp(-s), decay_rate=0.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_custom_rejects_a_decay_rate_that_is_not_finite(self, rate):
+        # a nan rate once set the tail's end to nan, and quad returned a
+        # wrong f(1) without complaint
+        with pytest.raises(ValueError, match="decay rate"):
+            Custom(lambda s: math.exp(-s) * s**-1.5, singularity_exponent=0.5, decay_rate=rate)
+
     def test_custom_rejects_non_integrable_density(self):
         # s^(-2) fails int_0^1 s mu(ds)
         with pytest.raises(ValueError, match="integrable"):
@@ -108,6 +115,8 @@ def test_bernstein_f_named_is_closed_form(spec):
     assert bernstein_f(Named(spec), 0.0) == 0.0
     with pytest.raises(ValueError):
         bernstein_f(Named(spec), -1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        bernstein_f(Named(spec), math.nan)
 
 
 @pytest.mark.parametrize("spec", NAMED_SPECS, ids=sid)
@@ -337,6 +346,26 @@ def test_quadrature_route_never_uses_the_closed_form_exponent(spec, monkeypatch)
     )
     assert got == want
     assert bernstein._measure_atom.cache_info().misses > 0
+
+
+def test_quadrature_reads_the_rebound_quad(monkeypatch):
+    """A wrapper bound to bernstein.quad is what integrates, unchanged."""
+    m = Named(Stable(0.7))
+    bernstein._measure_atom.cache_clear()
+    want = tcgcp_transition_rate(FIG1, m, (1, 0))
+    calls = []
+    inner = bernstein.quad
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(bernstein, "quad", counting)
+    bernstein._measure_atom.cache_clear()
+    assert tcgcp_transition_rate(FIG1, m, (1, 0)) == want
+    assert calls
+    monkeypatch.undo()
+    assert bernstein.quad is inner
 
 
 def test_nan_time_and_argument_are_rejected():

@@ -117,6 +117,24 @@ class TestPmfCommand:
         assert code == 2
         assert "box length" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["levy", "--model", MODEL, "--variant", "ig", "--delta", "1", "--gamma",
+             "nan", "--box", "1,1"],
+            ["moments", "--model", MODEL, "--variant", "tempered", "--alpha", "0.6",
+             "--theta", "nan"],
+            ["reliability", "--model", MODEL, "--alpha", "0.5", "--threshold",
+             "custom:1,nan,0.2", "--tgrid", "0:1:0.5"],
+        ],
+        ids=["levy", "moments", "reliability"],
+    )
+    def test_nan_parameter_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     @pytest.mark.parametrize("command", ["pmf", "levy"])
     def test_negative_box_entry_exits_2(self, capsys, command):
         code, out, err = run(

@@ -4,7 +4,9 @@ The closed-form and sampling layers need only numpy and the math
 module, so neither `import mgcp` nor any CLI command loads a scipy
 module; the quadrature (`bernstein`) and Monte Carlo (`montecarlo`)
 layers load on first use, and the package names they export still
-resolve.
+resolve.  Importing the quadrature layer, or building a `Named`
+measure, loads no scipy module either: `scipy.integrate` comes with
+the first quadrature.
 """
 
 import importlib
@@ -145,6 +147,36 @@ def test_simulate_loads_montecarlo_without_scipy():
     )
     assert "mgcp.montecarlo" in loaded
     assert not _scipy(loaded)
+
+
+def test_bernstein_import_loads_no_scipy():
+    script = (
+        "import sys\n"
+        "import mgcp.bernstein\n"
+        "from mgcp import Named, Stable\n"
+        "Named(Stable(0.7))\n"
+        "print('\\n'.join(sys.modules))\n"
+    )
+    proc = _child(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "mgcp.bernstein" in loaded
+    assert not _scipy(loaded)
+
+
+def test_first_quadrature_loads_scipy_integrate():
+    script = (
+        "import sys\n"
+        "from mgcp import Named, Stable, bernstein, figure_rates\n"
+        "before = 'scipy.integrate' in sys.modules\n"
+        "bernstein.tcgcp_transition_rate(figure_rates(1), Named(Stable(0.7)), (1, 0))\n"
+        "import scipy.integrate\n"
+        "print(before, 'scipy.integrate' in sys.modules,\n"
+        "      bernstein.quad is scipy.integrate.quad)\n"
+    )
+    proc = _child(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True"]
 
 
 def test_montecarlo_stats_loads_on_first_access():

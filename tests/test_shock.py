@@ -125,6 +125,21 @@ class TestThresholdLaws:
         with pytest.raises(ValueError):
             CustomThreshold((1.0, -0.1))
 
+    @pytest.mark.parametrize(
+        "q", [(1.0, math.nan, 0.2), (1.0, 0.5, math.nan), (1.0, -math.inf)]
+    )
+    def test_custom_threshold_rejects_entries_that_are_not_finite(self, q):
+        with pytest.raises(ValueError):
+            CustomThreshold(q)
+
+    @pytest.mark.parametrize(
+        "d", LAWS + (CustomThreshold((1.0, 0.6, 0.2)),), ids=lambda d: type(d).__name__
+    )
+    def test_threshold_tail_reads_the_law_tail(self, d):
+        for n in (1, 2, 3, 40):
+            assert threshold_tail(d, n) == d.tail(n)
+        assert threshold_tail(d, 0) == 1.0
+
     def test_tails_are_monotone_probabilities(self):
         laws = [
             Geometric(0.3),

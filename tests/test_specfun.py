@@ -102,6 +102,16 @@ def test_ml_rejects_bad_parameters():
         mittag_leffler(0.5, -1.0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("at", range(3))
+def test_ml_rejects_a_nan_parameter(at):
+    params = [0.5, 1.0, 1.0]
+    params[at] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="positive"):
+            mittag_leffler(*params, 0.5)
+
+
 @pytest.mark.parametrize("alpha", [0.4, 0.7, 1.0])
 @pytest.mark.parametrize("beta", [0.5, 1.0, 1.6])
 @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.5])

@@ -97,6 +97,27 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             InverseStableTime(Stable(0.5), 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: Stable(x),
+            lambda x: TemperedStable(x, 1.0),
+            lambda x: TemperedStable(0.5, x),
+            lambda x: GammaSub(x, 1.0),
+            lambda x: GammaSub(1.0, x),
+            lambda x: InverseGaussian(x, 1.0),
+            lambda x: InverseGaussian(1.0, x),
+            lambda x: InverseStableTime(Identity(), x),
+        ],
+        ids=["Stable", "TemperedStable.alpha", "TemperedStable.theta", "GammaSub.a",
+             "GammaSub.b", "InverseGaussian.delta", "InverseGaussian.gamma",
+             "InverseStableTime.beta"],
+    )
+    def test_nan_and_inf_parameters(self, make, bad):
+        with pytest.raises(ValueError):
+            make(bad)
+
 
 class TestLaplaceExponent:
     def test_known_values(self):
@@ -124,6 +145,8 @@ class TestLaplaceExponent:
     def test_rejects_negative_s(self):
         with pytest.raises(ValueError):
             laplace_exponent(Stable(0.5), -1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            laplace_exponent(Stable(0.5), math.nan)
 
 
 @pytest.mark.parametrize("spec", LEVY_CLOCKS, ids=lambda c: type(c).__name__)
@@ -146,6 +169,8 @@ def test_levy_density_rejects_non_levy():
         levy_density(Identity(), 1.0)
     with pytest.raises(ValueError):
         levy_density(Stable(0.5), 0.0)
+    with pytest.raises(ValueError, match="positive"):
+        levy_density(Stable(0.5), math.nan)
 
 
 def test_singularity_exponents():

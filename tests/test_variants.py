@@ -102,6 +102,28 @@ class TestVariantValidation:
         Mgfcp(1.0)
         Mgstfcp(1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: Mgsfcp(x),
+            lambda x: Mgfcp(x),
+            lambda x: Mgstfcp(x, 0.5),
+            lambda x: Mgstfcp(0.5, x),
+            lambda x: Tempered(x, 1.0),
+            lambda x: Tempered(0.5, x),
+            lambda x: GammaTC(x, 1.0),
+            lambda x: GammaTC(1.0, x),
+            lambda x: IgTC(x, 1.0),
+            lambda x: IgTC(1.0, x),
+        ],
+        ids=["Mgsfcp", "Mgfcp", "Mgstfcp.alpha", "Mgstfcp.beta", "Tempered.alpha",
+             "Tempered.theta", "GammaTC.a", "GammaTC.b", "IgTC.delta", "IgTC.gamma"],
+    )
+    def test_nan_and_inf_parameters(self, make, bad):
+        with pytest.raises(ValueError):
+            make(bad)
+
 
 class TestClockSpec:
     def test_mapping(self):
