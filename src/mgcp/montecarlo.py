@@ -6,12 +6,15 @@ against the analytic layer in SE units and report pass/fail at a chosen
 sigma level.
 
 Every estimator draws through the same sampler: a clock value from
-subordinators.sample_many, then per component a Poisson jump total that
-k - 1 binomials split over its k sizes of positive rate, the last size
-taking the remainder.  The pmf estimator splits its draws into chunks
-of a fixed size and draws chunk k on its own Philox stream
-stream_rng(seed, k), so the aggregate counts are a pure function of
-(seed, n_samples) and the worker count only sizes the thread pool.
+subordinators.sample_many, then per component a count read off one
+uniform.  Up to a row mean of _INVERT_UP_TO the count inverts its
+compound Poisson law, stepped by Panjer's recursion; past it a numpy
+Poisson jump total is split over the k sizes of positive rate by
+k - 1 binomials, the last size taking the remainder.  The pmf estimator
+splits its draws into chunks of a fixed size and draws chunk k on its
+own Philox stream stream_rng(seed, k), so the aggregate counts are a
+pure function of (seed, n_samples): one worker runs the chunks in
+order in the calling thread, and more run them on a thread pool.
 Operational times are capped at 2^62 over the largest jump size and row
 total, so every count fits in int64.  The pmf estimator moves a clock
 draw past the cap onto it, since such a draw lies far outside any box;
@@ -21,7 +24,7 @@ count.
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,15 @@ from .variants import clock_spec, codifference, covariance, variant_pmf
 _TAIL_MASS = 1e-6
 _MIN_EXPECTED = 5.0
 _CHUNK = 1 << 15
+# the row mean Lambda_i T up to which a count is drawn by inversion;
+# numpy's own Poisson sampler switches method at mean 10 in the same way
+_INVERT_UP_TO = 16.0
+# the codifference estimator reads cos and sin of counts below this size
+# from a table: numpy's float64 sin and cos run element by element on
+# some hosts, where a table read is a gather
+_TRIG_SIZE = 1024
+_COS = np.cos(np.arange(_TRIG_SIZE, dtype=float))
+_SIN = np.sin(np.arange(_TRIG_SIZE, dtype=float))
 
 
 def __getattr__(name):
@@ -96,15 +108,114 @@ def _report(kind, n, seed, sigma, cells):
     )
 
 
-def _component_counts(row, operational, rng):
-    """Vector of component counts: a Poisson jump total thinned by size.
+def _sample_count(n_samples, least):
+    """n_samples as an int, read through operator.index, or ValueError.
 
-    The sizes with positive rate share the total by k - 1 binomials, each
-    on what the sizes before it left, at its rate over the rates of the
-    sizes from it on; the last size takes the remainder.
+    Anything but an integer of at least least raises, as a state entry
+    does in gcp._check_state.
     """
+    try:
+        n_samples = operator.index(n_samples)
+    except TypeError:
+        raise ValueError("the sample count must be an integer") from None
+    if n_samples < least:
+        raise ValueError("need at least %d samples" % least)
+    return n_samples
+
+
+def _component_counts(row, operational, rng):
+    """Vector of component counts, one per operational time T.
+
+    Each count is read off one uniform of a block the row draws for all
+    its draws.  A draw whose row mean Lambda_i T is at most _INVERT_UP_TO
+    inverts its count's law at that uniform (_inverted_counts).  Past the
+    switch its uniform goes unused and a numpy Poisson jump total is
+    thinned by size: the sizes with positive rate share it by k - 1
+    binomials, each on what the sizes before it left, at its rate over
+    the rates of the sizes from it on; the last size takes the remainder.
+    """
+    total = math.fsum(row)
+    u = rng.random(operational.size)
+    heavy = np.flatnonzero(operational * total > _INVERT_UP_TO)
+    # a zero uniform settles at count 0 on the first step
+    u[heavy] = 0.0
+    counts = _inverted_counts(row, total, operational, u)
+    if heavy.size:
+        counts[heavy] = _thinned_counts(row, total, operational[heavy], rng)
+    return counts
+
+
+def _inverted_counts(row, total, operational, u):
+    """The least n with Pr{N <= n} >= u, N the row's count at each T.
+
+    N is compound Poisson, and Panjer's recursion gives its pmf:
+    p_0 = exp(-Lambda_i T), p_n = (T/n) sum_j j lambda_ij p_(n-j).  Each
+    step adds p_n to every unsettled draw's cdf; once at most a quarter
+    of the draws stepped are unsettled, the steps go on over those only.
+    A u above every cdf value the doubles reach, which needs u within
+    rounding of 1, settles where the cdf has stopped growing: at the
+    first n of 16, 32, 64, ... at or past the draw's mean count
+    T sum_j j lambda_ij, less one, at which adding the largest of the
+    last k terms leaves its cdf unchanged.  Past the mean no later term
+    exceeds that largest one, so no later step could settle the draw.
+    u is overwritten.
+    """
+    weights = [(j, j * lam) for j, lam in enumerate(row, start=1) if lam > 0.0]
+    depth = weights[-1][0]
+    mean_rate = math.fsum(w for _, w in weights)
+    p = np.exp(-total * operational)
+    recent = [p]
+    cdf = p.copy()
+    below = cdf < u
+    count = below.astype(np.int64)
+    index, stepped = None, count
+    n = 0
+    while (active := np.count_nonzero(below)) > 0:
+        if 4 * active <= below.size:
+            keep = np.flatnonzero(below)
+            if index is None:
+                index = keep
+            else:
+                count[index] = stepped
+                index = index[keep]
+            operational, u, cdf, stepped = (
+                a[keep] for a in (operational, u, cdf, stepped)
+            )
+            recent = [r[keep] for r in recent]
+            below = np.ones(keep.size, dtype=bool)
+        n += 1
+        p = _panjer_term(weights, recent, operational, n)
+        recent = [p, *recent[: depth - 1]]
+        cdf += p
+        np.less(cdf, u, out=below)
+        if n >= 16 and n & (n - 1) == 0:
+            stalled = below & (operational * mean_rate <= n + 1)
+            stalled &= cdf + np.maximum.reduce(recent) == cdf
+            below &= ~stalled
+            u[stalled] = 0.0
+        stepped += below
+    if index is not None:
+        count[index] = stepped
+    return count
+
+
+def _panjer_term(weights, recent, operational, n):
+    """p_n = (T/n) sum_j j lambda_ij p_(n-j), recent holding p_(n-1), p_(n-2), ..."""
+    term = None
+    for j, w in weights:
+        if j <= len(recent):
+            part = recent[j - 1] * (w / n)
+            term = part if term is None else np.add(term, part, out=term)
+    if term is None:
+        return np.zeros_like(operational)
+    term *= operational
+    return term
+
+
+def _thinned_counts(row, total, operational, rng):
+    """Counts from a Poisson jump total and k - 1 binomials by size."""
     sizes = [(j, lam) for j, lam in enumerate(row, start=1) if lam > 0.0]
-    remaining = rng.poisson(math.fsum(row) * operational)
+    remaining = rng.poisson(total * operational)
     *thinned, (last, _) = sizes
     parts = []
     for idx, (j, lam) in enumerate(thinned):
@@ -198,22 +309,29 @@ def estimate_pmf(v, rates, t, box, n_samples, seed, workers=1, sigma=4.0):
     to a near-empty cell.
     Draw k*_CHUNK + j is draw j of stream_rng(seed, k), so the counts,
     and hence the report, are identical for any workers value at a fixed
-    seed; the worker count only sizes the thread pool.
+    seed: one worker runs the chunks in order in this thread, and more
+    run them on a thread pool of that size.  n_samples must be an
+    integer of at least 1000.
     """
-    if n_samples < 1000:
-        raise ValueError("need at least 1000 samples")
+    n_samples = _sample_count(n_samples, 1000)
     if len(box) != rates.q or any(b < 0 for b in box):
         raise ValueError("box must be a state vector")
     if workers < 1:
         raise ValueError("workers must be positive")
     dims = np.asarray(box, dtype=np.int64) + 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(
-                lambda k: _pmf_counts(v, rates, t, seed, k, n_samples, dims),
-                range(-(-n_samples // _CHUNK)),
-            )
-        )
+
+    def chunk(k):
+        return _pmf_counts(v, rates, t, seed, k, n_samples, dims)
+
+    chunks = range(-(-n_samples // _CHUNK))
+    if workers == 1:
+        parts = list(map(chunk, chunks))
+    else:
+        # loaded here only: a one-worker run needs no pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(chunk, chunks))
     counts = sum(p[0] for p in parts)
     outside = sum(p[1] for p in parts)
 
@@ -240,8 +358,7 @@ def estimate_pmf(v, rates, t, box, n_samples, seed, workers=1, sigma=4.0):
 
 def estimate_covariance(v, rates, i, l, t, n_samples, seed, sigma=3.0):
     """Sample covariance of (N_i, N_l) vs the closed form."""
-    if n_samples < 10**4:
-        raise ValueError("need at least 10^4 samples")
+    n_samples = _sample_count(n_samples, 10**4)
     analytic = covariance(v, rates, i, l, t)
     rng = subs.stream_rng(seed, 0)
     samples = sample_variant_many(v, rates, t, rng, n_samples)
@@ -267,12 +384,30 @@ def _ecf_moments(x, y):
     their products: one mean and one Gram matrix of the centred rows.
     """
     n = len(x)
-    cx, sx, cy, sy = np.cos(x), np.sin(x), np.cos(y), np.sin(y)
+    (cx, sx), (cy, sy) = _cos_sin(x), _cos_sin(y)
     rows = np.stack([cx * cy + sx * sy, cx, cy, sx * cy - cx * sy, sx, -sy])
     mean6 = rows.mean(axis=1)
     rows -= mean6[:, None]
     cov6 = (rows @ rows.T) / ((n - 1) * n)
     return mean6[:3] + 1j * mean6[3:], cov6
+
+
+def _cos_sin(counts):
+    """np.cos and np.sin of integer counts, read from a table below _TRIG_SIZE.
+
+    The table holds np.cos and np.sin of 0 .. _TRIG_SIZE - 1, and counts
+    past it take them directly, so every value is bit-identical to the
+    direct call.
+    """
+    past = np.flatnonzero(counts >= _TRIG_SIZE)
+    if not past.size:
+        return _COS[counts], _SIN[counts]
+    inside = counts.copy()
+    inside[past] = 0
+    cos, sin = _COS[inside], _SIN[inside]
+    cos[past] = np.cos(counts[past])
+    sin[past] = np.sin(counts[past])
+    return cos, sin
 
 
 def estimate_codifference(v, rates, i, l, t, n_samples, seed, sigma=3.0):
@@ -284,8 +419,7 @@ def estimate_codifference(v, rates, i, l, t, n_samples, seed, sigma=3.0):
     the 6-dimensional real covariance of (A, B, C) estimated from the
     same draws.
     """
-    if n_samples < 10**4:
-        raise ValueError("need at least 10^4 samples")
+    n_samples = _sample_count(n_samples, 10**4)
     analytic = codifference(v, rates, i, l, t)
     rng = subs.stream_rng(seed, 0)
     samples = sample_variant_many(v, rates, t, rng, n_samples)

@@ -285,7 +285,8 @@ def _kanter_from_u(alpha, u1, u2):
     A(u) = [sin(alpha u)^alpha sin((1-alpha)u)^(1-alpha) / sin u]^(1/(1-alpha)).
     Takes two unit uniforms and keeps the power form: it is the
     reference sampler behind clock_from_uniforms, and the independent
-    side of the test on the live sampler _kanter, which computes in logs.
+    side of the test on the live sampler _kanter, which computes from
+    half-angle tangents.
     """
     u = np.pi * _interior(u1)
     e = -np.log(_interior(u2))
@@ -303,30 +304,65 @@ def _interior(u):
 
 
 def _kanter(alpha, rng, size):
-    """Kanter's draws of _kanter_from_u on two fresh uniform blocks, in logs.
+    """Kanter's draws of _kanter_from_u on two fresh uniform blocks, by tangents.
 
-    (1-alpha)/alpha log A folds the two -log sin u terms into ratios, so
-    log X = log r1 + (1-alpha)/alpha (log r2 - log E) with
-    r1 = sin(alpha u)/sin u and r2 = sin((1-alpha)u)/sin u: three sines,
-    four logs and one exp where the power form takes four powers.  The
-    reference sampler keeps the power form, so the two stay independent
-    code.
+    With h = u/2 the half angle, sin u = 2/s for s = tan h + 1/tan h,
+    and likewise sin(a u) = 2/s_a for s_a = tan(a h) + 1/tan(a h), so
+    X = (s/s_alpha) (s/(s_(1-alpha) E))^((1-alpha)/alpha).  Every term
+    is positive on 0 < h < pi/2, so nothing cancels, and the same two
+    uniforms are read in the same order as by the reference.  Three
+    tangents, one log and one power replace the reference's three sines
+    and four powers: numpy vectorises tan, log and pow on hosts where
+    its float64 sin and cos run element by element.  The reference
+    sampler keeps the sine form, so the two stay independent code.
     """
-    u = np.pi * _interior(rng.random(size))
-    log_e = np.log(-np.log(_interior(rng.random(size))))
-    sin_u = np.sin(u)
-    log_r1 = np.log(np.sin(alpha * u) / sin_u)
-    log_r2 = np.log(np.sin((1.0 - alpha) * u) / sin_u)
-    return np.exp(log_r1 + (1.0 - alpha) / alpha * (log_r2 - log_e))
+    h = _interior(rng.random(size))
+    h *= 0.5 * np.pi
+    e = np.log(_interior(rng.random(size)))
+    np.negative(e, out=e)
+    # the blocks are reused in place: a fresh one costs page faults
+    ratio = _tan_cot((1.0 - alpha) * h)
+    ratio *= e
+    s_alpha = _tan_cot(alpha * h)
+    s = _tan_cot(h)
+    np.divide(s, ratio, out=ratio)
+    ratio **= (1.0 - alpha) / alpha
+    s /= s_alpha
+    s *= ratio
+    return s
+
+
+def _tan_cot(h):
+    """tan h + 1/tan h, that is 2 / sin 2h, written over h."""
+    np.tan(h, out=h)
+    h += np.reciprocal(h)
+    return h
+
+
+# the most time slices _tempered_stable takes, about e * 10^4 stable
+# proposals per draw: a larger t theta^alpha raises ValueError
+_MAX_SLICES = 10**4
 
 
 def _tempered_stable(alpha, theta, t, rng, size):
     """Exact tempered-stable draws by tilting rejection on stable proposals.
 
-    The acceptance rate per proposal is exp(-t theta^alpha); slicing t
-    into m pieces keeps it above 1/10 per slice regardless of t.
+    The clock at t is the sum of m independent clocks at t/m, each drawn
+    as a stable proposal kept with chance exp(-theta X), which accepts
+    with rate exp(-c/m) for c = t theta^alpha.  m = max(1, floor(c))
+    keeps that above e^-2 per slice, and a draw costs about m e^(c/m)
+    proposals, near the least over m.  A non-finite t, or a c whose m
+    passes _MAX_SLICES (10^4), raises ValueError.
     """
-    m = max(1, math.ceil(t * theta**alpha / math.log(10.0)))
+    if not math.isfinite(t):
+        raise ValueError("the tempered stable clock needs a finite t, got %r" % t)
+    c = t * theta**alpha
+    if not c < _MAX_SLICES + 1:
+        raise ValueError(
+            "t theta^alpha = %.6g would take more than %d rejection slices "
+            "in the tempered stable sampler" % (c, _MAX_SLICES)
+        )
+    m = max(1, math.floor(c))
     dt = t / m
     scale = dt ** (1.0 / alpha)
     total = np.zeros(size)

@@ -251,6 +251,20 @@ class TestSimulateCommand:
         assert "clock draw 5.86166e+19" in err and "int64" in err
 
 
+    @pytest.mark.parametrize("t", ["inf", "1e300"])
+    def test_tempered_clock_past_its_slices_exits_2(self, capsys, t):
+        # --t inf exited 1 with an OverflowError traceback, and --t 1e300
+        # ran until killed
+        code, out, err = run(
+            capsys,
+            ["simulate", "--model", MODEL, "--variant", "tempered", "--alpha", "0.6",
+             "--theta", "1", "--t", t, "--samples", "5", "--seed", "1"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "tempered stable" in err
+
+
 class TestEstimateCommand:
     def test_workers_same_bytes(self, capsys):
         base = ["estimate", "--model", MODEL, "--stat", "pmf", "--box", "3,3",

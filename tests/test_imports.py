@@ -4,7 +4,8 @@ The closed-form and sampling layers need only numpy and the math
 module, so neither `import mgcp` nor any CLI command loads a scipy
 module; the quadrature (`bernstein`) and Monte Carlo (`montecarlo`)
 layers load on first use, and the package names they export still
-resolve.  Importing the quadrature layer, or building a `Named`
+resolve.  A one-worker estimate or a simulate run loads no thread pool
+(`concurrent.futures`).  Importing the quadrature layer, or building a `Named`
 measure, loads no scipy module either: `scipy.integrate` comes with
 the first quadrature.
 """
@@ -138,6 +139,8 @@ def test_estimate_loads_montecarlo():
     )
     assert "mgcp.montecarlo" in loaded
     assert not _scipy(loaded)
+    # one worker runs the chunks inline, with no thread pool to import
+    assert "concurrent.futures" not in loaded
 
 
 def test_simulate_loads_montecarlo_without_scipy():
@@ -147,6 +150,15 @@ def test_simulate_loads_montecarlo_without_scipy():
     )
     assert "mgcp.montecarlo" in loaded
     assert not _scipy(loaded)
+    assert "concurrent.futures" not in loaded
+
+
+def test_estimate_with_two_workers_loads_the_thread_pool():
+    loaded = _cli_modules(
+        ["estimate", "--model", MODEL, "--variant", "mgsfcp", "--alpha", "0.7",
+         "--samples", "2000", "--box", "1,1", "--workers", "2"]
+    )
+    assert "concurrent.futures" in loaded
 
 
 def test_bernstein_import_loads_no_scipy():

@@ -20,7 +20,11 @@ from oracles import complex_ecf_moments
 from mgcp.gcp import RateMatrix, mgcp_mean, mgcp_pmf
 from mgcp.montecarlo import (
     _CHUNK,
+    _INVERT_UP_TO,
+    _TRIG_SIZE,
     EstimateReport,
+    _component_counts,
+    _cos_sin,
     _ecf_moments,
     _pmf_counts,
     estimate_codifference,
@@ -52,19 +56,37 @@ THINNED = RateMatrix([[0.3, 0.3, 0.1], [0.0, 0.0, 1.0]])
 
 
 class RecordingRng:
-    """A Generator whose poisson and binomial calls are logged as (name, p)."""
+    """A Generator whose random, poisson and binomial calls are logged.
+
+    random is logged as ("random", size), poisson as ("poisson", the
+    number of means) and binomial as ("binomial", p).
+    """
 
     def __init__(self, rng):
         self.rng = rng
         self.calls = []
 
+    def random(self, size):
+        self.calls.append(("random", size))
+        return self.rng.random(size)
+
     def poisson(self, lam):
-        self.calls.append(("poisson", None))
+        self.calls.append(("poisson", np.size(lam)))
         return self.rng.poisson(lam)
 
     def binomial(self, n, p):
         self.calls.append(("binomial", p))
         return self.rng.binomial(n, p)
+
+
+class FixedUniforms:
+    """A generator stand-in whose random(size) returns size copies of u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
 
 
 class TestBaseSampler:
@@ -116,25 +138,103 @@ class TestBaseSampler:
 
 
 class TestSizeThinning:
-    def test_one_poisson_and_k_minus_1_binomials_per_row(self):
-        ops = np.full(8, 1.5)
-        for rates, want in (
-            (FIG1, [("poisson", None), ("poisson", None), ("binomial", 0.5)]),
+    def test_one_random_block_per_row_and_poisson_only_past_the_switch(self):
+        # 8 draws at T = 1.5 lie below the switch on every row; 4 more at
+        # T = 40 pass it on every row (row means 20 to 40, switch 16)
+        light, mixed = np.full(8, 1.5), np.concatenate([np.full(8, 1.5), np.full(4, 40.0)])
+        for rates, ops, want in (
+            (FIG1, light, [("random", 8), ("random", 8)]),
+            (THINNED, light, [("random", 8), ("random", 8)]),
+            (
+                FIG1,
+                mixed,
+                [("random", 12), ("poisson", 4), ("random", 12), ("poisson", 4),
+                 ("binomial", 0.5)],
+            ),
             (
                 THINNED,
+                mixed,
                 [
-                    ("poisson", None),
+                    ("random", 12),
+                    ("poisson", 4),
                     ("binomial", pytest.approx(0.3 / 0.7, rel=1e-15)),
                     ("binomial", pytest.approx(0.3 / 0.4, rel=1e-15)),
-                    ("poisson", None),
+                    ("random", 12),
+                    ("poisson", 4),
                 ],
             ),
         ):
             rng = RecordingRng(stream_rng(3))
             draws = sample_mgcp_many(rates, ops, rng)
-            assert draws.shape == (8, rates.q) and draws.dtype == np.int64
+            assert draws.shape == (ops.size, rates.q) and draws.dtype == np.int64
             assert rng.calls == want
             assert all(p < 1.0 for name, p in rng.calls if name == "binomial")
+
+    @pytest.mark.parametrize("where", ["below", "at", "above"])
+    @pytest.mark.parametrize(
+        "rates, i",
+        [(FIG1, 0), (FIG1, 1), (THINNED, 0), (THINNED, 1)],
+        ids=["fig1-0", "fig1-1", "thinned-0", "thinned-1"],
+    )
+    def test_counts_across_the_switch_match_the_pmf(self, rates, i, where):
+        """Chi-square of one component's counts against mgcp_pmf at a
+        row mean just below, at and just past the inversion switch."""
+        lam = rates.row_totals[i]
+        t = {"below": 1.0 - 1e-9, "at": 1.0, "above": 1.0 + 1e-9}[where] * _INVERT_UP_TO / lam
+        n = 40000
+        row = RateMatrix([rates.rows[i]])
+        rng = RecordingRng(stream_rng(23, i))
+        draws = sample_mgcp_many(row, np.full(n, t), rng)[:, 0]
+        thinned = any(name == "poisson" for name, _ in rng.calls)
+        assert thinned == (where == "above")
+        top = int(draws.max())
+        probs = np.array([mgcp_pmf(row, (k,), t) for k in range(top + 1)])
+        expected = n * probs
+        obs = np.bincount(draws, minlength=top + 1)
+        cells = expected >= 5.0
+        # the cells with fewer than 5 expected draws pool with the law's
+        # mass past the largest draw
+        obs = np.append(obs[cells], obs[~cells].sum())
+        expected = np.append(expected[cells], n - expected[cells].sum())
+        chi2 = ((obs - expected) ** 2 / expected).sum()
+        assert stats.chi2.sf(chi2, cells.sum()) > 1e-3
+        if rates is THINNED and i == 1:
+            assert np.all(draws % 3 == 0)
+
+    def test_a_uniform_next_to_one_settles(self):
+        """u = 1 - 2^-53: the cdf reaches u at a small mean, and at the
+        switch it stops short, so the draw settles at 64, the first of
+        16, 32, 64 past where the cdf stopped growing."""
+        top = 1.0 - 2.0**-53
+        (small,) = _component_counts((1.0,), np.array([1.0]), FixedUniforms(top))
+        assert small == stats.poisson.isf(2.0**-53, 1.0) == 17
+        stalled = _component_counts((1.0,), np.full(3, 16.0), FixedUniforms(top))
+        assert stalled.tolist() == [64, 64, 64]
+        # the law leaves less than 2^-53 of its mass at or past that count
+        assert stats.poisson.sf(63, 16.0) < 2.0**-53
+        # at the switch on THINNED's rows the count lies past all but
+        # 2^-45 of the law (the summed pmf rounds near 1e-15), and the
+        # loop ends within 256 steps
+        for row, t in (((0.3, 0.3, 0.1), _INVERT_UP_TO / 0.7), ((0.0, 0.0, 1.0), 16.0)):
+            (count,) = _component_counts(row, np.array([t]), FixedUniforms(top))
+            assert count <= 256, (row, count)
+            mass = math.fsum(mgcp_pmf(RateMatrix([row]), (k,), t) for k in range(count))
+            assert mass > 1.0 - 2.0**-45, (row, count)
+
+    def test_a_uniform_next_to_one_settles_alone_or_in_a_block(self):
+        # a draw's count depends on its own T and u only, not on the
+        # draws stepped beside it
+        ops = np.concatenate([stream_rng(4).random(999) * 16.0, [16.0]])
+        u = stream_rng(5).random(1000)
+        u[-1] = 1.0 - 2.0**-53
+
+        class Block:
+            def random(self, size):
+                return u[:size].copy() if size == 1000 else u[-1:].copy()
+
+        block = _component_counts((0.5, 0.5), ops, Block())
+        (alone,) = _component_counts((0.5, 0.5), ops[-1:], Block())
+        assert block[-1] == alone
 
     def test_three_sizes_and_zero_rates_match_the_pmf(self):
         """Cell by cell against mgcp_pmf at a fixed operational time."""
@@ -404,6 +504,50 @@ def test_ecf_moments_match_the_complex_oracle(v, seed):
     want_means, want_cov6 = complex_ecf_moments(draws[:, 0], draws[:, 1])
     np.testing.assert_allclose(means, want_means, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(cov6, want_cov6, rtol=1e-12, atol=0.0)
+
+
+def test_ecf_moments_read_the_table_bit_for_bit():
+    """Counts below and past the trig table give the bits of direct np.cos
+    and np.sin, and so do the moments built on them."""
+    rng = stream_rng(64)
+    x = rng.integers(0, 2 * _TRIG_SIZE, 5000)
+    y = rng.integers(0, _TRIG_SIZE, 5000)
+    x[:4] = [0, _TRIG_SIZE - 1, _TRIG_SIZE, 2**62]
+    assert (x >= _TRIG_SIZE).any() and (y < _TRIG_SIZE).all()
+    for counts in (x, y):
+        cos, sin = _cos_sin(counts)
+        assert np.array_equal(cos, np.cos(counts)) and np.array_equal(sin, np.sin(counts))
+
+    def direct(x, y):
+        # _ecf_moments as written before the table, on direct trig calls
+        n = len(x)
+        cx, sx, cy, sy = np.cos(x), np.sin(x), np.cos(y), np.sin(y)
+        rows = np.stack([cx * cy + sx * sy, cx, cy, sx * cy - cx * sy, sx, -sy])
+        mean6 = rows.mean(axis=1)
+        rows -= mean6[:, None]
+        return mean6[:3] + 1j * mean6[3:], (rows @ rows.T) / ((n - 1) * n)
+
+    for a, b in ((x, y), (y, x), (y, y)):
+        means, cov6 = _ecf_moments(a, b)
+        want_means, want_cov6 = direct(a, b)
+        assert np.array_equal(means, want_means) and np.array_equal(cov6, want_cov6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: estimate_pmf(Mgsfcp(0.7), FIG1, 1.0, (3, 3), n, 1),
+        lambda n: estimate_covariance(Mgfcp(0.8), FIG1, 0, 1, 1.0, n, 1),
+        lambda n: estimate_codifference(Mgfcp(0.8), FIG1, 0, 1, 1.0, n, 1),
+    ],
+    ids=["pmf", "covariance", "codifference"],
+)
+def test_sample_count_must_be_an_integer(call):
+    # 1e4 raised a TypeError from range() in the pmf estimator
+    for bad in (1e4, 20000.0, "20000"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(bad)
+    assert call(np.int64(20000)) == call(20000)
 
 
 def test_min_of_uniforms_representation():

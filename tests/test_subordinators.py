@@ -5,6 +5,7 @@ against exp(-t f(s)) (or the Mittag-Leffler transform for the
 inverse-stable clocks), with fixed seeds and 5-sigma bands.
 """
 
+import ast
 import cmath
 import math
 
@@ -440,36 +441,74 @@ def test_identity_clock():
 
 # sample_many(clock, 1.5, stream_rng(7, 0), 4).tolist(): the README
 # promises byte-deterministic seeds, so a change to any sampler's use of
-# the stream shows here
+# the stream shows here.  The third entry, where given, is the string the
+# sine form of Kanter's sampler printed: the tangent form reads the same
+# uniforms, so its draws move in the last bits only
 SEEDED_DRAWS = [
-    (Stable(0.7), "[3.7967037397101007, 1.3191624097415748, 0.910983401086938, 1.331869852889673]"),
+    (Stable(0.7), "[3.7967037397101007, 1.3191624097415748, 0.910983401086938, 1.331869852889673]", None),
     (
         TemperedStable(0.6, 1.0),
+        "[0.4930488593272478, 2.1748320281980815, 0.634568978402158, 0.7548157303091418]",
         "[0.49304885932724757, 2.1748320281980815, 0.6345689784021581, 0.7548157303091416]",
     ),
-    (GammaSub(1.0, 2.0), "[0.7084150555058466, 3.8008257934079834, 6.378082064750907, 1.7825100795493676]"),
+    (GammaSub(1.0, 2.0), "[0.7084150555058466, 3.8008257934079834, 6.378082064750907, 1.7825100795493676]", None),
     (
         InverseGaussian(1.0, 1.5),
         "[0.3299593337686194, 0.6658350957263122, 0.3490709960748276, 1.5030993014071068]",
+        None,
     ),
     (
         InverseStableTime(Identity(), 0.8),
+        "[0.8728362258957149, 1.7322691645236252, 2.0370991544560595, 1.708858541704873]",
         "[0.8728362258957147, 1.7322691645236254, 2.0370991544560595, 1.7088585417048725]",
     ),
     (
         InverseStableTime(Stable(0.7), 0.8),
+        "[0.37542721633484655, 7.748199396057618, 8.83859394093297, 2.589409612247106]",
         "[0.37542721633484644, 7.748199396057619, 8.838593940932968, 2.5894096122471044]",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "spec, want",
+    "spec, want, sine_form",
     SEEDED_DRAWS,
     ids=[
         "Stable", "TemperedStable", "GammaSub", "InverseGaussian",
         "InverseStable", "StableTimeInverseStable",
     ],
 )
-def test_seeded_draws_stay_the_same(spec, want):
-    assert repr(sample_many(spec, 1.5, stream_rng(7, 0), 4).tolist()) == want
+def test_seeded_draws_stay_the_same(spec, want, sine_form):
+    draws = sample_many(spec, 1.5, stream_rng(7, 0), 4).tolist()
+    assert repr(draws) == want
+    if sine_form is not None:
+        assert_allclose(draws, ast.literal_eval(sine_form), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("c", [0.5, 3.0, 10.0])
+def test_tempered_sampler_matches_the_reference_across_slices(c):
+    """KS of the live tempered sampler against _tempered_from_u at
+    t theta^alpha = c: one slice, three slices and ten."""
+    spec, size = TemperedStable(0.6, 2.0), 2000
+    t = c / spec.theta**spec.alpha
+    live = sample_many(spec, t, stream_rng(41), size)
+    u = stream_rng(42).random((size, clock_budget(spec, t)))
+    ref = clock_from_uniforms(spec, t, u)
+    assert stats.ks_2samp(live, ref).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("t", [math.inf, 1e300])
+def test_tempered_sampler_rejects_a_time_it_cannot_slice(t):
+    # t = inf raised OverflowError from math.ceil, and t = 1e300 ran a
+    # slice loop of about 4e299 rounds
+    with pytest.raises(ValueError, match="tempered stable"):
+        sample_many(TemperedStable(0.6, 1.0), t, stream_rng(1), 5)
+
+
+def test_tempered_slice_ceiling():
+    spec = TemperedStable(0.5, 4.0)
+    # t theta^alpha = 2 (_MAX_SLICES + 1) / 2 takes _MAX_SLICES + 1 slices
+    with pytest.raises(ValueError, match="more than 10000 rejection slices"):
+        sample_many(spec, (subs._MAX_SLICES + 1) / 2.0, stream_rng(1), 1)
+    # a hundred slices draw as usual
+    assert sample_many(spec, 50.0, stream_rng(1), 3).shape == (3,)
