@@ -6,10 +6,11 @@ against the analytic layer in SE units and report pass/fail at a chosen
 sigma level.
 
 Every estimator draws through the same sampler: a clock value from
-subordinators.sample_many, then per component a count read off one
-uniform.  Up to a row mean of _INVERT_UP_TO the count inverts its
-compound Poisson law, stepped by Panjer's recursion; past it a numpy
-Poisson jump total is split over the k sizes of positive rate by
+subordinators.sample_many, then per component a count.  On a row
+whose sizes of positive rate are at most _INVERT_DEPTH, a count whose
+mean is at most _INVERT_UP_TO is read off one uniform by inverting its
+compound Poisson law, stepped by Panjer's recursion; any other count
+splits a numpy Poisson jump total over the k sizes of positive rate by
 k - 1 binomials, the last size taking the remainder.  The pmf estimator
 splits its draws into chunks of a fixed size and draws chunk k on its
 own Philox stream stream_rng(seed, k), so the aggregate counts are a
@@ -35,9 +36,14 @@ from .variants import clock_spec, codifference, covariance, variant_pmf
 _TAIL_MASS = 1e-6
 _MIN_EXPECTED = 5.0
 _CHUNK = 1 << 15
-# the row mean Lambda_i T up to which a count is drawn by inversion;
-# numpy's own Poisson sampler switches method at mean 10 in the same way
+# the mean count T sum_j j lambda_ij up to which a count is drawn by
+# inversion, on rows whose sizes of positive rate are at most
+# _INVERT_DEPTH: inversion takes about one step per unit of the mean,
+# each a vector operation per size, and holds one array per size, so
+# the two bound its time and memory; numpy's own Poisson sampler
+# switches method at mean 10 in the same way
 _INVERT_UP_TO = 16.0
+_INVERT_DEPTH = 4
 # the codifference estimator reads cos and sin of counts below this size
 # from a table: numpy's float64 sin and cos run element by element on
 # some hosts, where a table read is a gather
@@ -126,17 +132,24 @@ def _sample_count(n_samples, least):
 def _component_counts(row, operational, rng):
     """Vector of component counts, one per operational time T.
 
-    Each count is read off one uniform of a block the row draws for all
-    its draws.  A draw whose row mean Lambda_i T is at most _INVERT_UP_TO
-    inverts its count's law at that uniform (_inverted_counts).  Past the
-    switch its uniform goes unused and a numpy Poisson jump total is
-    thinned by size: the sizes with positive rate share it by k - 1
-    binomials, each on what the sizes before it left, at its rate over
-    the rates of the sizes from it on; the last size takes the remainder.
+    On a row whose largest size of positive rate is at most
+    _INVERT_DEPTH, each count is read off one uniform of a block the
+    row draws for all its draws: a draw whose mean count
+    T sum_j j lambda_ij is at most _INVERT_UP_TO inverts its count's
+    law at that uniform (_inverted_counts).  Past the switch, and at
+    every draw of a row with a larger size, the uniform goes unused (or
+    is never drawn) and a numpy Poisson jump total is thinned by size:
+    the sizes with positive rate share it by k - 1 binomials, each on
+    what the sizes before it left, at its rate over the rates of the
+    sizes from it on; the last size takes the remainder.
     """
     total = math.fsum(row)
+    depth = max(j for j, lam in enumerate(row, start=1) if lam > 0.0)
+    if depth > _INVERT_DEPTH:
+        return _thinned_counts(row, total, operational, rng)
+    mean_rate = math.fsum(j * lam for j, lam in enumerate(row, start=1))
     u = rng.random(operational.size)
-    heavy = np.flatnonzero(operational * total > _INVERT_UP_TO)
+    heavy = np.flatnonzero(operational * mean_rate > _INVERT_UP_TO)
     # a zero uniform settles at count 0 on the first step
     u[heavy] = 0.0
     counts = _inverted_counts(row, total, operational, u)

@@ -339,9 +339,14 @@ def _tan_cot(h):
     return h
 
 
-# the most time slices _tempered_stable takes, about e * 10^4 stable
-# proposals per draw: a larger t theta^alpha raises ValueError
-_MAX_SLICES = 10**4
+# the most time slices _tempered_stable takes, about e * 10^6 stable
+# proposals and 0.3 s per draw on a 2-CPU Xeon: a larger t theta^alpha
+# raises ValueError
+_MAX_SLICES = 10**6
+# the proposals one rejection block holds: the slices of several draws
+# share a block, so a small draw count does not pay numpy's per-call
+# cost once per slice
+_SLICE_BLOCK = 1 << 15
 
 
 def _tempered_stable(alpha, theta, t, rng, size):
@@ -351,8 +356,11 @@ def _tempered_stable(alpha, theta, t, rng, size):
     as a stable proposal kept with chance exp(-theta X), which accepts
     with rate exp(-c/m) for c = t theta^alpha.  m = max(1, floor(c))
     keeps that above e^-2 per slice, and a draw costs about m e^(c/m)
-    proposals, near the least over m.  A non-finite t, or a c whose m
-    passes _MAX_SLICES (10^4), raises ValueError.
+    proposals, near the least over m.  The slices are independent, so
+    they are drawn as many at a time as fit in _SLICE_BLOCK proposals
+    (one at a time once size reaches it) and summed per draw.  A
+    non-finite t, or a c whose m passes _MAX_SLICES (10^6), raises
+    ValueError.
     """
     if not math.isfinite(t):
         raise ValueError("the tempered stable clock needs a finite t, got %r" % t)
@@ -365,16 +373,18 @@ def _tempered_stable(alpha, theta, t, rng, size):
     m = max(1, math.floor(c))
     dt = t / m
     scale = dt ** (1.0 / alpha)
+    per_block = max(1, _SLICE_BLOCK // max(1, size))
     total = np.zeros(size)
-    for _ in range(m):
-        draw = np.empty(size)
-        pending = np.arange(size)
+    for first in range(0, m, per_block):
+        slices = min(per_block, m - first)
+        draw = np.empty(slices * size)
+        pending = np.arange(draw.size)
         while pending.size:
             prop = scale * _kanter(alpha, rng, pending.size)
             accept = rng.random(pending.size) < np.exp(-theta * prop)
             draw[pending[accept]] = prop[accept]
             pending = pending[~accept]
-        total += draw
+        total += draw.reshape(slices, size).sum(axis=0)
     return total
 
 

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from oracles import complex_ecf_moments
 from mgcp.gcp import RateMatrix, mgcp_mean, mgcp_pmf
 from mgcp.montecarlo import (
     _CHUNK,
+    _INVERT_DEPTH,
     _INVERT_UP_TO,
     _TRIG_SIZE,
     EstimateReport,
@@ -140,7 +142,7 @@ class TestBaseSampler:
 class TestSizeThinning:
     def test_one_random_block_per_row_and_poisson_only_past_the_switch(self):
         # 8 draws at T = 1.5 lie below the switch on every row; 4 more at
-        # T = 40 pass it on every row (row means 20 to 40, switch 16)
+        # T = 40 pass it on every row (mean counts 40 to 120, switch 16)
         light, mixed = np.full(8, 1.5), np.concatenate([np.full(8, 1.5), np.full(4, 40.0)])
         for rates, ops, want in (
             (FIG1, light, [("random", 8), ("random", 8)]),
@@ -178,11 +180,11 @@ class TestSizeThinning:
     )
     def test_counts_across_the_switch_match_the_pmf(self, rates, i, where):
         """Chi-square of one component's counts against mgcp_pmf at a
-        row mean just below, at and just past the inversion switch."""
-        lam = rates.row_totals[i]
-        t = {"below": 1.0 - 1e-9, "at": 1.0, "above": 1.0 + 1e-9}[where] * _INVERT_UP_TO / lam
-        n = 40000
+        mean count just below, at and just past the inversion switch."""
         row = RateMatrix([rates.rows[i]])
+        mean_rate = mgcp_mean(row, 0, 1.0)
+        t = {"below": 1.0 - 1e-9, "at": 1.0, "above": 1.0 + 1e-9}[where] * _INVERT_UP_TO / mean_rate
+        n = 40000
         rng = RecordingRng(stream_rng(23, i))
         draws = sample_mgcp_many(row, np.full(n, t), rng)[:, 0]
         thinned = any(name == "poisson" for name, _ in rng.calls)
@@ -212,10 +214,10 @@ class TestSizeThinning:
         assert stalled.tolist() == [64, 64, 64]
         # the law leaves less than 2^-53 of its mass at or past that count
         assert stats.poisson.sf(63, 16.0) < 2.0**-53
-        # at the switch on THINNED's rows the count lies past all but
-        # 2^-45 of the law (the summed pmf rounds near 1e-15), and the
-        # loop ends within 256 steps
-        for row, t in (((0.3, 0.3, 0.1), _INVERT_UP_TO / 0.7), ((0.0, 0.0, 1.0), 16.0)):
+        # at the switch on THINNED's rows (mean counts 1.2 T and 3 T) the
+        # count lies past all but 2^-45 of the law (the summed pmf rounds
+        # near 1e-15), and the loop ends within 256 steps
+        for row, t in (((0.3, 0.3, 0.1), _INVERT_UP_TO / 1.2), ((0.0, 0.0, 1.0), _INVERT_UP_TO / 3)):
             (count,) = _component_counts(row, np.array([t]), FixedUniforms(top))
             assert count <= 256, (row, count)
             mass = math.fsum(mgcp_pmf(RateMatrix([row]), (k,), t) for k in range(count))
@@ -224,7 +226,8 @@ class TestSizeThinning:
     def test_a_uniform_next_to_one_settles_alone_or_in_a_block(self):
         # a draw's count depends on its own T and u only, not on the
         # draws stepped beside it
-        ops = np.concatenate([stream_rng(4).random(999) * 16.0, [16.0]])
+        # mean counts up to 15, below the switch
+        ops = np.concatenate([stream_rng(4).random(999) * 10.0, [10.0]])
         u = stream_rng(5).random(1000)
         u[-1] = 1.0 - 2.0**-53
 
@@ -235,6 +238,45 @@ class TestSizeThinning:
         block = _component_counts((0.5, 0.5), ops, Block())
         (alone,) = _component_counts((0.5, 0.5), ops[-1:], Block())
         assert block[-1] == alone
+
+    def test_a_row_as_deep_as_the_depth_inverts_and_one_deeper_does_not(self):
+        ops = np.full(8, 1.0)
+        for depth, want in (
+            (_INVERT_DEPTH, [("random", 8)]),
+            (_INVERT_DEPTH + 1, [("poisson", 8)]),
+        ):
+            rng = RecordingRng(stream_rng(3))
+            sample_mgcp_many(RateMatrix([[0.0] * (depth - 1) + [0.5]]), ops, rng)
+            assert rng.calls == want, depth
+
+    @pytest.mark.parametrize(
+        "t", [0.02, 20.0], ids=["mean-count-10", "row-mean-10"]
+    )
+    def test_a_row_of_one_large_size_draws_one_poisson_in_linear_memory(self, t):
+        """Size 1000 alone at 10^5 draws: one Poisson block, as every row
+        drew before inversion, and a peak of a few arrays of the draws.
+        Inverted, the row mean 10 took 11.6 s and 2000 such arrays."""
+        n, row = 10**5, RateMatrix([[0.0] * 999 + [0.5]])
+        rng = RecordingRng(stream_rng(8))
+        tracemalloc.start()
+        try:
+            draws = sample_mgcp_many(row, np.full(n, t), rng)[:, 0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rng.calls == [("poisson", n)]
+        assert peak <= 4 * 8 * n, peak
+        assert np.all(draws % 1000 == 0)
+        jumps = draws // 1000
+        assert abs(jumps.mean() - 0.5 * t) < 5 * math.sqrt(0.5 * t / n)
+
+    def test_a_wide_row_draws_k_minus_1_binomials(self):
+        # twelve sizes at mean count 7.8: past the depth, not the switch
+        rng = RecordingRng(stream_rng(9))
+        draws = sample_mgcp_many(RateMatrix([[0.1] * 12]), np.full(1000, 1.0), rng)
+        assert rng.calls[0] == ("poisson", 1000)
+        assert [name for name, _ in rng.calls[1:]] == ["binomial"] * 11
+        assert abs(draws.mean() - 7.8) < 5 * math.sqrt(0.1 * 650 / 1000)
 
     def test_three_sizes_and_zero_rates_match_the_pmf(self):
         """Cell by cell against mgcp_pmf at a fixed operational time."""

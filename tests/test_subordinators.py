@@ -508,7 +508,20 @@ def test_tempered_sampler_rejects_a_time_it_cannot_slice(t):
 def test_tempered_slice_ceiling():
     spec = TemperedStable(0.5, 4.0)
     # t theta^alpha = 2 (_MAX_SLICES + 1) / 2 takes _MAX_SLICES + 1 slices
-    with pytest.raises(ValueError, match="more than 10000 rejection slices"):
+    with pytest.raises(ValueError, match="more than 1000000 rejection slices"):
         sample_many(spec, (subs._MAX_SLICES + 1) / 2.0, stream_rng(1), 1)
     # a hundred slices draw as usual
     assert sample_many(spec, 50.0, stream_rng(1), 3).shape == (3,)
+
+
+def test_tempered_slices_drawn_in_blocks_keep_the_law():
+    """100 slices of 2000 draws run in blocks of 16 slices and a last
+    of 4; the mean and variance are t f'(0) and -t f''(0)."""
+    spec, size = TemperedStable(0.6, 2.0), 2000
+    t = 100.0 / spec.theta**spec.alpha
+    assert subs._SLICE_BLOCK // size == 16
+    draws = sample_many(spec, t, stream_rng(78), size)
+    mean = t * spec.alpha * spec.theta ** (spec.alpha - 1.0)
+    var = t * spec.alpha * (1.0 - spec.alpha) * spec.theta ** (spec.alpha - 2.0)
+    assert abs(draws.mean() - mean) < 5.0 * math.sqrt(var / size)
+    assert draws.var(ddof=1) == pytest.approx(var, rel=0.15)
