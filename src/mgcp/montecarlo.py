@@ -13,9 +13,13 @@ compound Poisson law, stepped by Panjer's recursion; any other count
 splits a numpy Poisson jump total over the k sizes of positive rate by
 k - 1 binomials, the last size taking the remainder.  The pmf estimator
 splits its draws into chunks of a fixed size and draws chunk k on its
-own Philox stream stream_rng(seed, k), so the aggregate counts are a
+own PCG64DXSM stream stream_rng(seed, k), so the aggregate counts are a
 pure function of (seed, n_samples): one worker runs the chunks in
-order in the calling thread, and more run them on a thread pool.
+order in the calling thread, and more run them on a thread pool.  It
+needs each count only up to its box edge, past which the draw bins
+outside, so its inversion stops stepping there; it draws the same
+numbers as the sampler, and its bins equal those of sample_variant_many
+on the same stream.
 Operational times are capped at 2^62 over the largest jump size and row
 total, so every count fits in int64.  The pmf estimator moves a clock
 draw past the cap onto it, since such a draw lies far outside any box;
@@ -55,7 +59,7 @@ _SIN = np.sin(np.arange(_TRIG_SIZE, dtype=float))
 def __getattr__(name):
     # montecarlo.stats (scipy.stats) is loaded only on first access: no
     # sampler or estimator calls it, and it stays reachable only until
-    # the benchmark tracer stops probing its ppf functions (ROADMAP item 8)
+    # the benchmark tracer stops probing its ppf functions
     if name == "stats":
         from scipy import stats
 
@@ -129,7 +133,7 @@ def _sample_count(n_samples, least):
     return n_samples
 
 
-def _component_counts(row, operational, rng):
+def _component_counts(row, operational, rng, cap=None):
     """Vector of component counts, one per operational time T.
 
     On a row whose largest size of positive rate is at most
@@ -141,24 +145,29 @@ def _component_counts(row, operational, rng):
     is never drawn) and a numpy Poisson jump total is thinned by size:
     the sizes with positive rate share it by k - 1 binomials, each on
     what the sizes before it left, at its rate over the rates of the
-    sizes from it on; the last size takes the remainder.
+    sizes from it on; the last size takes the remainder.  With a cap,
+    every count at or past it reads cap: inversion stops stepping
+    there, and the generator is called exactly as without one.
     """
     total = math.fsum(row)
     depth = max(j for j, lam in enumerate(row, start=1) if lam > 0.0)
     if depth > _INVERT_DEPTH:
-        return _thinned_counts(row, total, operational, rng)
-    mean_rate = math.fsum(j * lam for j, lam in enumerate(row, start=1))
-    u = rng.random(operational.size)
-    heavy = np.flatnonzero(operational * mean_rate > _INVERT_UP_TO)
-    # a zero uniform settles at count 0 on the first step
-    u[heavy] = 0.0
-    counts = _inverted_counts(row, total, operational, u)
-    if heavy.size:
-        counts[heavy] = _thinned_counts(row, total, operational[heavy], rng)
+        counts = _thinned_counts(row, total, operational, rng)
+    else:
+        mean_rate = math.fsum(j * lam for j, lam in enumerate(row, start=1))
+        u = rng.random(operational.size)
+        heavy = np.flatnonzero(operational * mean_rate > _INVERT_UP_TO)
+        # a zero uniform settles at count 0 on the first step
+        u[heavy] = 0.0
+        counts = _inverted_counts(row, total, operational, u, cap)
+        if heavy.size:
+            counts[heavy] = _thinned_counts(row, total, operational[heavy], rng)
+    if cap is not None:
+        np.minimum(counts, cap, out=counts)
     return counts
 
 
-def _inverted_counts(row, total, operational, u):
+def _inverted_counts(row, total, operational, u, cap=None):
     """The least n with Pr{N <= n} >= u, N the row's count at each T.
 
     N is compound Poisson, and Panjer's recursion gives its pmf:
@@ -171,7 +180,8 @@ def _inverted_counts(row, total, operational, u):
     T sum_j j lambda_ij, less one, at which adding the largest of the
     last k terms leaves its cdf unchanged.  Past the mean no later term
     exceeds that largest one, so no later step could settle the draw.
-    u is overwritten.
+    With a cap, the steps stop at n = cap - 1, and a draw still
+    unsettled there reads cap.  u is overwritten.
     """
     weights = [(j, j * lam) for j, lam in enumerate(row, start=1) if lam > 0.0]
     depth = weights[-1][0]
@@ -183,7 +193,8 @@ def _inverted_counts(row, total, operational, u):
     count = below.astype(np.int64)
     index, stepped = None, count
     n = 0
-    while (active := np.count_nonzero(below)) > 0:
+    stop = math.inf if cap is None else cap
+    while n + 1 < stop and (active := np.count_nonzero(below)) > 0:
         if 4 * active <= below.size:
             keep = np.flatnonzero(below)
             if index is None:
@@ -297,14 +308,14 @@ def _pmf_counts(v, rates, t, seed, k, n_samples, dims):
         subs.sample_many(clock_spec(v), t, rng, min(_CHUNK, n_samples - k * _CHUNK)),
         _operational_cap(rates),
     )
-    samples = sample_mgcp_many(rates, operational, rng)
-    # the row-major cell index, built column by column; a draw outside
-    # the box goes to one extra bin past the cells, whatever its index
-    # wrapped to
+    # the row-major cell index, built row by row; a count at or past its
+    # box edge dim only marks the draw outside, so each row's counts stop
+    # at dim, and a draw outside goes to one extra bin past the cells
     size = int(dims.prod())
-    flat = np.zeros(samples.shape[0], dtype=np.int64)
-    outside = np.zeros(samples.shape[0], dtype=bool)
-    for column, dim in zip(samples.T, dims.tolist()):
+    flat = np.zeros(operational.size, dtype=np.int64)
+    outside = np.zeros(operational.size, dtype=bool)
+    for row, dim in zip(rates.rows, dims.tolist()):
+        column = _component_counts(row, operational, rng, dim)
         flat *= dim
         flat += column
         outside |= column >= dim

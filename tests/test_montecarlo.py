@@ -17,6 +17,7 @@ import pytest
 from scipy import stats
 
 import mgcp
+from mgcp import montecarlo
 from oracles import complex_ecf_moments
 from mgcp.gcp import RateMatrix, mgcp_mean, mgcp_pmf
 from mgcp.montecarlo import (
@@ -55,6 +56,7 @@ FIG1 = RateMatrix([[0.5], [0.5, 0.5]])
 ONE = RateMatrix([[1.0]])
 # Q3's three-size row beside a row whose only positive rate is size 3
 THINNED = RateMatrix([[0.3, 0.3, 0.1], [0.0, 0.0, 1.0]])
+Q3 = RateMatrix([[0.4, 0.2], [0.3, 0.3, 0.1], [0.5]])
 
 
 class RecordingRng:
@@ -133,10 +135,12 @@ class TestBaseSampler:
                 sample_mgcp_many(FIG1, np.array([1.0, bad]), stream_rng(1))
 
     def test_heavy_clock_draw_past_int64_raises(self):
-        # 10^4 stable(0.2) clock values at t = 1 reach 5.9e19; simulate,
-        # covariance and codifference draw through this sampler
+        # 10^4 stable(0.2) clock values at t = 1 reach 5.9e19 on this
+        # generator; simulate, covariance and codifference draw through
+        # this sampler
+        rng = np.random.Generator(np.random.Philox(key=1))
         with pytest.raises(ValueError, match=r"clock draw 5\.86166e\+19"):
-            sample_variant_many(Mgsfcp(0.2), FIG1, 1.0, stream_rng(1, 0), 10**4)
+            sample_variant_many(Mgsfcp(0.2), FIG1, 1.0, rng, 10**4)
 
 
 class TestSizeThinning:
@@ -299,6 +303,45 @@ class TestSizeThinning:
             assert abs(z) < 4.0, (idx, z)
             tested += 1
         assert tested >= 20
+
+
+class TestBoundedStepping:
+    """The pmf estimator's cap: counts at or past it read cap, and the
+    generator sees the same calls as without one."""
+
+    @pytest.mark.parametrize("cap", [1, 2, 7, 20])
+    @pytest.mark.parametrize("rates", [FIG1, THINNED, Q3], ids=["fig1", "thinned", "q3"])
+    def test_capped_counts_are_the_clipped_counts_on_the_same_calls(self, rates, cap):
+        # light draws at T = 1.5 and 10 invert on every row but THINNED's
+        # second at T = 10 (mean count 30); those at T = 40 pass the switch
+        ops = np.concatenate([np.full(32, 1.5), np.full(32, 10.0), np.full(8, 40.0)])
+        clipped = False
+        for i, row in enumerate(rates.rows):
+            plain = RecordingRng(stream_rng(3, i))
+            want = _component_counts(row, ops, plain)
+            capped = RecordingRng(stream_rng(3, i))
+            got = _component_counts(row, ops, capped, cap)
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, np.minimum(want, cap))
+            assert capped.calls == plain.calls
+            clipped |= bool(np.any(want > cap))
+        assert clipped
+
+    def test_a_uniform_next_to_one_stops_at_the_cap(self, monkeypatch):
+        """At T = 16 the uncapped draw settles at 64 after the stall
+        checks at 16, 32 and 64; capped at 7 it steps to n = 6 only."""
+        steps = []
+        term = montecarlo._panjer_term
+
+        def counted(weights, recent, operational, n):
+            steps.append(n)
+            return term(weights, recent, operational, n)
+
+        monkeypatch.setattr(montecarlo, "_panjer_term", counted)
+        top = FixedUniforms(1.0 - 2.0**-53)
+        counts = _component_counts((1.0,), np.full(3, 16.0), top, 7)
+        assert counts.tolist() == [7, 7, 7]
+        assert steps == list(range(1, 7))
 
 
 class TestVariantSampler:
