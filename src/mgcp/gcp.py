@@ -57,10 +57,8 @@ class RateMatrix:
 
     def rate(self, i, j):
         """Rate of size-j jumps of component i."""
-        if not 0 <= i < self.q:
-            raise ValueError("component index out of range")
-        if not 1 <= j <= self.ks[i]:
-            raise ValueError("jump size out of range")
+        i = _check_index(i, 0, self.q - 1, "component index")
+        j = _check_index(j, 1, self.ks[i], "jump size")
         return self.rows[i][j - 1]
 
     def mean_rate(self, i):
@@ -82,6 +80,21 @@ class RateMatrix:
             if ks != [len(row) for row in rates]:
                 raise ValueError("ks does not match the rate rows")
         return cls(rates)
+
+
+def _check_index(k, lo, hi, what):
+    """The index k as an int in lo..hi, read through operator.index.
+
+    Any integer type (int, bool, numpy integers) is accepted; anything
+    else, or an index out of range, raises ValueError naming what.
+    """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError("%s must be an integer" % what) from None
+    if not lo <= k <= hi:
+        raise ValueError("%s out of range" % what)
+    return k
 
 
 def _check_state(rates, nbar):

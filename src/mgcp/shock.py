@@ -21,7 +21,19 @@ relative accuracy up to the cusp at p = 1.  Every call checks its own
 error: the full sum against the sum over every other node, which is
 the rule of twice the step.  Where they differ by more than 1e-13 of
 the sum the step halves, down to 2^-8, past which the call warns with
-the estimate.  Each t of a curve takes its step on its own.
+the estimate.  Each t of a curve takes its step on its own.  The
+weights of a step depend on the model and the step alone: c(x)^alpha at
+the nodes, and the weights times 1 or times sum_l J_i(l)(1 - x^l) for
+each component i.  They are kept once per (model, level), for up to 256
+of them, so the curve, the densities and the split of one model read one
+weighted rule: at most 19048 + 38096 (q + 1) bytes at the finest step,
+34 MB for 256 such rules at q = 2.  Each weight is formed as
+d (e / (p - a)) from the node's distances d and e to the ends, which
+keeps it from underflowing on an interval narrower than 1e-154, and the
+normalisers of the incomplete gamma and sine integral laws are formed
+without cancelling, as e^(-a) (1 - e^(a - p)) and
+2 sin((p + a)/2) sin((p - a)/2); a law whose normaliser still underflows
+is rejected.
 
 The table route serves CustomThreshold, and the tests check the
 mixture route against it.  It needs the level pmf P{total count = n}.
@@ -54,7 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gcp import RateMatrix, _check_state
+from .gcp import RateMatrix, _check_index, _check_state
 from .compositions import jump_profile
 from .specfun import (
     TruncationWarning,
@@ -150,16 +162,21 @@ class IncGamma:
     def __post_init__(self):
         if not 0.0 <= self.a < self.p <= 1.0:
             raise ValueError("need 0 <= a < p <= 1")
+        if not self._norm() > 0.0:
+            raise ValueError("the mass e^(-a) - e^(-p) of (a, p) underflows")
+
+    def _norm(self):
+        """e^(-a) - e^(-p), formed as e^(-a) (1 - e^(a - p)) without cancelling."""
+        return math.exp(-self.a) * -math.expm1(self.a - self.p)
 
     def mixture(self):
         """mu(dx) = e^(-x) dx / (e^(-a) - e^(-p)) on (a, p)."""
-        norm = math.exp(-self.a) - math.exp(-self.p)
+        norm = self._norm()
         return Density(self.a, self.p, lambda x, gap: np.exp(-x) / norm)
 
     def tail(self, n):
         """q_n for n >= 1."""
-        norm = math.exp(-self.a) - math.exp(-self.p)
-        return generalized_incomplete_gamma(n + 1.0, self.a, self.p) / norm
+        return generalized_incomplete_gamma(n + 1.0, self.a, self.p) / self._norm()
 
 
 @dataclass(frozen=True)
@@ -172,16 +189,21 @@ class SineIntegral:
     def __post_init__(self):
         if not 0.0 <= self.a < self.p <= 1.0:
             raise ValueError("need 0 <= a < p <= 1")
+        if not self._norm() > 0.0:
+            raise ValueError("the mass cos a - cos p of (a, p) underflows")
+
+    def _norm(self):
+        """cos a - cos p, formed as 2 sin((p + a)/2) sin((p - a)/2) without cancelling."""
+        return 2.0 * math.sin(0.5 * (self.p + self.a)) * math.sin(0.5 * (self.p - self.a))
 
     def mixture(self):
         """mu(dx) = sin x dx / (cos a - cos p) on (a, p)."""
-        norm = math.cos(self.a) - math.cos(self.p)
+        norm = self._norm()
         return Density(self.a, self.p, lambda x, gap: np.sin(x) / norm)
 
     def tail(self, n):
         """q_n for n >= 1."""
-        norm = math.cos(self.a) - math.cos(self.p)
-        return generalized_sine_integral(n + 1.0, self.a, self.p) / norm
+        return generalized_sine_integral(n + 1.0, self.a, self.p) / self._norm()
 
 
 @dataclass(frozen=True)
@@ -452,10 +474,8 @@ def hazard_rate(model, i, l, nbar, t):
     constant single-component jump rate J_i(l).
     """
     rates = model.rates
-    if not 0 <= i < rates.q:
-        raise ValueError("component index out of range")
-    if not 1 <= l <= rates.ks[i]:
-        raise ValueError("jump size out of range")
+    i = _check_index(i, 0, rates.q - 1, "component index")
+    l = _check_index(l, 1, rates.ks[i], "jump size")
     if not t > 0:
         raise ValueError("t must be positive")
     nbar = _check_state(rates, nbar)
@@ -516,7 +536,7 @@ def _mixture_rule(rates, law, level):
         d = width / (1.0 + np.exp(s))
         e = width / (1.0 + np.exp(-s))
         gap = (1.0 - p) + d
-        weights = h * math.pi * np.cosh(j * h) * (d * e / width) * density(a + e, gap)
+        weights = h * math.pi * np.cosh(j * h) * d * (e / width) * density(a + e, gap)
         coarse = np.where(j % 2 == 0, 2.0 * weights, 0.0)
     powers = np.ones((max(rates.ks) + 1, gap.size))
     with np.errstate(divide="ignore"):
@@ -529,12 +549,46 @@ def _mixture_rule(rates, law, level):
     return _Rule(c, pairs)
 
 
-def _mixture_sums(model, coef, kernel, m):
+# at most this many (model, level) keep their weighted rule (_weighted_rule):
+# one per model of a two-matrix, 19-alpha, four-law sweep at one level,
+# with room to spare
+_WEIGHTED_RULE_ENTRIES = 256
+
+_WeightedRule = collections.namedtuple("_WeightedRule", "cpow survival failure")
+
+
+@lru_cache(maxsize=_WEIGHTED_RULE_ENTRIES)
+def _weighted_rule(model, level):
+    """The model's quadrature at step 2^-level, weighted, read-only.
+
+    cpow = c(x)^alpha at the nodes of _mixture_rule, and (full, coarse)
+    weight columns, one row per node: survival, the weights (w, w')
+    themselves, for L(t), and failure[i], the weights times
+    sum_l J_i(l) (1 - x^l), for component i.  All depend on the model
+    and the level alone, so every t and every call of one model shares
+    them.  At the level cap a rule has at most 2381 nodes, so an entry
+    holds at most 19048 + 38096 (q + 1) bytes and the memo at most
+    _WEIGHTED_RULE_ENTRIES times that: 34 MB at q = 2.
+    """
+    rule = _mixture_rule(model.rates, model.threshold, level)
+    cpow = rule.c**model.alpha
+    survival = (np.ones(1) @ rule.pairs[:1]).reshape(-1, 2)
+    failure = []
+    for js, _ in _jump_rates(model.rates, model.alpha):
+        coef = np.array((0.0,) + js)
+        failure.append((coef @ rule.pairs[: len(coef)]).reshape(-1, 2))
+    for array in (cpow, survival, *failure):
+        array.flags.writeable = False
+    return _WeightedRule(cpow, survival, tuple(failure))
+
+
+def _mixture_sums(model, i, kernel, m):
     """(values, error estimates) of m integrals over mu, as lists.
 
-    Integral k is int kernel(cpow, rows)[k] sum_l coef[l] (1 - x^l) mu(dx),
-    with cpow = c(x)^alpha at the nodes, 1 - x^0 read as 1, and rows
-    the integrals still open, one kernel row each.  Each integral halves
+    Integral k is int kernel(cpow, rows)[k] f(x) mu(dx), with cpow =
+    c(x)^alpha at the nodes, rows the integrals still open, one kernel
+    row each, and f = 1 for i = None, else
+    f = sum_l J_i(l) (1 - x^l) (_weighted_rule).  Each integral halves
     its step until its full sum and its coarse sum agree within 1e-13
     of the full sum, or until the step is 2^-8; its value depends on its
     own row alone.  Below the smallest normal double the error is
@@ -544,9 +598,9 @@ def _mixture_sums(model, coef, kernel, m):
     todo = list(range(m))
     level = _LEVEL_START
     while todo:
-        rule = _mixture_rule(model.rates, model.threshold, level)
-        weights = (coef @ rule.pairs[: len(coef)]).reshape(-1, 2)
-        sums = kernel(rule.c**model.alpha, todo) @ weights
+        rule = _weighted_rule(model, level)
+        weights = rule.survival if i is None else rule.failure[i]
+        sums = kernel(rule.cpow, todo) @ weights
         left = []
         for k, (full, coarse) in zip(todo, sums.tolist()):
             values[k], errors[k] = full, abs(full - coarse)
@@ -572,12 +626,11 @@ def _quadrature_note(value, error, what):
 
 def _mixture_failure(model, i, t):
     """h_i(t), or Pr{type i} for t = None, by the mixture route."""
-    coef = np.array((0.0,) + _jump_rates(model.rates, model.alpha)[i][0])
     if t is None:
         kernel, what = (lambda cpow, rows: 1.0 / cpow[None, :]), "Pr{type i}"
     else:
         kernel, what = (lambda cpow, rows: np.exp(-t * cpow)[None, :]), "h_i(t)"
-    (value,), (error,) = _mixture_sums(model, coef, kernel, 1)
+    (value,), (error,) = _mixture_sums(model, i, kernel, 1)
     note = _quadrature_note(value, error, what)
     if note:
         warnings.warn(note, TruncationWarning, stacklevel=3)
@@ -707,7 +760,7 @@ def _mixture_survival(model, ts):
 
     values = [1.0] * ts.size
     notes = [None] * ts.size
-    sums, errors = _mixture_sums(model, np.ones(1), kernel, todo.size)
+    sums, errors = _mixture_sums(model, None, kernel, todo.size)
     for k, total, error in zip(todo.tolist(), sums, errors):
         values[k] = min(total, 1.0)
         note = _quadrature_note(total, error, "L(t)")
@@ -765,8 +818,7 @@ def failure_density(model, i, t):
     mu(dx), a CustomThreshold by the table route.
     """
     rates = model.rates
-    if not 0 <= i < rates.q:
-        raise ValueError("component index out of range")
+    i = _check_index(i, 0, rates.q - 1, "component index")
     if not 0 < t < math.inf:
         raise ValueError("t must be positive and finite, got t = %r" % (t,))
     if model.threshold.mixture() is not None:
@@ -783,8 +835,7 @@ def prob_failure_type(model, i):
     int sum_l J_i(l)(1 - x^l) / c(x)^alpha mu(dx).
     """
     rates = model.rates
-    if not 0 <= i < rates.q:
-        raise ValueError("component index out of range")
+    i = _check_index(i, 0, rates.q - 1, "component index")
     if model.threshold.mixture() is not None:
         return _mixture_failure(model, i, None)
     return _failure_series(

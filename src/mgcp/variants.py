@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .compositions import _table_size, jump_profile
-from .gcp import _check_state, _pgf_exponent, component_symbol, mgcp_pmf
+from .gcp import _check_index, _check_state, _pgf_exponent, component_symbol, mgcp_pmf
 from .specfun import _ml_scaled, mittag_leffler, wright_1_1
 from . import subordinators as subs
 
@@ -537,8 +537,8 @@ def covariance(v, rates, i, l, t):
     parameter set (e.g. theta=1, a*t = 1-a) and Monte-Carlo estimation
     sides with the formula used here (see the adjudication test).
     """
-    if not (0 <= i < rates.q and 0 <= l < rates.q):
-        raise ValueError("component index out of range")
+    i = _check_index(i, 0, rates.q - 1, "component index")
+    l = _check_index(l, 0, rates.q - 1, "component index")
     if not t >= 0:
         raise ValueError("t must be non-negative")
     if not isinstance(v, (Mgfcp, Tempered)):
@@ -567,8 +567,8 @@ def codifference(v, rates, i, l, t):
     imaginary unit.  Under a Levy clock each log is -t f at the complex
     symbol; at inverse-stable time it is the principal log of E_beta.
     """
-    if not (0 <= i < rates.q and 0 <= l < rates.q):
-        raise ValueError("component index out of range")
+    i = _check_index(i, 0, rates.q - 1, "component index")
+    l = _check_index(l, 0, rates.q - 1, "component index")
     if not t >= 0:
         raise ValueError("t must be non-negative")
     if not isinstance(v, (Mgfcp, Mgstfcp, Tempered)):

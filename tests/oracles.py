@@ -26,7 +26,11 @@ independent side of the FFT of variants._cauchy_law at the same cells.
 
 mp_threshold_tail is the IncGamma threshold's tail from mpmath's own
 generalized incomplete gamma, the independent side of the series in
-specfun.generalized_incomplete_gamma.
+specfun.generalized_incomplete_gamma.  mp_sine_threshold_tail is the
+SineIntegral threshold's tail by mpmath quadrature, the independent side
+of specfun.generalized_sine_integral.  Both form their normalisers as
+differences in mpmath, where the working precision absorbs the
+cancellation.
 
 complex_ecf_moments is the codifference estimator's statistics in
 complex arithmetic: exp(1j * ...) rows and np.cov, the independent side
@@ -241,6 +245,26 @@ def mp_threshold_tail(mpmath, a, p, n):
     """
     a, p = mpmath.mpf(a), mpmath.mpf(p)
     return mpmath.gammainc(n + 1, a, p) / (mpmath.exp(-a) - mpmath.exp(-p))
+
+
+def mp_sine_threshold_tail(mpmath, a, p, n):
+    """Pr{N > n} of the SineIntegral(a, p) threshold in mpmath at the caller's precision.
+
+    int_a^p x^n sin x dx / (cos a - cos p), the integral by mpmath's
+    quadrature in u on x = a + (p - a) u, u in (0, 1), of
+    (x / p)^n sin x / sin p, which is at most 1: mpmath's quadrature
+    stops on an absolute error, so a narrow interval near 0 must not
+    make the integrand tiny.
+    """
+    a, p = mpmath.mpf(a), mpmath.mpf(p)
+    width = p - a
+
+    def scaled(u):
+        x = a + width * u
+        return (x / p) ** n * mpmath.sin(x) / mpmath.sin(p)
+
+    integral = width * p**n * mpmath.sin(p) * mpmath.quad(scaled, [0, 1])
+    return integral / (mpmath.cos(a) - mpmath.cos(p))
 
 
 def complex_ecf_moments(x, y):

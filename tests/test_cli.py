@@ -351,6 +351,21 @@ class TestReliabilityCommand:
         (row,) = csv_rows(out)[1]
         assert float(row[1]) == pytest.approx(0.006116867035348342, rel=1e-10, abs=0.0)
 
+    def test_narrow_threshold_laws(self, capsys):
+        # every threshold is 1 up to 1e-199, so L(t) = exp(-t 1.5^0.5);
+        # a sine-integral law whose mass underflows is a usage error
+        base = ["reliability", "--model", MODEL, "--alpha", "0.5", "--tgrid", "0:1:0.5",
+                "--threshold"]
+        for law in ("logarithmic:1e-200", "incgamma:0,1e-200"):
+            code, out, err = run(capsys, base + [law])
+            assert (code, err) == (0, ""), law
+            for t, value in ((float(a), float(b)) for a, b in csv_rows(out)[1]):
+                want = math.exp(-t * 1.5**0.5)
+                assert abs(value - want) <= 1e-15 * want, (law, t)
+        code, _, err = run(capsys, base + ["sineintegral:0,1e-200"])
+        assert code == 2
+        assert "underflows" in err
+
     def test_general_needs_model(self, capsys):
         code, _, err = run(
             capsys,

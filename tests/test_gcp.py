@@ -49,6 +49,13 @@ class TestRateMatrix:
         with pytest.raises(ValueError):
             FIG1.rate(0, 0)
 
+    def test_rate_indices_of_any_integer_type(self):
+        assert FIG1.rate(True, np.int64(2)) == FIG1.rate(1, 2)
+        with pytest.raises(ValueError, match="component index must be an integer"):
+            FIG1.rate(1.0, 2)
+        with pytest.raises(ValueError, match="jump size must be an integer"):
+            FIG1.rate(1, 2.0)
+
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError):
             RateMatrix([[0.5, -0.1]])

@@ -741,6 +741,7 @@ class TestMixtureRoute:
 
         first = outputs()
         assert outputs() == first
+        shock._weighted_rule.cache_clear()
         shock._mixture_rule.cache_clear()
         shock._jump_rates.cache_clear()
         assert outputs() == first
@@ -794,8 +795,163 @@ class TestJumpRateMemo:
                     failure_density(model, i, 1.0)
                     prob_failure_type(model, i)
 
+        shock._weighted_rule.cache_clear()
         shock._jump_rates.cache_clear()
         sweep()
         assert shock._jump_rates.cache_info().misses == len(models)
         sweep()
         assert shock._jump_rates.cache_info().misses == len(models)
+
+
+def per_call_sum(model, coef, kernel):
+    """One mixture integral formed afresh at each level, as without the weighted-rule memo.
+
+    The rule from _mixture_rule, its weights coef @ pairs and c(x)^alpha,
+    the step halving from 2^-4 until the full and coarse sums agree
+    within 1e-13 or the step is 2^-8.
+    """
+    for level in range(shock._LEVEL_START, shock._LEVEL_CAP + 1):
+        rule = shock._mixture_rule(model.rates, model.threshold, level)
+        weights = (coef @ rule.pairs[: len(coef)]).reshape(-1, 2)
+        ((full, coarse),) = (kernel(rule.c**model.alpha) @ weights).tolist()
+        if abs(full - coarse) <= shock._QUAD_TOL * abs(full) + shock._QUAD_FLOOR:
+            break
+    return full
+
+
+class TestWeightedRuleMemo:
+    def test_a_second_sweep_adds_no_miss(self):
+        # 19 alphas on two rate matrices with each of the four laws: every
+        # (model, level) the first sweep reads stays in the memo
+        models = [
+            ShockModel(rates, round(0.05 * k, 2), law)
+            for rates in (FIG1, FIG2)
+            for k in range(1, 20)
+            for law in LAWS
+        ]
+
+        def sweep():
+            for model in models:
+                reliability_curve(model, [0.0, 1.0, 10.0])
+                for i in range(model.rates.q):
+                    prob_failure_type(model, i)
+                    failure_density(model, i, 2.0)
+
+        shock._weighted_rule.cache_clear()
+        sweep()
+        first = shock._weighted_rule.cache_info()
+        assert first.misses >= len(models)
+        assert first.currsize == first.misses
+        sweep()
+        assert shock._weighted_rule.cache_info().misses == first.misses
+
+    @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+    @pytest.mark.parametrize("alpha", (0.05, 0.5, 0.95))
+    @pytest.mark.parametrize("rates", (FIG1, Q3), ids=("fig1", "q3"))
+    def test_values_equal_the_per_call_arithmetic(self, rates, alpha, cold):
+        laws = LAWS + (IncGamma(0.0, 1.0), SineIntegral(0.2, 0.9), Logarithmic(1e-200))
+        for law in laws:
+            model = ShockModel(rates, alpha, law)
+            if cold:
+                shock._weighted_rule.cache_clear()
+            for t in (0.5, 10.0):
+                want = per_call_sum(
+                    model, np.ones(1), lambda c: np.exp(np.multiply.outer(-np.array([t]), c))
+                )
+                assert reliability(model, t) == min(want, 1.0), (law, t)
+            for i in range(rates.q):
+                coef = np.array((0.0,) + shock._jump_rates(rates, alpha)[i][0])
+                want = per_call_sum(model, coef, lambda c: 1.0 / c[None, :])
+                assert prob_failure_type(model, i) == want, (law, i)
+                for t in (0.5, 10.0):
+                    want = per_call_sum(model, coef, lambda c: np.exp(-t * c)[None, :])
+                    assert failure_density(model, i, t) == want, (law, i, t)
+
+    def test_entries_are_read_only(self):
+        rule = shock._weighted_rule(ShockModel(Q3, 0.5, LAWS[1]), shock._LEVEL_START)
+        assert len(rule.failure) == Q3.q
+        for array in (rule.cpow, rule.survival) + rule.failure:
+            assert not array.flags.writeable
+
+
+class TestNarrowThresholds:
+    """Threshold laws whose mixing interval or normaliser is tiny."""
+
+    @pytest.mark.parametrize("alpha", (0.05, 0.5, 0.95))
+    @pytest.mark.parametrize(
+        "law", (Logarithmic(1e-200), IncGamma(0.0, 1e-200), Logarithmic(1e-160)), ids=repr
+    )
+    def test_a_threshold_at_one_fails_at_the_first_shock(self, law, alpha):
+        # N = 1 up to a chance below 1e-159: L(t) = exp(-t Lambda^alpha),
+        # h_i(t) = J_i exp(-t Lambda^alpha) and Pr{type i} = J_i / Lambda^alpha
+        model = ShockModel(FIG1, alpha, law)
+        rate = FIG1.total**alpha
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = reliability_curve(model, [0.5, 1.0, 4.0])
+            split = [prob_failure_type(model, i) for i in range(2)]
+            density = failure_density(model, 1, 1.0)
+        for t, value in curve:
+            want = math.exp(-t * rate)
+            assert abs(value - want) <= 1e-15 * want, t
+        jumps = [math.fsum(shock._jump_rates(FIG1, alpha)[i][0]) for i in range(2)]
+        for got, jump in zip(split, jumps):
+            assert got == pytest.approx(jump / rate, rel=1e-13, abs=0.0)
+        assert density == pytest.approx(jumps[1] * math.exp(-rate), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("p", (1e-4, 1e-8, 1e-12))
+    def test_tails_match_mpmath(self, p):
+        mpmath = pytest.importorskip("mpmath")
+        for n in (1, 2, 5):
+            with mpmath.workdps(50):
+                want_gamma = float(oracles.mp_threshold_tail(mpmath, 0.0, p, n))
+                want_sine = float(oracles.mp_sine_threshold_tail(mpmath, 0.0, p, n))
+            got_gamma = threshold_tail(IncGamma(0.0, p), n)
+            got_sine = threshold_tail(SineIntegral(0.0, p), n)
+            assert abs(got_gamma - want_gamma) <= 1e-13 * want_gamma, n
+            assert abs(got_sine - want_sine) <= 1e-13 * want_sine, n
+
+    def test_survival_matches_the_table_route(self):
+        # the mixture route against the tails summed by the table route
+        for law in (IncGamma(0.0, 1e-12), SineIntegral(0.0, 1e-8)):
+            model = ShockModel(FIG1, 0.5, law)
+            twin_model = ShockModel(FIG1, 0.5, twin(law, 40))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = reliability(model, 1.0)
+                want = reliability(twin_model, 1.0)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), law
+
+    def test_a_normaliser_that_underflows_raises(self):
+        with pytest.raises(ValueError, match="underflows"):
+            SineIntegral(0.0, 1e-200)
+        assert IncGamma(0.0, 1e-200).mixture().density(0.0, 1.0) == pytest.approx(1e200)
+
+
+class TestComponentIndex:
+    """A component index or jump size of any integer type; nothing else."""
+
+    TABLE = ShockModel(FIG1, 0.9, CustomThreshold((1.0, 0.6, 0.2)))
+
+    @pytest.mark.parametrize("i", (0.5, 1.0, np.float64(1.0), "1", None), ids=repr)
+    @pytest.mark.parametrize("model", (MODEL, TABLE), ids=("mixture", "table"))
+    def test_a_non_integer_index_raises_value_error(self, model, i):
+        for call in (
+            lambda: failure_density(model, i, 1.0),
+            lambda: prob_failure_type(model, i),
+            lambda: hazard_rate(model, i, 1, (1, 1), 1.0),
+        ):
+            with pytest.raises(ValueError, match="component index must be an integer"):
+                call()
+        with pytest.raises(ValueError, match="jump size must be an integer"):
+            hazard_rate(model, 1, i, (1, 1), 1.0)
+
+    @pytest.mark.parametrize("model", (MODEL, TABLE), ids=("mixture", "table"))
+    def test_bools_and_numpy_ints_are_indices(self, model):
+        for one in (True, np.int64(1), np.uint8(1)):
+            assert failure_density(model, one, 1.0) == failure_density(model, 1, 1.0)
+            assert prob_failure_type(model, one) == prob_failure_type(model, 1)
+            got = hazard_rate(model, one, np.int32(2), (1, 1), 1.0)
+            assert got == hazard_rate(model, 1, 2, (1, 1), 1.0)
+        with pytest.raises(ValueError, match="out of range"):
+            prob_failure_type(model, np.int64(2))

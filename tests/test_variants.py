@@ -1344,6 +1344,16 @@ class TestCovariance:
         with pytest.raises(ValueError):
             covariance(Mgsfcp(0.7), FIG1, 0, 0, 1.0)
 
+    def test_component_indices_of_any_integer_type(self):
+        v = Tempered(0.5, 2.0)
+        want = covariance(v, FIG1, 0, 1, 1.3)
+        assert covariance(v, FIG1, False, np.int64(1), 1.3) == want
+        for bad in (0.0, np.float64(1.0), "1"):
+            with pytest.raises(ValueError, match="component index must be an integer"):
+                covariance(v, FIG1, bad, 1, 1.3)
+            with pytest.raises(ValueError, match="component index must be an integer"):
+                covariance(v, FIG1, 0, bad, 1.3)
+
 
 class TestCodifference:
     def test_frozen_mgfcp_value(self):
@@ -1419,6 +1429,16 @@ class TestCodifference:
             codifference(Mgcp(), FIG1, 0, 1, 1.0)
         with pytest.raises(ValueError):
             codifference(Mgfcp(0.8), FIG1, 0, 5, 1.0)
+
+    def test_component_indices_of_any_integer_type(self):
+        v = Mgfcp(0.8)
+        want = codifference(v, FIG1, 0, 1, 0.7)
+        assert codifference(v, FIG1, np.uint8(0), True, 0.7) == want
+        for bad in (1.0, np.float64(0.0), None):
+            with pytest.raises(ValueError, match="component index must be an integer"):
+                codifference(v, FIG1, bad, 1, 0.7)
+            with pytest.raises(ValueError, match="component index must be an integer"):
+                codifference(v, FIG1, 0, bad, 0.7)
 
 
 EVEN = RateMatrix([[0.0, 0.5]])
