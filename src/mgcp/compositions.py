@@ -53,8 +53,9 @@ def joint_compositions(ks, ns):
 
 
 def _table_size(z):
-    """Tables come in powers of two, so deeper states reuse them."""
-    return max(32, 1 << (z - 1).bit_length())
+    """Tables come in powers of two, from 32 up, so deeper states reuse them."""
+    # a conditional, not max(): every warm pmf cell reads one size
+    return 32 if z <= 32 else 1 << (z - 1).bit_length()
 
 
 @lru_cache(maxsize=32)

@@ -310,7 +310,7 @@ def _pmf_counts(v, rates, t, seed, k, n_samples, dims):
     )
     # the row-major cell index, built row by row; a count at or past its
     # box edge dim only marks the draw outside, so each row's counts stop
-    # at dim, and a draw outside goes to one extra bin past the cells
+    # at dim, and only the draws inside are binned
     size = int(dims.prod())
     flat = np.zeros(operational.size, dtype=np.int64)
     outside = np.zeros(operational.size, dtype=bool)
@@ -319,9 +319,8 @@ def _pmf_counts(v, rates, t, seed, k, n_samples, dims):
         flat *= dim
         flat += column
         outside |= column >= dim
-    flat[outside] = size
-    counts = np.bincount(flat, minlength=size + 1)
-    return counts[:size], int(counts[size])
+    inside = flat.compress(~outside)
+    return np.bincount(inside, minlength=size), flat.size - inside.size
 
 
 def estimate_pmf(v, rates, t, box, n_samples, seed, workers=1, sigma=4.0):
@@ -362,9 +361,9 @@ def estimate_pmf(v, rates, t, box, n_samples, seed, workers=1, sigma=4.0):
     cells = []
     tail_mass = 0.0
     tail_count = outside
-    for idx in np.ndindex(*dims):
+    # np.ndindex walks the cells in row-major order, the order of counts
+    for idx, c in zip(np.ndindex(*dims), counts.tolist()):
         p = variant_pmf(v, rates, idx, t)
-        c = int(counts[np.ravel_multi_index(idx, tuple(dims))])
         if p < _TAIL_MASS or n_samples * p < _MIN_EXPECTED:
             tail_mass += p
             tail_count += c

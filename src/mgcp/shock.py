@@ -70,10 +70,10 @@ from .gcp import RateMatrix, _check_index, _check_state
 from .compositions import jump_profile
 from .specfun import (
     TruncationWarning,
+    _beta_zero_scaled,
+    _incomplete_gamma_scaled,
+    _sine_integral_scaled,
     falling_factorial,
-    generalized_incomplete_gamma,
-    generalized_sine_integral,
-    incomplete_beta,
 )
 from .subordinators import Stable
 from .variants import (
@@ -149,7 +149,18 @@ class Logarithmic:
 
     def tail(self, n):
         """q_n for n >= 1."""
-        return incomplete_beta(self.p, n + 1.0, 0.0) / -math.log1p(-self.p)
+        p = self.p
+        return _scaled_tail(n, p, _beta_zero_scaled(p, n + 1.0), -math.log1p(-p))
+
+
+def _scaled_tail(n, p, scaled, norm):
+    """q_n = int x^n w(x) dx / norm over (a, p), from scaled, that integral over p^(n+1).
+
+    q_n is p^n times p scaled / norm, a mean of (x / p)^n and so at most
+    1: neither factor underflows before q_n does, so a narrow law near 0
+    keeps its tails, each within a few roundings.
+    """
+    return p**n * (p * scaled / norm)
 
 
 @dataclass(frozen=True)
@@ -176,7 +187,8 @@ class IncGamma:
 
     def tail(self, n):
         """q_n for n >= 1."""
-        return generalized_incomplete_gamma(n + 1.0, self.a, self.p) / self._norm()
+        scaled = _incomplete_gamma_scaled(n + 1.0, self.a, self.p)
+        return _scaled_tail(n, self.p, scaled, self._norm())
 
 
 @dataclass(frozen=True)
@@ -203,7 +215,8 @@ class SineIntegral:
 
     def tail(self, n):
         """q_n for n >= 1."""
-        return generalized_sine_integral(n + 1.0, self.a, self.p) / self._norm()
+        scaled = _sine_integral_scaled(n + 1.0, self.a, self.p)
+        return _scaled_tail(n, self.p, scaled, self._norm())
 
 
 @dataclass(frozen=True)

@@ -312,27 +312,7 @@ def incomplete_beta(x, p, q):
     if p <= 0:
         raise ValueError("p must be positive")
     if q == 0.0:
-        # expand 1/(1-t): sum_m x^(p+m)/(p+m), all terms positive, so
-        # the value stays exact down to underflow where quadrature
-        # loses the boundary layer at large p
-        total = 0.0
-        xm = x**p
-        m = 0.0
-        while True:
-            term = xm / (p + m)
-            total += term
-            if term <= 1e-17 * total:
-                return total
-            if m >= 200_000.0:
-                warnings.warn(
-                    "incomplete_beta: series cut at x=%g" % x,
-                    TruncationWarning,
-                    stacklevel=2,
-                )
-                # geometric bound on everything dropped
-                return total + term * x / (1.0 - x)
-            xm *= x
-            m += 1.0
+        return x**p * _beta_zero_scaled(x, p)
     # QAWS handles the algebraic t^(p-1) endpoint weight exactly; scipy's
     # integrate package is loaded here, its one use in this module, so
     # that importing mgcp does not pay for it
@@ -356,6 +336,48 @@ def incomplete_beta(x, p, q):
     return val
 
 
+def _beta_zero_scaled(x, p):
+    """x^(-p) incomplete_beta(x, p, 0) = sum_m x^m / (p + m), for 0 < x < 1.
+
+    Expanding 1/(1-t) gives positive terms, so the value stays exact
+    where quadrature loses the boundary layer at large p; with x^p taken
+    out, a narrow x (a threshold law's tail) does not underflow first.
+    """
+    total = 0.0
+    xm = 1.0
+    m = 0.0
+    while True:
+        term = xm / (p + m)
+        total += term
+        if term <= 1e-17 * total:
+            return total
+        if m >= 200_000.0:
+            warnings.warn(
+                "incomplete_beta: series cut at x=%g" % x,
+                TruncationWarning,
+                stacklevel=3,
+            )
+            # geometric bound on everything dropped
+            return total + term * x / (1.0 - x)
+        xm *= x
+        m += 1.0
+
+
+def _log_ratio(p, q):
+    """log(p / q) for 0 <= p < q, as log1p of the interval's share of q.
+
+    1 - (p/q)^e = -expm1(e log(p/q)) then keeps its digits when the
+    interval (p, q) is short against q, where q^e - p^e cancels.
+    """
+    return math.log1p(-(q - p) / q) if p > 0.0 else -math.inf
+
+
+def _check_interval(p, q):
+    """ValueError unless 0 <= p < q <= 1, the interval both series take."""
+    if not (0.0 <= p < q <= 1.0):
+        raise ValueError("need 0 <= p < q <= 1")
+
+
 def generalized_incomplete_gamma(x, p, q):
     """int_p^q e^(-t) t^(x-1) dt for 0 <= p < q <= 1, x > 0.
 
@@ -367,19 +389,30 @@ def generalized_incomplete_gamma(x, p, q):
     """
     if x <= 0:
         raise ValueError("x must be positive")
-    if not (0.0 <= p < q <= 1.0):
-        raise ValueError("need 0 <= p < q <= 1")
+    _check_interval(p, q)
+    return q**x * _incomplete_gamma_scaled(x, p, q)
+
+
+def _incomplete_gamma_scaled(x, p, q):
+    """q^(-x) generalized_incomplete_gamma(x, p, q), from checked arguments.
+
+    Term k is (-1)^k q^k / k! * (1 - (p/q)^(x+k)) / (x+k), each
+    difference formed by _log_ratio without cancelling.
+    """
+    r = _log_ratio(p, q)
     total = 0.0
     sign = 1.0
     fact = 1.0
+    qk = 1.0
     for k in range(60):
         e = x + k
-        term = sign * (q**e - p**e) / (e * fact)
+        term = sign * qk * -math.expm1(e * r) / (e * fact)
         total += term
         if abs(term) <= 1e-17 * abs(total):
             break
         sign = -sign
         fact *= k + 1.0
+        qk *= q
     return total
 
 
@@ -391,19 +424,31 @@ def generalized_sine_integral(x, p, q):
     """
     if x < 1:
         raise ValueError("x must be >= 1")
-    if not (0.0 <= p < q <= 1.0):
-        raise ValueError("need 0 <= p < q <= 1")
+    _check_interval(p, q)
+    return q**x * _sine_integral_scaled(x, p, q)
+
+
+def _sine_integral_scaled(x, p, q):
+    """q^(-x) generalized_sine_integral(x, p, q), from checked arguments.
+
+    Term k is (-1)^k q^(2k+1) / (2k+1)! * (1 - (p/q)^e) / e, e = x+2k+1,
+    each difference formed by _log_ratio without cancelling.
+    """
+    r = _log_ratio(p, q)
+    q2 = q * q
     total = 0.0
     sign = 1.0
     fact = 1.0
+    qk = q
     for k in range(40):
         e = x + 2.0 * k + 1.0
-        term = sign * (q**e - p**e) / (e * fact)
+        term = sign * qk * -math.expm1(e * r) / (e * fact)
         total += term
         if abs(term) <= 1e-17 * abs(total):
             break
         sign = -sign
         fact *= (2.0 * k + 2.0) * (2.0 * k + 3.0)
+        qk *= q2
     return total
 
 

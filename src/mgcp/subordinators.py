@@ -390,8 +390,10 @@ def _tempered_stable(alpha, theta, t, rng, size):
         while pending.size:
             prop = scale * _kanter(alpha, rng, pending.size)
             accept = rng.random(pending.size) < np.exp(-theta * prop)
-            draw[pending[accept]] = prop[accept]
-            pending = pending[~accept]
+            # index arrays, not boolean masks: a random mask scatters slowly
+            kept = np.flatnonzero(accept)
+            draw[pending.take(kept)] = prop.take(kept)
+            pending = pending.compress(~accept)
         total += draw.reshape(slices, size).sum(axis=0)
     return total
 

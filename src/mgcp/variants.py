@@ -354,6 +354,27 @@ def _kernel_sum(profile, nbar, ktilde):
         ) from exc
 
 
+# at most this many laws keep their scale factor (_cell_law)
+_CELL_LAW_ENTRIES = 256
+
+
+@lru_cache(maxsize=_CELL_LAW_ENTRIES)
+def _cell_law(v, lam, t, size):
+    """(q, lg, scale): _law of the variant's clock, and exp(lg) where it is in range.
+
+    scale is exp(lg) for -700 < lg < 700, where _times_exp(y, lg) is
+    y * exp(lg), and None elsewhere, where a cell takes _times_exp.  A
+    warm cell hashes the variant once and reads one entry; the split
+    and the law stay memoised on their own (_split, _law), so the entry
+    shares their objects.  An entry keeps its law's size + 1 floats
+    alive after _law drops them, so the memo holds at most
+    _CELL_LAW_ENTRIES laws of its own.
+    """
+    clock, beta = _split(v)
+    q, lg = _law(clock, beta, lam, t, size)
+    return q, lg, (math.exp(lg) if -700.0 < lg < 700.0 else None)
+
+
 def variant_pmf(v, rates, nbar, t):
     """P{variant state = nbar at time t}.
 
@@ -374,20 +395,37 @@ def variant_pmf(v, rates, nbar, t):
     circle inside the branch point s = 1 at every t; its error is
     absolute, the bound that _cauchy_law states.
 
-    The law q_t is computed once per clock, beta, Lambda, t and table
-    size of the state's deepest jump count (_law, an lru_cache of 64
-    laws) and shared by every cell of a box.
-    The profile S is computed once per rates and state (jump_profile, an
-    lru_cache of compositions._PROFILE_ENTRIES profiles) and shared by
-    every variant and time.  The variant's clock is built once per
-    variant (_split, an lru_cache of _SPLIT_ENTRIES variants), so a warm
-    cell reads two memos and takes one correctly rounded dot product.
+    A warm cell at 0 < t < inf reads two memos: the profile S, once per
+    rates and state (jump_profile, an lru_cache of
+    compositions._PROFILE_ENTRIES profiles) and shared by every variant
+    and time, and the law with its scale factor exp(lg), once per
+    variant, Lambda, t and table size of the state's deepest jump count
+    (_cell_law, an lru_cache of _CELL_LAW_ENTRIES laws), shared by every
+    cell of a box.  It then takes one correctly rounded dot product and
+    one multiply.  A cold _cell_law entry reads the variant's clock
+    (_split, an lru_cache of _SPLIT_ENTRIES variants) and the law
+    (_law, an lru_cache of 64 laws per clock, beta, Lambda, t and table
+    size), so variants with one clock share one law.
 
     The entries of nbar may be of any integer type (int, bool, numpy
     integers, as sample_variant_many draws them); anything else raises
     ValueError, whatever the memos hold.
     """
-    return _pmf(_pmf_series, v, rates, nbar, t)
+    nbar = _check_state(rates, nbar)
+    if not 0.0 < t < math.inf:
+        return _edge_pmf(nbar, t)
+    try:
+        z0, prof = jump_profile(rates, nbar)
+        zmax = z0 + len(prof) - 1
+        q, lg, scale = _cell_law(v, rates.total, t, _table_size(zmax))
+        if zmax >= len(q):
+            raise ValueError("t = %r is too large for the jump-count recursion" % (t,))
+        # every q[z] is finite (_law stops at the first inf), so the zero
+        # entries of the profile add exact zeros
+        y = math.fsum(map(operator.mul, prof, q[z0 : zmax + 1]))
+        return y * scale if scale is not None else _times_exp(y, lg)
+    except OverflowError as exc:
+        raise _too_deep(nbar) from exc
 
 
 def variant_pmf_wright(v, rates, nbar, t):
@@ -398,40 +436,34 @@ def variant_pmf_wright(v, rates, nbar, t):
     clock is the identity, and the route is the paper's composition sum
     gcp.mgcp_pmf.
     """
-    return _pmf(_wright_series, v, rates, nbar, t)
-
-
-def _pmf(route, v, rates, nbar, t):
-    """The checks both pmf routes share; route(v, ...) does the rest."""
     nbar = _check_state(rates, nbar)
+    if not 0.0 < t < math.inf:
+        return _edge_pmf(nbar, t)
+    try:
+        return _wright_series(v, rates, nbar, t)
+    except OverflowError as exc:
+        raise _too_deep(nbar) from exc
+
+
+def _edge_pmf(nbar, t):
+    """The pmf of the checked state nbar at a t outside (0, inf), or ValueError.
+
+    Both pmf routes send every t they do not sum here.
+    """
     if not t >= 0:
         raise ValueError("t must be non-negative")
     if t == 0:
         return 1.0 if not any(nbar) else 0.0
-    if t == math.inf:
-        # every clock grows without bound, so p(0) -> 0; the series of the
-        # other states need a finite t
-        if any(nbar):
-            raise ValueError("t = inf is too large for a pmf of a non-empty state")
-        return 0.0
-    try:
-        return route(v, rates, nbar, t)
-    except OverflowError as exc:
-        raise ValueError(
-            "state %r is too deep for the double-precision pmf series" % (nbar,)
-        ) from exc
+    # t = inf: every clock grows without bound, so p(0) -> 0; the series
+    # of the other states need a finite t
+    if any(nbar):
+        raise ValueError("t = inf is too large for a pmf of a non-empty state")
+    return 0.0
 
 
-def _pmf_series(v, rates, nbar, t):
-    clock, beta = _split(v)
-    z0, prof = jump_profile(rates, nbar)
-    zmax = z0 + len(prof) - 1
-    q, lg = _law(clock, beta, rates.total, t, _table_size(zmax))
-    if zmax >= len(q):
-        raise ValueError("t = %r is too large for the jump-count recursion" % (t,))
-    # every q[z] is finite (_law stops at the first inf), so the zero
-    # entries of the profile add exact zeros
-    return _times_exp(math.fsum(map(operator.mul, prof, q[z0 : zmax + 1])), lg)
+def _too_deep(nbar):
+    """The ValueError both pmf routes raise for an OverflowError of their series."""
+    return ValueError("state %r is too deep for the double-precision pmf series" % (nbar,))
 
 
 def _wright_series(v, rates, nbar, t):

@@ -30,7 +30,9 @@ specfun.generalized_incomplete_gamma.  mp_sine_threshold_tail is the
 SineIntegral threshold's tail by mpmath quadrature, the independent side
 of specfun.generalized_sine_integral.  Both form their normalisers as
 differences in mpmath, where the working precision absorbs the
-cancellation.
+cancellation.  mp_log_threshold_tail is the Logarithmic threshold's
+tail by mpmath quadrature, the independent side of the series of
+specfun.incomplete_beta at q = 0.
 
 complex_ecf_moments is the codifference estimator's statistics in
 complex arithmetic: exp(1j * ...) rows and np.cov, the independent side
@@ -265,6 +267,19 @@ def mp_sine_threshold_tail(mpmath, a, p, n):
 
     integral = width * p**n * mpmath.sin(p) * mpmath.quad(scaled, [0, 1])
     return integral / (mpmath.cos(a) - mpmath.cos(p))
+
+
+def mp_log_threshold_tail(mpmath, p, n):
+    """Pr{N > n} of the Logarithmic(p) threshold in mpmath at the caller's precision.
+
+    int_0^p x^n / (1 - x) dx / -ln(1 - p), the integral by mpmath's
+    quadrature in u on x = p u of u^n / (1 - p u), which lies in [0, 1 / (1 - p)]
+    whatever p is, and the normaliser by mpmath's log1p, which keeps its
+    digits at a p far below the working precision.
+    """
+    p = mpmath.mpf(p)
+    integral = p ** (n + 1) * mpmath.quad(lambda u: u**n / (1 - p * u), [0, 1])
+    return integral / -mpmath.log1p(-p)
 
 
 def complex_ecf_moments(x, y):

@@ -11,6 +11,7 @@ a CustomThreshold holding the same tails takes, and against mpmath.
 
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -910,6 +911,44 @@ class TestNarrowThresholds:
             got_sine = threshold_tail(SineIntegral(0.0, p), n)
             assert abs(got_gamma - want_gamma) <= 1e-13 * want_gamma, n
             assert abs(got_sine - want_sine) <= 1e-13 * want_sine, n
+
+    @pytest.mark.parametrize("width", (1e-12, 1e-8))
+    def test_short_interval_tails_match_mpmath(self, width):
+        # q^e - p^e cancels on (0.2, 0.2 + width): by direct subtraction
+        # the tails were 6.0e-6 and 9.9e-6 off at width 1e-12
+        mpmath = pytest.importorskip("mpmath")
+        a, p = 0.2, 0.2 + width
+        for n in (1, 2, 5, 40):
+            with mpmath.workdps(50):
+                want_gamma = float(oracles.mp_threshold_tail(mpmath, a, p, n))
+                want_sine = float(oracles.mp_sine_threshold_tail(mpmath, a, p, n))
+            got_gamma = threshold_tail(IncGamma(a, p), n)
+            got_sine = threshold_tail(SineIntegral(a, p), n)
+            assert abs(got_gamma - want_gamma) <= 1e-13 * want_gamma, n
+            assert abs(got_sine - want_sine) <= 1e-13 * want_sine, n
+
+    @pytest.mark.parametrize(
+        "law", (IncGamma(0.0, 1e-200), Logarithmic(1e-200), IncGamma(0.0, 1e-160), Logarithmic(1e-160)),
+        ids=repr,
+    )
+    def test_narrow_law_tails_match_mpmath(self, law):
+        # p^(n+1) underflowed before the normaliser (about p) divided it,
+        # so q_1 = 5e-201 read 0.0; a tail is 0 only below the subnormals,
+        # and a subnormal one is off by at most one subnormal step
+        mpmath = pytest.importorskip("mpmath")
+        for n in (1, 2, 3):
+            with mpmath.workdps(450):
+                if isinstance(law, IncGamma):
+                    want = oracles.mp_threshold_tail(mpmath, law.a, law.p, n)
+                else:
+                    want = oracles.mp_log_threshold_tail(mpmath, law.p, n)
+            got = threshold_tail(law, n)
+            if want >= sys.float_info.min:
+                assert abs(got - want) <= 1e-13 * want, n
+            elif want >= 2.0**-1074:
+                assert 0.0 < got and abs(got - want) <= 2.0**-1074, n
+            else:
+                assert got == 0.0, n
 
     def test_survival_matches_the_table_route(self):
         # the mixture route against the tails summed by the table route

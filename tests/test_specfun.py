@@ -263,6 +263,26 @@ def test_generalized_sine_integral_x_one():
         generalized_sine_integral(0.5, 0.1, 0.9)
 
 
+@pytest.mark.parametrize("p, q", [(0.2, 0.2 + 1e-12), (0.9, 0.9 + 1e-9), (0.0, 1e-200), (0.5, 1.0)])
+def test_short_and_narrow_intervals_match_mpmath(p, q):
+    # q^e - p^e cancels on a short interval far from 0, and q^e
+    # underflows on a narrow one at 0 only where the integral does
+    mpmath = pytest.importorskip("mpmath")
+    for x in (1.0, 2.0, 7.5):
+        with mpmath.workdps(60):
+            mp_p, mp_q = mpmath.mpf(p), mpmath.mpf(q)
+            want_gamma = float(mpmath.gammainc(x, mp_p, mp_q))
+            want_sine = float(mpmath.quad(lambda t: t ** (x - 1) * mpmath.sin(t), [mp_p, mp_q]))
+        for got, want in (
+            (generalized_incomplete_gamma(x, p, q), want_gamma),
+            (generalized_sine_integral(x, p, q), want_sine),
+        ):
+            if want >= sys.float_info.min:
+                assert abs(got - want) <= 1e-14 * want, (x, got, want)
+            else:
+                assert abs(got) <= 2.0**-1074, (x, got, want)
+
+
 def test_falling_factorial_small():
     assert falling_factorial(5.0, 0) == 1.0
     assert falling_factorial(5.0, 3) == 60.0

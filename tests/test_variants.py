@@ -736,6 +736,7 @@ def test_inverse_stable_route_switch(v, monkeypatch):
         variants_module, "_cauchy_law", lambda *a: taken.append(a[-2]) or cauchy(*a)
     )
     variants_module._law.cache_clear()
+    variants_module._cell_law.cache_clear()
     t_switch = _t_at_reach(v, specfun_module._CONTOUR_FROM)
     times = (1.0, 0.99 * t_switch, 1.01 * t_switch, 20.0)
     for t in times:
@@ -1026,6 +1027,7 @@ def _clear_memos():
         compositions_module._column,
         compositions_module._powers,
         variants_module._law,
+        variants_module._cell_law,
         variants_module._clock_atoms,
         variants_module._split,
     ):
@@ -1645,3 +1647,119 @@ class TestStateEntryTypes:
         assert variant_pmf(v, FIG1, np.array([1, 0], dtype=np.uint8), 1.0) == want
         with pytest.raises(ValueError, match="non-negative"):
             variant_pmf(v, FIG1, np.array([1, -1]), 1.0)
+
+
+class TestWarmCellLaw:
+    """A warm cell reads one _cell_law entry: (q, lg, exp(lg) or None)."""
+
+    LG_GRID = sorted(
+        {
+            float(x)
+            for edge in (-700.0, 700.0)
+            for x in (
+                np.nextafter(np.nextafter(edge, -np.inf), -np.inf),
+                np.nextafter(edge, -np.inf),
+                edge,
+                np.nextafter(edge, np.inf),
+                np.nextafter(np.nextafter(edge, np.inf), np.inf),
+            )
+        }
+        | {-2000.5, -1999.5, -745.2, -699.0, -1.5, 0.0, 1e-300, 3.25, 699.0, 745.2, 1000.0}
+    )
+
+    @pytest.fixture
+    def law_at(self, monkeypatch):
+        """Point every cell at the law (q, lg); the memo is cleared around it."""
+        q = tuple(0.5**k for k in range(129))
+
+        def point(lg):
+            monkeypatch.setattr(variants_module, "_law", lambda *args: (q, lg))
+            variants_module._cell_law.cache_clear()
+            return q
+
+        yield point
+        variants_module._cell_law.cache_clear()
+
+    def test_scale_times_the_sum_is_times_exp(self, law_at):
+        sums = (1.0, 0.3, 5e-324, 1.75e-300, 0.999999999999, 2.0**599)
+        for lg in self.LG_GRID:
+            law_at(lg)
+            q, got_lg, scale = variants_module._cell_law(Mgsfcp(0.7), FIG1.total, 1.0, 32)
+            assert got_lg == lg
+            assert (scale is None) == (not -700.0 < lg < 700.0), lg
+            for y in sums:
+                if math.log(y) + lg >= 709.0:
+                    continue  # y exp(lg) is past double range
+                want = variants_module._times_exp(y, lg)
+                got = y * scale if scale is not None else variants_module._times_exp(y, lg)
+                assert got.hex() == want.hex(), (lg, y)
+
+    @pytest.mark.parametrize("n", [(0, 0), (3, 4), (12, 12)])
+    def test_warm_cell_is_times_exp_of_the_dot_product(self, law_at, n):
+        z0, prof = jump_profile(FIG1, n)
+        for lg in self.LG_GRID:
+            q = law_at(lg)
+            y = math.fsum(p * x for p, x in zip(prof, q[z0:]))
+            try:
+                want = variants_module._times_exp(y, lg)
+            except OverflowError:
+                # the one OverflowError of a warm cell, named as depth
+                for _ in range(2):
+                    with pytest.raises(ValueError, match="is too deep for the double-precision"):
+                        variant_pmf(Mgsfcp(0.7), FIG1, n, 1.0)
+                continue
+            cold = variant_pmf(Mgsfcp(0.7), FIG1, n, 1.0)
+            warm = variant_pmf(Mgsfcp(0.7), FIG1, n, 1.0)
+            assert cold.hex() == warm.hex() == want.hex(), (lg, n)
+
+    @pytest.mark.parametrize("state", [(2.0, 1), (2, 1.5), (np.float64(2.0), 1), ("2", 1), (2, "1")], ids=repr)
+    def test_warm_memo_rejects_float_and_str_entries(self, state):
+        v = Tempered(0.6, 0.9)
+        variant_pmf(v, FIG1, (2, 1), 1.0)
+        hits = variants_module._cell_law.cache_info().hits
+        variant_pmf(v, FIG1, (2, 1), 1.0)
+        assert variants_module._cell_law.cache_info().hits == hits + 1
+        with pytest.raises(ValueError, match="state entries must be integers"):
+            variant_pmf(v, FIG1, state, 1.0)
+
+    @pytest.mark.parametrize("t", [1.0, 20.0])
+    @pytest.mark.parametrize("rates, box", [(FIG1, (12, 12)), (Q3, (5, 5, 5))], ids=["fig1", "q3"])
+    @pytest.mark.parametrize("v", [Mgsfcp(1.0), Tempered(1.0, 0.9), Tempered(1.0, 7.0)], ids=repr)
+    def test_identity_clock_variants_give_the_base_box(self, v, rates, box, t):
+        # each has its own _cell_law entry, and each reads the identity
+        # clock's one law
+        states = list(itertools.product(*(range(b + 1) for b in box)))
+        for order in (states, states[::-1]):
+            _clear_memos()
+            base = [variant_pmf(Mgcp(), rates, n, t).hex() for n in order]
+            assert [variant_pmf(v, rates, n, t).hex() for n in order] == base
+
+    ERRORS = [
+        ((1, 0.5), 1.0, "state entries must be integers"),
+        ((1, -1), 1.0, "state entries must be non-negative"),
+        ((1, 1, 1), 1.0, "state vector length must equal q"),
+        ((1,), 1.0, "state vector length must equal q"),
+        ((1, 1), math.nan, "t must be non-negative"),
+        ((1, 1), -1.0, "t must be non-negative"),
+        ((1, 0), math.inf, r"t = inf is too large for a pmf of a non-empty state"),
+    ]
+
+    @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+    @pytest.mark.parametrize("v", ALL_VARIANTS, ids=vid)
+    def test_errors_do_not_depend_on_the_memos(self, v, cold):
+        for nbar, t, message in self.ERRORS:
+            if cold:
+                _clear_memos()
+            else:
+                variant_pmf(v, FIG1, (1, 1), 1.0)
+            with pytest.raises(ValueError, match=message):
+                variant_pmf(v, FIG1, nbar, t)
+
+    def test_too_large_t_and_too_deep_states_raise_cold_and_warm(self):
+        # the second of each pair reads a warm memo
+        _clear_memos()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"t = 1\.7e\+308 is too large for the jump-count"):
+                variant_pmf(Mgcp(), FIG1, (1, 0), 1.7e308)
+            with pytest.raises(ValueError, match=r"state \(300,\) is too deep for the double-precision"):
+                variant_pmf_wright(Mgsfcp(0.7), ONE, (300,), 1.0)
