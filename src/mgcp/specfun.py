@@ -364,12 +364,17 @@ def _beta_zero_scaled(x, p):
 
 
 def _log_ratio(p, q):
-    """log(p / q) for 0 <= p < q, as log1p of the interval's share of q.
+    """log(p / q) for 0 <= p < q, as log1p of the interval's share of q near q.
 
     1 - (p/q)^e = -expm1(e log(p/q)) then keeps its digits when the
-    interval (p, q) is short against q, where q^e - p^e cancels.
+    interval (p, q) is short against q, where q^e - p^e cancels.  Past
+    p = q/2, q - p is exact and log1p keeps the short interval's digits;
+    below it, log(p / q) is at least log 2 in size and keeps its own,
+    where log1p would take 1 minus a share that rounds to 1.
     """
-    return math.log1p(-(q - p) / q) if p > 0.0 else -math.inf
+    if p > 0.5 * q:
+        return math.log1p(-(q - p) / q)
+    return math.log(p / q) if p > 0.0 else -math.inf
 
 
 def _check_interval(p, q):

@@ -198,10 +198,16 @@ def _jump_count_law(nu, t, h, zmax):
     return q, lg
 
 
+def _exp_scale(lg):
+    """exp(lg) where _times_exp(y, lg) is y * exp(lg), that is -700 < lg < 700; else None."""
+    return math.exp(lg) if -700.0 < lg < 700.0 else None
+
+
 def _times_exp(y, lg):
     """y exp(lg) for 0 <= y < 2^600, also where exp(lg) alone leaves double range."""
-    if -700.0 < lg < 700.0:
-        return y * math.exp(lg)
+    scale = _exp_scale(lg)
+    if scale is not None:
+        return y * scale
     if lg < -2000.0:
         return 0.0
     k = math.floor(lg / _LN2)
@@ -354,25 +360,26 @@ def _kernel_sum(profile, nbar, ktilde):
         ) from exc
 
 
-# at most this many laws keep their scale factor (_cell_law)
-_CELL_LAW_ENTRIES = 256
+# at most this many laws keep their scale factor (_cell_law), as many as _law holds
+_CELL_LAW_ENTRIES = 64
 
 
 @lru_cache(maxsize=_CELL_LAW_ENTRIES)
 def _cell_law(v, lam, t, size):
-    """(q, lg, scale): _law of the variant's clock, and exp(lg) where it is in range.
+    """(q, lg, scale): _law of the variant's clock, and _exp_scale(lg).
 
-    scale is exp(lg) for -700 < lg < 700, where _times_exp(y, lg) is
-    y * exp(lg), and None elsewhere, where a cell takes _times_exp.  A
-    warm cell hashes the variant once and reads one entry; the split
-    and the law stay memoised on their own (_split, _law), so the entry
-    shares their objects.  An entry keeps its law's size + 1 floats
-    alive after _law drops them, so the memo holds at most
-    _CELL_LAW_ENTRIES laws of its own.
+    scale is None where lg is out of _exp_scale's range, and a cell then
+    takes _times_exp.  A warm cell hashes the variant once and reads one
+    entry; the split and the law stay memoised on their own (_split,
+    _law), so the entry shares their objects.  An entry keeps its law's
+    tuple of at most size + 1 floats alive after _law drops it, about 32
+    bytes a float, so the memo holds about _CELL_LAW_ENTRIES * 32 *
+    (size + 1) bytes of laws of its own: 68 kB at the smallest table
+    size, 32, and 64 * 32 * 2^k bytes at size 2^k.
     """
     clock, beta = _split(v)
     q, lg = _law(clock, beta, lam, t, size)
-    return q, lg, (math.exp(lg) if -700.0 < lg < 700.0 else None)
+    return q, lg, _exp_scale(lg)
 
 
 def variant_pmf(v, rates, nbar, t):
@@ -411,21 +418,7 @@ def variant_pmf(v, rates, nbar, t):
     integers, as sample_variant_many draws them); anything else raises
     ValueError, whatever the memos hold.
     """
-    nbar = _check_state(rates, nbar)
-    if not 0.0 < t < math.inf:
-        return _edge_pmf(nbar, t)
-    try:
-        z0, prof = jump_profile(rates, nbar)
-        zmax = z0 + len(prof) - 1
-        q, lg, scale = _cell_law(v, rates.total, t, _table_size(zmax))
-        if zmax >= len(q):
-            raise ValueError("t = %r is too large for the jump-count recursion" % (t,))
-        # every q[z] is finite (_law stops at the first inf), so the zero
-        # entries of the profile add exact zeros
-        y = math.fsum(map(operator.mul, prof, q[z0 : zmax + 1]))
-        return y * scale if scale is not None else _times_exp(y, lg)
-    except OverflowError as exc:
-        raise _too_deep(nbar) from exc
+    return _pmf(_pmf_series, v, rates, nbar, t)
 
 
 def variant_pmf_wright(v, rates, nbar, t):
@@ -436,34 +429,40 @@ def variant_pmf_wright(v, rates, nbar, t):
     clock is the identity, and the route is the paper's composition sum
     gcp.mgcp_pmf.
     """
+    return _pmf(_wright_series, v, rates, nbar, t)
+
+
+def _pmf(route, v, rates, nbar, t):
+    """The checks both pmf routes share; route(v, ...) does the rest."""
     nbar = _check_state(rates, nbar)
-    if not 0.0 < t < math.inf:
-        return _edge_pmf(nbar, t)
-    try:
-        return _wright_series(v, rates, nbar, t)
-    except OverflowError as exc:
-        raise _too_deep(nbar) from exc
-
-
-def _edge_pmf(nbar, t):
-    """The pmf of the checked state nbar at a t outside (0, inf), or ValueError.
-
-    Both pmf routes send every t they do not sum here.
-    """
     if not t >= 0:
         raise ValueError("t must be non-negative")
     if t == 0:
         return 1.0 if not any(nbar) else 0.0
-    # t = inf: every clock grows without bound, so p(0) -> 0; the series
-    # of the other states need a finite t
-    if any(nbar):
-        raise ValueError("t = inf is too large for a pmf of a non-empty state")
-    return 0.0
+    if t == math.inf:
+        # every clock grows without bound, so p(0) -> 0; the series of the
+        # other states need a finite t
+        if any(nbar):
+            raise ValueError("t = inf is too large for a pmf of a non-empty state")
+        return 0.0
+    try:
+        return route(v, rates, nbar, t)
+    except OverflowError as exc:
+        raise ValueError(
+            "state %r is too deep for the double-precision pmf series" % (nbar,)
+        ) from exc
 
 
-def _too_deep(nbar):
-    """The ValueError both pmf routes raise for an OverflowError of their series."""
-    return ValueError("state %r is too deep for the double-precision pmf series" % (nbar,))
+def _pmf_series(v, rates, nbar, t):
+    z0, prof = jump_profile(rates, nbar)
+    zmax = z0 + len(prof) - 1
+    q, lg, scale = _cell_law(v, rates.total, t, _table_size(zmax))
+    if zmax >= len(q):
+        raise ValueError("t = %r is too large for the jump-count recursion" % (t,))
+    # every q[z] is finite (_law stops at the first inf), so the zero
+    # entries of the profile add exact zeros
+    y = math.fsum(map(operator.mul, prof, q[z0 : zmax + 1]))
+    return y * scale if scale is not None else _times_exp(y, lg)
 
 
 def _wright_series(v, rates, nbar, t):

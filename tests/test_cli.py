@@ -366,6 +366,18 @@ class TestReliabilityCommand:
         assert code == 2
         assert "underflows" in err
 
+    def test_threshold_with_a_small_left_end(self, capsys):
+        # a left end of 1e-20 moves the law by about 1e-20 from incgamma:0,1
+        base = ["reliability", "--model", MODEL, "--alpha", "0.5", "--tgrid", "0:10:2.5",
+                "--threshold"]
+        code, out, err = run(capsys, base + ["incgamma:0,1"])
+        assert (code, err) == (0, "")
+        want = csv_rows(out)[1]
+        code, out, err = run(capsys, base + ["incgamma:1e-20,1"])
+        assert (code, err) == (0, "")
+        for (t, value), (_, ref) in zip(csv_rows(out)[1], want):
+            assert float(value) == pytest.approx(float(ref), rel=1e-13, abs=0.0), t
+
     def test_general_needs_model(self, capsys):
         code, _, err = run(
             capsys,

@@ -927,6 +927,19 @@ class TestNarrowThresholds:
             assert abs(got_gamma - want_gamma) <= 1e-13 * want_gamma, n
             assert abs(got_sine - want_sine) <= 1e-13 * want_sine, n
 
+    @pytest.mark.parametrize("law", (IncGamma(1e-20, 1.0), SineIntegral(1e-300, 0.5)), ids=repr)
+    def test_small_left_end_tails_match_mpmath(self, law):
+        # q - p rounds to q, so the share (q - p)/q is 1 and log1p(-1)
+        # raised; the model's own probe of the tail raised with it
+        mpmath = pytest.importorskip("mpmath")
+        oracle = oracles.mp_threshold_tail if isinstance(law, IncGamma) else oracles.mp_sine_threshold_tail
+        for n in (1, 2, 5, 40):
+            with mpmath.workdps(50):
+                want = float(oracle(mpmath, law.a, law.p, n))
+            got = threshold_tail(law, n)
+            assert abs(got - want) <= 1e-13 * want, n
+        ShockModel(FIG1, 0.5, law)
+
     @pytest.mark.parametrize(
         "law", (IncGamma(0.0, 1e-200), Logarithmic(1e-200), IncGamma(0.0, 1e-160), Logarithmic(1e-160)),
         ids=repr,

@@ -263,10 +263,14 @@ def test_generalized_sine_integral_x_one():
         generalized_sine_integral(0.5, 0.1, 0.9)
 
 
-@pytest.mark.parametrize("p, q", [(0.2, 0.2 + 1e-12), (0.9, 0.9 + 1e-9), (0.0, 1e-200), (0.5, 1.0)])
+@pytest.mark.parametrize(
+    "p, q",
+    [(0.2, 0.2 + 1e-12), (0.9, 0.9 + 1e-9), (0.0, 1e-200), (0.5, 1.0), (1e-20, 1.0), (1e-300, 0.5)],
+)
 def test_short_and_narrow_intervals_match_mpmath(p, q):
     # q^e - p^e cancels on a short interval far from 0, and q^e
-    # underflows on a narrow one at 0 only where the integral does
+    # underflows on a narrow one at 0 only where the integral does; a
+    # left end far below q is a share q - p that rounds to q
     mpmath = pytest.importorskip("mpmath")
     for x in (1.0, 2.0, 7.5):
         with mpmath.workdps(60):
