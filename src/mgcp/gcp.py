@@ -19,10 +19,11 @@ class RateMatrix:
     rows[i][j-1] is the rate of size-j jumps of component i (0-based
     component index, 1-based jump size).  Zero entries are allowed and
     mean the jump size is absent; each component needs positive total
-    rate.
+    rate.  The hash is computed once, since every memo keyed by the
+    rates reads it; pickling and copying rebuild the matrix from rows.
     """
 
-    __slots__ = ("rows", "q", "ks", "row_totals", "total")
+    __slots__ = ("rows", "q", "ks", "row_totals", "total", "_hash")
 
     def __init__(self, rows):
         rows = tuple(tuple(float(x) for x in row) for row in rows)
@@ -42,6 +43,7 @@ class RateMatrix:
             self, "row_totals", tuple(math.fsum(row) for row in rows)
         )
         object.__setattr__(self, "total", math.fsum(r for row in rows for r in row))
+        object.__setattr__(self, "_hash", hash(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("RateMatrix is immutable")
@@ -50,7 +52,10 @@ class RateMatrix:
         return isinstance(other, RateMatrix) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.rows)
+        return self._hash
+
+    def __reduce__(self):
+        return RateMatrix, (self.rows,)
 
     def __repr__(self):
         return "RateMatrix(%r)" % (self.rows,)

@@ -21,10 +21,15 @@ relative accuracy up to the cusp at p = 1.  Every call checks its own
 error: the full sum against the sum over every other node, which is
 the rule of twice the step.  Where they differ by more than 1e-13 of
 the sum the step halves, down to 2^-8, past which the call warns with
-the estimate.  Each t of a curve takes its step on its own.  The
-weights of a step depend on the model and the step alone: c(x)^alpha at
-the nodes, and the weights times 1 or times sum_l J_i(l)(1 - x^l) for
-each component i.  They are kept once per (model, level), for up to 256
+the estimate.  Each t of a curve takes its step on its own.  One
+stepping loop (_mixture_sums) serves the curve, the densities and the
+split: a single integral costs one kernel evaluation, one product and
+a few float comparisons.  A model decides its route once, when it is
+built, and keeps its hash, which every memo keyed by it reads; models
+pickle and copy by being rebuilt from their fields.  The weights of a
+step depend on the model and the step alone: c(x)^alpha at the nodes,
+and the weights times 1 or times sum_l J_i(l)(1 - x^l) for each
+component i.  They are kept once per (model, level), for up to 256
 of them, so the curve, the densities and the split of one model read one
 weighted rule: at most 19048 + 38096 (q + 1) bytes at the finest step,
 34 MB for 256 such rules at q = 2.  Each weight is formed as
@@ -32,8 +37,9 @@ d (e / (p - a)) from the node's distances d and e to the ends, which
 keeps it from underflowing on an interval narrower than 1e-154, and the
 normalisers of the incomplete gamma and sine integral laws are formed
 without cancelling, as e^(-a) (1 - e^(a - p)) and
-2 sin((p + a)/2) sin((p - a)/2); a law whose normaliser still underflows
-is rejected.
+2 sin((p + a)/2) sin((p - a)/2); a law whose normaliser still falls
+below the smallest normal double, where it keeps too few digits, is
+rejected.
 
 The table route serves CustomThreshold, and the tests check the
 mixture route against it.  It needs the level pmf P{total count = n}.
@@ -173,7 +179,7 @@ class IncGamma:
     def __post_init__(self):
         if not 0.0 <= self.a < self.p <= 1.0:
             raise ValueError("need 0 <= a < p <= 1")
-        if not self._norm() > 0.0:
+        if not self._norm() >= sys.float_info.min:
             raise ValueError("the mass e^(-a) - e^(-p) of (a, p) underflows")
 
     def _norm(self):
@@ -201,7 +207,7 @@ class SineIntegral:
     def __post_init__(self):
         if not 0.0 <= self.a < self.p <= 1.0:
             raise ValueError("need 0 <= a < p <= 1")
-        if not self._norm() > 0.0:
+        if not self._norm() >= sys.float_info.min:
             raise ValueError("the mass cos a - cos p of (a, p) underflows")
 
     def _norm(self):
@@ -266,6 +272,13 @@ def threshold_pmf(d, n):
 
 @dataclass(frozen=True)
 class ShockModel:
+    """Shocks by the MGSFCP of these rates and alpha; failure at the threshold.
+
+    The route (mixture or table) and the hash are fixed by the fields, so
+    both are decided once here: every memo keyed by the model reads the
+    hash.  Pickling and copying rebuild the model from its fields.
+    """
+
     rates: RateMatrix
     alpha: float
     threshold: object
@@ -275,6 +288,14 @@ class ShockModel:
             raise ValueError("alpha must lie in (0, 1)")
         # probe at n=1: the n=0 shortcut would accept any object
         threshold_tail(self.threshold, 1)
+        object.__setattr__(self, "_mixed", self.threshold.mixture() is not None)
+        object.__setattr__(self, "_hash", hash((self.rates, self.alpha, self.threshold)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return ShockModel, (self.rates, self.alpha, self.threshold)
 
 
 def _pooled(rates):
@@ -595,59 +616,61 @@ def _weighted_rule(model, level):
     return _WeightedRule(cpow, survival, tuple(failure))
 
 
-def _mixture_sums(model, i, kernel, m):
-    """(values, error estimates) of m integrals over mu, as lists.
+def _mixture_sums(model, i, ts):
+    """(full, coarse, missed): integrals over mu, each at the step where it stopped.
 
-    Integral k is int kernel(cpow, rows)[k] f(x) mu(dx), with cpow =
-    c(x)^alpha at the nodes, rows the integrals still open, one kernel
-    row each, and f = 1 for i = None, else
-    f = sum_l J_i(l) (1 - x^l) (_weighted_rule).  Each integral halves
-    its step until its full sum and its coarse sum agree within 1e-13
-    of the full sum, or until the step is 2^-8; its value depends on its
-    own row alone.  Below the smallest normal double the error is
+    Integral k is int kernel_k(x) f(x) mu(dx), f = 1 for i = None, else
+    f = sum_l J_i(l) (1 - x^l) (_weighted_rule).  ts = None is one
+    integral with kernel 1 / c(x)^alpha, and a number t one with kernel
+    exp(-t c(x)^alpha): each gives its full and coarse sums as floats,
+    and missed tells whether they stopped above the error bound.  A
+    column of times, shape (m, 1), gives one integral per t, with the
+    sums as arrays and missed the indices of the t above the bound.
+    This is the one loop that steps the mixture route: each integral
+    halves its step until its full sum and its coarse sum agree within
+    1e-13 of the full sum, or until the step is 2^-8; its value depends
+    on its own t alone.  Below the smallest normal double the error is
     absolute.
     """
-    values, errors = [0.0] * m, [0.0] * m
-    todo = list(range(m))
+    rows = ts
+    many = isinstance(ts, np.ndarray)
+    if many:
+        todo, out = np.arange(len(ts)), np.empty((len(ts), 2))
     level = _LEVEL_START
-    while todo:
+    while True:
         rule = _weighted_rule(model, level)
         weights = rule.survival if i is None else rule.failure[i]
-        sums = kernel(rule.cpow, todo) @ weights
-        left = []
-        for k, (full, coarse) in zip(todo, sums.tolist()):
-            values[k], errors[k] = full, abs(full - coarse)
-            if errors[k] > _QUAD_TOL * abs(full) + _QUAD_FLOOR:
-                left.append(k)
-        if level == _LEVEL_CAP:
-            break
-        todo = left
+        sums = (1.0 / rule.cpow if ts is None else np.exp(-rows * rule.cpow)) @ weights
+        full, coarse = sums.T if many else sums.tolist()
+        missed = abs(full - coarse) > _QUAD_TOL * abs(full) + _QUAD_FLOOR
+        if not many:
+            if not missed or level == _LEVEL_CAP:
+                return full, coarse, missed
+        else:
+            out[todo] = sums
+            todo = todo[missed]
+            if not todo.size or level == _LEVEL_CAP:
+                return out[:, 0], out[:, 1], todo
+            rows = ts[todo]
         level += 1
-    return values, errors
 
 
-def _quadrature_note(value, error, what):
-    """The warning of a mixture integral left above its error bound, or None."""
-    if error <= _QUAD_TOL * abs(value) + _QUAD_FLOOR:
-        return None
+def _quadrature_note(full, coarse, what):
+    """The warning of a mixture integral left above its error bound at the finest step."""
     return "mixture quadrature not converged at step 2^-%d: the error estimate is %.3g of %s" % (
         _LEVEL_CAP,
-        error / abs(value) if value else math.inf,
+        abs(full - coarse) / abs(full) if full else math.inf,
         what,
     )
 
 
 def _mixture_failure(model, i, t):
     """h_i(t), or Pr{type i} for t = None, by the mixture route."""
-    if t is None:
-        kernel, what = (lambda cpow, rows: 1.0 / cpow[None, :]), "Pr{type i}"
-    else:
-        kernel, what = (lambda cpow, rows: np.exp(-t * cpow)[None, :]), "h_i(t)"
-    (value,), (error,) = _mixture_sums(model, i, kernel, 1)
-    note = _quadrature_note(value, error, what)
-    if note:
-        warnings.warn(note, TruncationWarning, stacklevel=3)
-    return value
+    full, coarse, missed = _mixture_sums(model, i, t)
+    if missed:
+        what = "Pr{type i}" if t is None else "h_i(t)"
+        warnings.warn(_quadrature_note(full, coarse, what), TruncationWarning, stacklevel=3)
+    return full
 
 
 def _failure_series(model, i, levels, density):
@@ -718,8 +741,8 @@ def _table_survival(model, ts):
     of it with the two table rows r and c.  Past n = 512 a sum stops
     with a TruncationWarning that states the bound.  Where even the
     bound exceeds the sum, as when the level pmf has moved past n = 512
-    (large t), the value is unknown: a ValueError naming t.  notes[k]
-    is None, or the (category, message) of t k.
+    (large t), the value is unknown: a ValueError naming t.  notes
+    holds (k, category, message) for each t k that did not converge.
     """
     a = model.rates.total**model.alpha * ts
     # at t = 0 no shock has come: L(0) = q_0 = 1 with nothing dropped
@@ -741,17 +764,19 @@ def _table_survival(model, ts):
             break
         nmax = min(2 * nmax, _NMAX_CAP)
     notes = []
-    for total, drop in zip(values.tolist(), dropped.tolist()):
+    for k, (total, drop) in enumerate(zip(values.tolist(), dropped.tolist())):
         if drop <= _MASS_TOL * total:
-            notes.append(None)
-        elif drop > total:
+            continue
+        if drop > total:
             notes.append((
+                k,
                 ValueError,
                 "the levels up to n = %d give %.6g, and the mass past them may be up to %.6g"
                 % (_NMAX_CAP, total, drop),
             ))
         else:
             notes.append((
+                k,
                 TruncationWarning,
                 "threshold series not converged by n=%d: the dropped mass is at "
                 "most %.3g of L(t)" % (_NMAX_CAP, drop / total),
@@ -764,22 +789,18 @@ def _mixture_survival(model, ts):
 
     L(t) = int exp(-t c(x)^alpha) mu(dx) for each t > 0, the whole grid
     in one exponential per rule; L(0) = 1.  A sum that rounding lifts
-    above 1 is clamped to 1.
+    above 1 is clamped to 1.  notes holds (k, category, message) for
+    each t k left above its error bound at the finest step.
     """
-    todo = np.flatnonzero(ts > 0.0)
-
-    def kernel(cpow, rows):
-        return np.exp(np.multiply.outer(-ts[todo[rows]], cpow))
-
-    values = [1.0] * ts.size
-    notes = [None] * ts.size
-    sums, errors = _mixture_sums(model, None, kernel, todo.size)
-    for k, total, error in zip(todo.tolist(), sums, errors):
-        values[k] = min(total, 1.0)
-        note = _quadrature_note(total, error, "L(t)")
-        if note:
-            notes[k] = (TruncationWarning, note)
-    return values, notes
+    values = np.ones(ts.size)
+    todo = (ts > 0.0).nonzero()[0]
+    full, coarse, missed = _mixture_sums(model, None, ts[todo, None])
+    values[todo] = np.minimum(full, 1.0)
+    notes = [
+        (todo[k], TruncationWarning, _quadrature_note(full[k], coarse[k], "L(t)"))
+        for k in missed.tolist()
+    ]
+    return values.tolist(), notes
 
 
 def _survival(model, ts):
@@ -790,16 +811,15 @@ def _survival(model, ts):
     """
     bad = next((k for k, t in enumerate(ts) if not 0 <= t < math.inf), len(ts))
     good = np.array(ts[:bad], dtype=float)
-    if model.threshold.mixture() is None:
-        values, notes = _table_survival(model, good)
-    else:
+    if model._mixed:
         values, notes = _mixture_survival(model, good)
-    for t, note in zip(ts, notes):
-        if note is None:
-            continue
-        category, message = note
+    else:
+        values, notes = _table_survival(model, good)
+    for k, category, message in notes:
         if category is ValueError:
-            raise ValueError("t = %r is too large for the threshold series: %s" % (t, message))
+            raise ValueError(
+                "t = %r is too large for the threshold series: %s" % (ts[k], message)
+            )
         warnings.warn(message, category, stacklevel=3)
     if bad < len(ts):
         raise ValueError("t must be non-negative and finite, got t = %r" % (ts[bad],))
@@ -834,7 +854,7 @@ def failure_density(model, i, t):
     i = _check_index(i, 0, rates.q - 1, "component index")
     if not 0 < t < math.inf:
         raise ValueError("t must be positive and finite, got t = %r" % (t,))
-    if model.threshold.mixture() is not None:
+    if model._mixed:
         return _mixture_failure(model, i, t)
     return _failure_series(model, i, lambda nmax: _level_pmf(model, t, nmax), True)
 
@@ -849,7 +869,7 @@ def prob_failure_type(model, i):
     """
     rates = model.rates
     i = _check_index(i, 0, rates.q - 1, "component index")
-    if model.threshold.mixture() is not None:
+    if model._mixed:
         return _mixture_failure(model, i, None)
     return _failure_series(
         model, i, lambda nmax: _tables(rates, model.alpha, nmax)[1], False

@@ -10,6 +10,7 @@ The incomplete integrals here are the ones the shock thresholds need.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -305,7 +306,9 @@ def incomplete_beta(x, p, q):
     """Incomplete beta integral int_0^x t^(p-1) (1-t)^(q-1) dt.
 
     q = 0 is allowed (the integrand t^(p-1)/(1-t) stays integrable for
-    x < 1); that case backs the logarithmic threshold law.
+    x < 1); that case backs the logarithmic threshold law.  For x within
+    about 2e-4 of 1 it holds its value only at integer p, and raises
+    ValueError otherwise (_beta_zero_scaled).
     """
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
@@ -336,12 +339,27 @@ def incomplete_beta(x, p, q):
     return val
 
 
+# the series of _beta_zero_scaled stops after this many terms, which only
+# x within about 2e-4 of 1 reaches, and a closed form must then hold its
+# rounding below _CLOSED_TOL of the value
+_BETA_TERMS = 200_000
+_CLOSED_TOL = 1e-13
+
+
 def _beta_zero_scaled(x, p):
     """x^(-p) incomplete_beta(x, p, 0) = sum_m x^m / (p + m), for 0 < x < 1.
 
     Expanding 1/(1-t) gives positive terms, so the value stays exact
     where quadrature loses the boundary layer at large p; with x^p taken
     out, a narrow x (a threshold law's tail) does not underflow first.
+    Where the series needs more than 200000 terms, an integer p = n + 1
+    (the threshold tails) takes the closed form
+    sum_{k > n} x^k / k = -log1p(-x) - sum_{k <= n} x^k / k, whose
+    rounding is at most 2 eps (-log1p(-x) + sum_{k <= n} x^k / k): there
+    x is near 1 and the log is large, so it cancels little unless n
+    nears 1 / (1 - x).  Where that bound exceeds 1e-13 of the value, and
+    for any other p, the value cannot be held and the call raises
+    ValueError.
     """
     total = 0.0
     xm = 1.0
@@ -351,16 +369,24 @@ def _beta_zero_scaled(x, p):
         total += term
         if term <= 1e-17 * total:
             return total
-        if m >= 200_000.0:
-            warnings.warn(
-                "incomplete_beta: series cut at x=%g" % x,
-                TruncationWarning,
-                stacklevel=3,
-            )
-            # geometric bound on everything dropped
-            return total + term * x / (1.0 - x)
+        if m >= _BETA_TERMS:
+            break
         xm *= x
         m += 1.0
+    if p != int(p):
+        raise ValueError(
+            "incomplete_beta: the series at x = %r needs more than %d terms" % (x, _BETA_TERMS)
+        )
+    n = int(p) - 1
+    log = -math.log1p(-x)
+    head = math.fsum(x**k / k for k in range(1, n + 1))
+    tail = log - head
+    if 2.0 * sys.float_info.epsilon * (log + head) > _CLOSED_TOL * tail:
+        raise ValueError(
+            "incomplete_beta: sum_{k > %d} x^k / k at x = %r cancels past %g of its value"
+            % (n, x, _CLOSED_TOL)
+        )
+    return tail / x**p
 
 
 def _log_ratio(p, q):

@@ -378,6 +378,30 @@ class TestReliabilityCommand:
         for (t, value), (_, ref) in zip(csv_rows(out)[1], want):
             assert float(value) == pytest.approx(float(ref), rel=1e-13, abs=0.0), t
 
+    def test_thresholds_at_the_edge_of_their_range(self, capsys):
+        # q_1 of logarithmic:0.999999 was the series' partial sum plus its
+        # bound, with a warning (exit 3); sineintegral:0,1e-160 has a
+        # subnormal mass that lost digits.  L(1) is int exp(-c^0.5) du / U
+        # over u = -log(1 - x) in (0, U), c = (1 - x) + 0.5 (1 - x^2) the
+        # pooled rates' symbol, here in mpmath
+        mpmath = pytest.importorskip("mpmath")
+        base = ["reliability", "--model", MODEL, "--alpha", "0.5", "--tgrid", "0:2:1",
+                "--threshold"]
+        code, out, err = run(capsys, base + ["logarithmic:0.999999"])
+        assert (code, err) == (0, "")
+        rows = csv_rows(out)[1]
+        with mpmath.workdps(30):
+            top = -mpmath.log1p(-mpmath.mpf(0.999999))
+
+            def survival(u):
+                gap = mpmath.exp(-u)
+                return mpmath.exp(-mpmath.sqrt(gap + 0.5 * (1 - (1 - gap) ** 2)))
+
+            want = float(mpmath.quad(survival, mpmath.linspace(0, top, 20)) / top)
+        assert float(rows[1][1]) == pytest.approx(want, rel=1e-13, abs=0.0)
+        code, _, err = run(capsys, base + ["sineintegral:0,1e-160"])
+        assert code == 2 and "underflows" in err
+
     def test_general_needs_model(self, capsys):
         code, _, err = run(
             capsys,

@@ -9,8 +9,10 @@ The named laws' mixture route is checked against the table route, which
 a CustomThreshold holding the same tails takes, and against mpmath.
 """
 
+import copy
 import itertools
 import math
+import pickle
 import sys
 import warnings
 
@@ -42,7 +44,17 @@ from mgcp.shock import (
     _tables,
 )
 from mgcp.specfun import TruncationWarning
-from mgcp.variants import Mgsfcp, variant_pmf, variant_transition_rate
+from mgcp.variants import (
+    GammaTC,
+    IgTC,
+    Mgcp,
+    Mgfcp,
+    Mgsfcp,
+    Mgstfcp,
+    Tempered,
+    variant_pmf,
+    variant_transition_rate,
+)
 
 FIG1 = figure_rates(1)
 FIG2 = figure_rates(2)
@@ -733,19 +745,68 @@ class TestMixtureRoute:
             density = failure_density(model, 0, 1000.0)
         assert 0.0 < value < 1e-310 and 0.0 < density < value
 
-    def test_outputs_repeat_whatever_the_memo_state(self):
-        model = ShockModel(FIG2, 0.3, IncGamma(0.0, 1.0))
-
-        def outputs():
-            curve = reliability_curve(model, [0.0, 0.5, 10.0, 400.0])
-            return curve, prob_failure_type(model, 1), failure_density(model, 1, 2.0)
-
-        first = outputs()
-        assert outputs() == first
+    @pytest.mark.parametrize(
+        "model, outputs",
+        [
+            (
+                ShockModel(FIG2, 0.3, IncGamma(0.0, 1.0)),
+                lambda model: (
+                    reliability_curve(model, [0.0, 0.5, 10.0, 400.0]),
+                    prob_failure_type(model, 1),
+                    failure_density(model, 1, 2.0),
+                ),
+            ),
+            # one case per entry point that steps past 2^-4: the curve at
+            # t = 50, the split and the density near the cusp at p = 1
+            (
+                ShockModel(FIG1, 0.5, IncGamma(0.0, 1.0)),
+                lambda model: reliability_curve(model, [0.5, 5.0, 50.0]),
+            ),
+            (ShockModel(FIG1, 0.5, Logarithmic(0.99)), lambda model: prob_failure_type(model, 1)),
+            (
+                ShockModel(FIG1, 0.5, Logarithmic(0.999999)),
+                lambda model: failure_density(model, 1, 5.0),
+            ),
+        ],
+        ids=["fig2-incgamma", "curve", "split", "density"],
+    )
+    def test_outputs_repeat_whatever_the_memo_state(self, model, outputs):
         shock._weighted_rule.cache_clear()
         shock._mixture_rule.cache_clear()
         shock._jump_rates.cache_clear()
-        assert outputs() == first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first = outputs(model)
+            # the steps 2^-4 and 2^-5 at least
+            assert shock._weighted_rule.cache_info().currsize >= 2
+            assert outputs(model) == first
+            shock._weighted_rule.cache_clear()
+            assert outputs(model) == first
+        if isinstance(first, list):
+            # each t of the curve steps on its own, as reliability does
+            got = np.array([value for _, value in first])
+            want = np.array([reliability(model, t) for t, _ in first])
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+    def test_the_finest_step_warns_with_its_estimate(self):
+        # the layer of Logarithmic(1 - 1e-12) at its cusp takes more than 2^-8
+        model = ShockModel(FIG1, 0.95, Logarithmic(1.0 - 1e-12))
+        slow = ShockModel(FIG1, 0.05, Logarithmic(1.0 - 1e-12))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            curve = reliability_curve(model, [0.0, 0.5, 50.0])
+            split = prob_failure_type(model, 1)
+            density = failure_density(slow, 1, 1e3)
+        note = "mixture quadrature not converged at step 2^-8: the error estimate is %s of %s"
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (TruncationWarning, note % ("1.1e-09", "L(t)")),
+            (TruncationWarning, note % ("1.33e-09", "L(t)")),
+            (TruncationWarning, note % ("4.98e-10", "Pr{type i}")),
+            (TruncationWarning, note % ("3.56e-07", "h_i(t)")),
+        ]
+        assert all(w.filename == __file__ for w in caught)
+        assert curve[0][1] == 1.0 and 0.0 < curve[2][1] < curve[1][1] < 1.0
+        assert 0.0 < split < 1.0 and density > 0.0
 
 
 class TestTableRouteStops:
@@ -975,9 +1036,44 @@ class TestNarrowThresholds:
             assert got == pytest.approx(want, rel=1e-13, abs=0.0), law
 
     def test_a_normaliser_that_underflows_raises(self):
-        with pytest.raises(ValueError, match="underflows"):
-            SineIntegral(0.0, 1e-200)
+        # a subnormal normaliser keeps too few digits: SineIntegral(0, 1e-160)
+        # gave q_1 = 6.66996e-161 against mpmath's 6.66667e-161
+        mpmath = pytest.importorskip("mpmath")
+        for law, args in ((SineIntegral, (0.0, 1e-200)), (SineIntegral, (0.0, 1e-160)),
+                          (IncGamma, (0.0, 1e-310))):
+            with pytest.raises(ValueError, match="underflows"):
+                law(*args)
+        with mpmath.workdps(400):
+            want = float(oracles.mp_sine_threshold_tail(mpmath, 0.0, 1e-160, 1))
+        assert want == pytest.approx(6.666666666666667e-161, rel=1e-15)
+        for n in (1, 2, 5):
+            with mpmath.workdps(400):
+                want = float(oracles.mp_sine_threshold_tail(mpmath, 0.0, 1e-150, n))
+            got = threshold_tail(SineIntegral(0.0, 1e-150), n)
+            assert abs(got - want) <= 1e-13 * want, n
         assert IncGamma(0.0, 1e-200).mixture().density(0.0, 1.0) == pytest.approx(1e200)
+
+    @pytest.mark.parametrize("p", (0.9999, 1.0 - 1e-6, 1.0 - 1e-9))
+    def test_logarithmic_tails_near_one_match_mpmath(self, p):
+        # the series of x^m / (n + 1 + m) needs more than 200000 terms here;
+        # its partial sum plus the bound on the rest was up to 253 times
+        # too large, and the model's probe of q_1 warned
+        mpmath = pytest.importorskip("mpmath")
+        for n in (1, 5, 50):
+            with mpmath.workdps(50):
+                want = float(oracles.mp_log_threshold_tail(mpmath, p, n))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = threshold_tail(Logarithmic(p), n)
+            assert abs(got - want) <= 1e-13 * want, n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ShockModel(FIG1, 0.5, Logarithmic(p))
+
+    def test_a_logarithmic_tail_that_cancels_raises(self):
+        # at n = 20000 > 1 / (1 - p) the closed form loses its digits
+        with pytest.raises(ValueError, match="cancels"):
+            threshold_tail(Logarithmic(0.9999), 20000)
 
 
 class TestComponentIndex:
@@ -1007,3 +1103,51 @@ class TestComponentIndex:
             assert got == hazard_rate(model, 1, 2, (1, 1), 1.0)
         with pytest.raises(ValueError, match="out of range"):
             prob_failure_type(model, np.int64(2))
+
+
+VARIANTS = (
+    Mgcp(),
+    Mgsfcp(0.7),
+    Mgfcp(0.8),
+    Mgstfcp(0.7, 0.8),
+    Tempered(0.6, 1.0),
+    GammaTC(1.0, 2.0),
+    IgTC(1.0, 1.5),
+)
+THRESHOLDS = LAWS + (CustomThreshold((1.0, 0.6, 0.2)),)
+
+
+def copies(value):
+    """A pickle round trip and a deep copy of value."""
+    return pickle.loads(pickle.dumps(value)), copy.deepcopy(value)
+
+
+class TestCopies:
+    """Rates, variants, laws and models survive pickle and deepcopy."""
+
+    @pytest.mark.parametrize("value", (FIG1, Q3) + VARIANTS + THRESHOLDS, ids=repr)
+    def test_values_round_trip(self, value):
+        for dup in copies(value):
+            assert dup == value and hash(dup) == hash(value) and repr(dup) == repr(value)
+
+    def test_rates_round_trip_immutable(self):
+        grid = [0.0, 0.5, 2.0, 10.0]
+        want = [v.hex() for _, v in reliability_curve(ShockModel(FIG1, 0.5, LAWS[1]), grid)]
+        for dup in copies(FIG1):
+            assert dup is not FIG1 and (dup.q, dup.ks, dup.total) == (FIG1.q, FIG1.ks, FIG1.total)
+            with pytest.raises(AttributeError, match="immutable"):
+                dup.rows = ((1.0,),)
+            curve = reliability_curve(ShockModel(dup, 0.5, LAWS[1]), grid)
+            assert [v.hex() for _, v in curve] == want
+
+    @pytest.mark.parametrize("law", THRESHOLDS, ids=repr)
+    def test_models_round_trip(self, law):
+        # the copy keeps the model's route: a named law read by the table
+        # route would differ in its last bits
+        model = ShockModel(FIG1, 0.5, law)
+        grid = [0.0, 0.5, 2.0, 10.0]
+        want = [v.hex() for _, v in reliability_curve(model, grid)]
+        for dup in copies(model):
+            assert dup is not model
+            assert dup == model and hash(dup) == hash(model) and repr(dup) == repr(model)
+            assert [v.hex() for _, v in reliability_curve(dup, grid)] == want

@@ -233,6 +233,14 @@ def test_incomplete_beta_domain():
         incomplete_beta(1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         incomplete_beta(0.5, 0.0, 1.0)
+    # at q = 0 and x within 2e-4 of 1 the series is cut, and only an
+    # integer p has the closed form that replaces it
+    with pytest.raises(ValueError, match="more than 200000 terms"):
+        incomplete_beta(0.99999, 2.5, 0.0)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = float(-mpmath.log1p(-mpmath.mpf(0.99999)) - mpmath.mpf(0.99999))
+    assert incomplete_beta(0.99999, 2.0, 0.0) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_generalized_incomplete_gamma_frozen():
