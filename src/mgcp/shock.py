@@ -24,15 +24,17 @@ the sum the step halves, down to 2^-8, past which the call warns with
 the estimate.  Each t of a curve takes its step on its own.  One
 stepping loop (_mixture_sums) serves the curve, the densities and the
 split: a single integral costs one kernel evaluation, one product and
-a few float comparisons.  A model decides its route once, when it is
-built, and keeps its hash, which every memo keyed by it reads; models
-pickle and copy by being rebuilt from their fields.  The weights of a
-step depend on the model and the step alone: c(x)^alpha at the nodes,
-and the weights times 1 or times sum_l J_i(l)(1 - x^l) for each
-component i.  They are kept once per (model, level), for up to 256
-of them, so the curve, the densities and the split of one model read one
-weighted rule: at most 19048 + 38096 (q + 1) bytes at the finest step,
-34 MB for 256 such rules at q = 2.  Each weight is formed as
+a few float comparisons, and a curve one column of its open t, one
+product and a float test per t at each step.  A model decides its
+route once, when it is built, and keeps its hash, which every memo
+keyed by it reads; models pickle and copy by being rebuilt from their
+fields.  The weights of a step depend on the model and the step alone:
+c(x)^alpha and the split's kernel 1/c(x)^alpha at the nodes, and the
+weights times 1 or times sum_l J_i(l)(1 - x^l) for each component i.
+They are kept once per (model, level), for up to 256 of them, so the
+curve, the densities and the split of one model read one weighted
+rule: at most 38096 (q + 2) bytes at the finest step, 39 MB for 256
+such rules at q = 2.  Each weight is formed as
 d (e / (p - a)) from the node's distances d and e to the ends, which
 keeps it from underflowing on an interval narrower than 1e-154, and the
 normalisers of the incomplete gamma and sine integral laws are formed
@@ -588,70 +590,76 @@ def _mixture_rule(rates, law, level):
 # with room to spare
 _WEIGHTED_RULE_ENTRIES = 256
 
-_WeightedRule = collections.namedtuple("_WeightedRule", "cpow survival failure")
+_WeightedRule = collections.namedtuple("_WeightedRule", "cpow split survival failure")
 
 
 @lru_cache(maxsize=_WEIGHTED_RULE_ENTRIES)
 def _weighted_rule(model, level):
     """The model's quadrature at step 2^-level, weighted, read-only.
 
-    cpow = c(x)^alpha at the nodes of _mixture_rule, and (full, coarse)
-    weight columns, one row per node: survival, the weights (w, w')
-    themselves, for L(t), and failure[i], the weights times
-    sum_l J_i(l) (1 - x^l), for component i.  All depend on the model
-    and the level alone, so every t and every call of one model shares
-    them.  At the level cap a rule has at most 2381 nodes, so an entry
-    holds at most 19048 + 38096 (q + 1) bytes and the memo at most
-    _WEIGHTED_RULE_ENTRIES times that: 34 MB at q = 2.
+    cpow = c(x)^alpha at the nodes of _mixture_rule, split = 1 / cpow,
+    the kernel of the failure-type split, and (full, coarse) weight
+    columns, one row per node: survival, the weights (w, w') themselves,
+    for L(t), and failure[i], the weights times sum_l J_i(l) (1 - x^l),
+    for component i.  All depend on the model and the level alone, so
+    every t and every call of one model shares them.  At the level cap
+    a rule has at most 2381 nodes, so an entry holds at most
+    38096 (q + 2) bytes and the memo at most _WEIGHTED_RULE_ENTRIES
+    times that: 39 MB at q = 2.
     """
     rule = _mixture_rule(model.rates, model.threshold, level)
     cpow = rule.c**model.alpha
+    split = 1.0 / cpow
     survival = (np.ones(1) @ rule.pairs[:1]).reshape(-1, 2)
     failure = []
     for js, _ in _jump_rates(model.rates, model.alpha):
         coef = np.array((0.0,) + js)
         failure.append((coef @ rule.pairs[: len(coef)]).reshape(-1, 2))
-    for array in (cpow, survival, *failure):
+    for array in (cpow, split, survival, *failure):
         array.flags.writeable = False
-    return _WeightedRule(cpow, survival, tuple(failure))
+    return _WeightedRule(cpow, split, survival, tuple(failure))
 
 
 def _mixture_sums(model, i, ts):
-    """(full, coarse, missed): integrals over mu, each at the step where it stopped.
+    """(sums, missed): integrals over mu, each at the step where it stopped.
 
     Integral k is int kernel_k(x) f(x) mu(dx), f = 1 for i = None, else
     f = sum_l J_i(l) (1 - x^l) (_weighted_rule).  ts = None is one
-    integral with kernel 1 / c(x)^alpha, and a number t one with kernel
-    exp(-t c(x)^alpha): each gives its full and coarse sums as floats,
-    and missed tells whether they stopped above the error bound.  A
-    column of times, shape (m, 1), gives one integral per t, with the
-    sums as arrays and missed the indices of the t above the bound.
-    This is the one loop that steps the mixture route: each integral
-    halves its step until its full sum and its coarse sum agree within
-    1e-13 of the full sum, or until the step is 2^-8; its value depends
-    on its own t alone.  Below the smallest normal double the error is
-    absolute.
+    integral with the split's kernel 1 / c(x)^alpha, a number t one with
+    kernel exp(-t c(x)^alpha), and a list of times one per t.  sums[k]
+    is integral k's [full, coarse] pair of floats, and missed lists the
+    k that stopped above the error bound.  This is the one loop that
+    steps the mixture route: each integral halves its step until its
+    full sum and its coarse sum agree within 1e-13 of the full sum, or
+    until the step is 2^-8; its value depends on its own t alone.  Below
+    the smallest normal double the error is absolute.  Each level takes
+    one kernel of the integrals still open (for a list, one column of
+    their t), one product and one .tolist(), and tests each integral in
+    floats.
     """
-    rows = ts
-    many = isinstance(ts, np.ndarray)
-    if many:
-        todo, out = np.arange(len(ts)), np.empty((len(ts), 2))
+    many = isinstance(ts, list)
+    todo = range(len(ts)) if many else (0,)
+    sums = [None] * len(todo)
     level = _LEVEL_START
     while True:
         rule = _weighted_rule(model, level)
-        weights = rule.survival if i is None else rule.failure[i]
-        sums = (1.0 / rule.cpow if ts is None else np.exp(-rows * rule.cpow)) @ weights
-        full, coarse = sums.T if many else sums.tolist()
-        missed = abs(full - coarse) > _QUAD_TOL * abs(full) + _QUAD_FLOOR
-        if not many:
-            if not missed or level == _LEVEL_CAP:
-                return full, coarse, missed
+        if ts is None:
+            kernel = rule.split
+        elif many:
+            kernel = np.exp(np.array([-ts[k] for k in todo])[:, None] * rule.cpow)
         else:
-            out[todo] = sums
-            todo = todo[missed]
-            if not todo.size or level == _LEVEL_CAP:
-                return out[:, 0], out[:, 1], todo
-            rows = ts[todo]
+            kernel = np.exp(-ts * rule.cpow)
+        # ndarray.dot reaches the same BLAS call as @, with less overhead
+        rows = kernel.dot(rule.survival if i is None else rule.failure[i]).tolist()
+        missed = []
+        for k, pair in zip(todo, rows if many else (rows,)):
+            sums[k] = pair
+            full, coarse = pair
+            if abs(full - coarse) > _QUAD_TOL * abs(full) + _QUAD_FLOOR:
+                missed.append(k)
+        if not missed or level == _LEVEL_CAP:
+            return sums, missed
+        todo = missed
         level += 1
 
 
@@ -666,7 +674,7 @@ def _quadrature_note(full, coarse, what):
 
 def _mixture_failure(model, i, t):
     """h_i(t), or Pr{type i} for t = None, by the mixture route."""
-    full, coarse, missed = _mixture_sums(model, i, t)
+    ((full, coarse),), missed = _mixture_sums(model, i, t)
     if missed:
         what = "Pr{type i}" if t is None else "h_i(t)"
         warnings.warn(_quadrature_note(full, coarse, what), TruncationWarning, stacklevel=3)
@@ -785,22 +793,20 @@ def _table_survival(model, ts):
 
 
 def _mixture_survival(model, ts):
-    """(L, notes) at the times ts >= 0 by the mixture route.
+    """(L, notes) at the float times ts >= 0 by the mixture route.
 
     L(t) = int exp(-t c(x)^alpha) mu(dx) for each t > 0, the whole grid
     in one exponential per rule; L(0) = 1.  A sum that rounding lifts
     above 1 is clamped to 1.  notes holds (k, category, message) for
     each t k left above its error bound at the finest step.
     """
-    values = np.ones(ts.size)
-    todo = (ts > 0.0).nonzero()[0]
-    full, coarse, missed = _mixture_sums(model, None, ts[todo, None])
-    values[todo] = np.minimum(full, 1.0)
-    notes = [
-        (todo[k], TruncationWarning, _quadrature_note(full[k], coarse[k], "L(t)"))
-        for k in missed.tolist()
-    ]
-    return values.tolist(), notes
+    values = [1.0] * len(ts)
+    todo = [k for k, t in enumerate(ts) if t > 0.0]
+    sums, missed = _mixture_sums(model, None, [ts[k] for k in todo])
+    for k, (full, _) in zip(todo, sums):
+        values[k] = min(full, 1.0)
+    notes = [(todo[k], TruncationWarning, _quadrature_note(*sums[k], "L(t)")) for k in missed]
+    return values, notes
 
 
 def _survival(model, ts):
@@ -810,11 +816,11 @@ def _survival(model, ts):
     public function.
     """
     bad = next((k for k, t in enumerate(ts) if not 0 <= t < math.inf), len(ts))
-    good = np.array(ts[:bad], dtype=float)
+    good = [float(t) for t in ts[:bad]]
     if model._mixed:
         values, notes = _mixture_survival(model, good)
     else:
-        values, notes = _table_survival(model, good)
+        values, notes = _table_survival(model, np.array(good))
     for k, category, message in notes:
         if category is ValueError:
             raise ValueError(
@@ -899,7 +905,9 @@ def reliability_curve(model, t_grid, case="general"):
     The whole grid is evaluated at once: one Poisson-weight matrix and
     one table product per table size, and each t keeps reliability's
     stop rule.  The values, warnings and errors are those of calling
-    reliability at each t in grid order.
+    reliability at each t in grid order, except that on the mixture
+    route a value may differ by a few ulps: a product over several t
+    rounds apart from a product over one.
     """
     if case != "general":
         family = _FIG_FAMILY.get(case)

@@ -359,20 +359,23 @@ def _beta_zero_scaled(x, p):
     x is near 1 and the log is large, so it cancels little unless n
     nears 1 / (1 - x).  Where that bound exceeds 1e-13 of the value, and
     for any other p, the value cannot be held and the call raises
-    ValueError.
+    ValueError.  The terms fall in m and sum to at most 1/p - log1p(-x),
+    so where the term at m = 200000 is above twice 1e-17 of that bound
+    the series cannot stop, whatever its rounding, and is not summed.
     """
-    total = 0.0
-    xm = 1.0
-    m = 0.0
-    while True:
-        term = xm / (p + m)
-        total += term
-        if term <= 1e-17 * total:
-            return total
-        if m >= _BETA_TERMS:
-            break
-        xm *= x
-        m += 1.0
+    if x**_BETA_TERMS / (p + _BETA_TERMS) <= 2e-17 * (1.0 / p - math.log1p(-x)):
+        total = 0.0
+        xm = 1.0
+        m = 0.0
+        while True:
+            term = xm / (p + m)
+            total += term
+            if term <= 1e-17 * total:
+                return total
+            if m >= _BETA_TERMS:
+                break
+            xm *= x
+            m += 1.0
     if p != int(p):
         raise ValueError(
             "incomplete_beta: the series at x = %r needs more than %d terms" % (x, _BETA_TERMS)

@@ -522,6 +522,34 @@ class TestFigurePresets:
         want = np.array([reliability(model, t) for t in grid])
         assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
 
+    @pytest.mark.parametrize(
+        "law", (Logarithmic(0.5), twin(Logarithmic(0.5))), ids=("named", "custom")
+    )
+    @pytest.mark.parametrize(
+        "grid",
+        ([], [0.0, 0.0, 0.0], [0, 1, 2, 5], np.array([0.5, 1.0, 3.0, 0.0])),
+        ids=("empty", "zeros", "ints", "array"),
+    )
+    def test_grids_of_any_form_are_the_pointwise_reliability(self, law, grid):
+        model = ShockModel(FIG1, 0.5, law)
+        floats = [float(t) for t in grid]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = reliability_curve(model, grid)
+            same = reliability_curve(model, floats)
+            pointwise = [reliability(model, t) for t in grid]
+        assert [t for t, _ in pts] == floats
+        assert all(type(t) is float and type(v) is float for t, v in pts)
+        assert [v.hex() for _, v in pts] == [v.hex() for _, v in same]
+        assert [v for t, v in pts if t == 0.0] == [1.0] * floats.count(0.0)
+        got = [v for _, v in pts]
+        if law.mixture() is None:
+            # the table route sums each t's own row of terms
+            assert [v.hex() for v in got] == [v.hex() for v in pointwise]
+        else:
+            # a product over several t may round apart from a product over one
+            assert np.all(np.abs(np.subtract(got, pointwise)) <= 4 * np.spacing(pointwise))
+
     def test_curve_raises_for_the_same_t(self):
         model = ShockModel(FIG1, 0.5, twin(Geometric(0.5)))
         with pytest.raises(ValueError, match=r"t = 100000\.0 is too large"):
@@ -932,7 +960,7 @@ class TestWeightedRuleMemo:
     def test_entries_are_read_only(self):
         rule = shock._weighted_rule(ShockModel(Q3, 0.5, LAWS[1]), shock._LEVEL_START)
         assert len(rule.failure) == Q3.q
-        for array in (rule.cpow, rule.survival) + rule.failure:
+        for array in (rule.cpow, rule.split, rule.survival) + rule.failure:
             assert not array.flags.writeable
 
 
@@ -1069,6 +1097,21 @@ class TestNarrowThresholds:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ShockModel(FIG1, 0.5, Logarithmic(p))
+
+    # q_n of Logarithmic(p) by float.hex, recorded before the tail series
+    # learned to skip a sum that cannot stop within its 200000 terms; at
+    # p = 0.999 the series still stops and sums
+    LOG_TAILS = {
+        0.999: ("0x1.b5f45bf2a8b0cp-1", "0x1.57216805b1950p-1", "0x1.6c5d14ca27e03p-2"),
+        0.9999: ("0x1.c86a7625b9d98p-1", "0x1.811915f864a2fp-1", "0x1.062b0ca649a8ap-1"),
+        1.0 - 1e-6: ("0x1.daf0b3a6e3c0cp-1", "0x1.ab615c896077ap-1", "0x1.594320f9b5c4cp-1"),
+        1.0 - 1e-9: ("0x1.e74b20d1bbea0p-1", "0x1.c796359bc08bep-1", "0x1.90d71a73540e3p-1"),
+    }
+
+    @pytest.mark.parametrize("p", sorted(LOG_TAILS))
+    def test_logarithmic_tails_near_one_keep_their_bits(self, p):
+        got = tuple(threshold_tail(Logarithmic(p), n).hex() for n in (1, 5, 50))
+        assert got == self.LOG_TAILS[p]
 
     def test_a_logarithmic_tail_that_cancels_raises(self):
         # at n = 20000 > 1 / (1 - p) the closed form loses its digits
