@@ -308,11 +308,15 @@ def preset_rates(kind, q, ks, base, nu=0.0):
     return RateMatrix(rows)
 
 
-def default_box(rates, t, nsigma=12.0):
-    """Per-component truncation bound: mean + nsigma * stddev."""
+# default_box reaches this many standard deviations past each mean
+_BOX_SIGMAS = 12.0
+
+
+def default_box(rates, t):
+    """Per-component truncation bound: mean + _BOX_SIGMAS * stddev."""
     box = []
     for i in range(rates.q):
         m = mgcp_mean(rates, i, t)
         s = math.sqrt(max(mgcp_component_variance(rates, i, t), 0.0))
-        box.append(int(math.ceil(m + nsigma * s)) + 1)
+        box.append(int(math.ceil(m + _BOX_SIGMAS * s)) + 1)
     return tuple(box)

@@ -49,17 +49,26 @@ The total count is a one-dimensional compound Poisson process: the
 joint jumps of the MGSFCP, pooled by their total size, give its level
 jumps, which come at rate Lambda^alpha with size law pi.  So the level
 pmf is sum_m Pois(Lambda^alpha t; m) pi^{*m}(n), a sum of nonnegative
-terms.  The table of the convolution powers pi^{*m} depends only on
+terms.  The table L of the convolution powers pi^{*m} depends only on
 (rates, alpha) and is cached, as are the tails of each threshold law.
 It is built by doubling: pi is one product of the memoised profile
 matrix of the pooled rates with the stable clock's atoms, and once
 column m = pi^{*m} is known, columns m + 1 .. 2m are the lower
 triangular Toeplitz matrix of column m times columns 1 .. m, so a table
-of N levels takes about log2 N matrix products.  The sums stop on a
-bound of the mass they drop, or at 512 levels with a TruncationWarning.
-reliability_curve evaluates its whole t grid at once, with one
-Poisson-weight matrix and one table product per table size;
-reliability is its one-point case, and each t keeps its stop rule.
+of N levels takes about log2 N matrix products.  Swapping the sums puts
+every quantity in one form, a weight row w against L read through
+r = w @ L: L(t) and h_i(t) are sum_m Pois(Lambda^alpha t; m) r[m] and
+Pr{type i} is sum_m r[m] / Lambda^alpha, with w the tails q for L(t)
+and w[S] = sum_l J_i(l) (q_S - q_(S+l)) for component i.  One stepping
+loop (_table_sums) serves the curve, the densities and the split, with
+one stop rule: N doubles from 32 to 512, and each value stops once a
+bound on the mass of the levels past N is at most 1e-13 of it.  Past
+512 levels a value warns with its bound, and where the bound exceeds
+the value the call raises a ValueError.  Each t of a curve stops on its
+own, and one Poisson-weight matrix and one table product per table size
+serve the whole grid; reliability is the curve's one-point case.  One
+dispatch (_evaluate) picks the route and turns either route's
+unconverged values into warnings or errors.
 hazard_rate keeps the paper's finite-difference double sum per jump
 count, so its numerator is an independent route.
 """
@@ -92,11 +101,10 @@ from .variants import (
     variant_transition_rate,
 )
 
+# the table route's levels double from _NMAX_START up to _NMAX_CAP, and
+# each sum stops once the mass it may drop is below _MASS_TOL of it
 _NMAX_START = 32
 _NMAX_CAP = 512
-_TERM_TOL = 1e-12
-_TAIL_TOL = 1e-8
-# reliability stops once the mass it drops is below this share of L(t)
 _MASS_TOL = 1e-13
 # the mixture route's tanh-sinh steps 2^-level, and the error it accepts
 _LEVEL_START = 4
@@ -431,43 +439,23 @@ def _stirling_terms(nmax):
 
 
 def _poisson_weights(a, nmax):
-    """Pois(a; n) for n = 0..nmax, a > 0, in Loader's saddle-point form.
+    """Pois(a; n) for n = 0..nmax, one column per entry of the 1-D array a > 0.
 
-    exp(-stirlerr(n) - bd0(n, a)) / sqrt(2 pi n), with the deviance
-    bd0 = n log(n / a) + a - n >= 0 taken through log1p.  The exponent
-    is small where the mass is, so at a = 250 the weights there are
-    within 1e-14 relative, where exp(-a + n log a - log n!) cancels
-    terms of size a log a and is 4e-13 off (C. Loader, Fast and accurate
-    computation of binomial probabilities, 2000).  A 1-D array a gives
-    one column per value, the scalar's weights within an ulp.
+    Loader's saddle-point form exp(-stirlerr(n) - bd0(n, a)) / sqrt(2 pi n),
+    with the deviance bd0 = n log(n / a) + a - n >= 0 taken through
+    log1p.  The exponent is small where the mass is, so at a = 250 the
+    weights there are within 1e-14 relative, where
+    exp(-a + n log a - log n!) cancels terms of size a log a and is 4e-13
+    off (C. Loader, Fast and accurate computation of binomial
+    probabilities, 2000).
     """
     n, c = _stirling_terms(nmax)
-    if np.ndim(a):
-        n, c, first = n[:, None], c[:, None], np.exp(-a)
-    else:
-        first = math.exp(-a)
+    n, c = n[:, None], c[:, None]
     d = n - a
-    out = np.empty((nmax + 1,) + d.shape[1:])
-    out[0] = first
+    out = np.empty((nmax + 1, a.size))
+    out[0] = np.exp(-a)
     np.exp(c - (n * np.log1p(d / a) - d), out=out[1:])
     return out
-
-
-def _level_pmf(model, t, nmax):
-    """Vector P[n] = P{total shock count = n at t}, n = 0..nmax.
-
-    L @ Pois(Lambda^alpha t): every term is nonnegative, so each P[n]
-    keeps the relative accuracy of its Poisson weights at any t, down to
-    their underflow.
-    """
-    table, _ = _tables(model.rates, model.alpha, nmax)
-    a = model.rates.total**model.alpha * t
-    if a == 0.0:
-        pois = np.zeros(nmax + 1)
-        pois[0] = 1.0
-    else:
-        pois = _poisson_weights(a, nmax)
-    return table @ pois
 
 
 # at most this many (rates, alpha) keep their jump rates (_jump_rates); an
@@ -505,7 +493,8 @@ def hazard_rate(model, i, l, nbar, t):
     """Rate of a fatal type-i shock of size l from state nbar at time t.
 
     Numerator and denominator are evaluated through different series
-    (the finite x/y double sum against the r-series pmf), so the ratio
+    (the finite x/y double sum against Panjer's law of the total jump
+    count, read through variant_pmf), so the ratio
     carries a real consistency check even though it is analytically the
     constant single-component jump rate J_i(l).
     """
@@ -672,161 +661,109 @@ def _quadrature_note(full, coarse, what):
     )
 
 
-def _mixture_failure(model, i, t):
-    """h_i(t), or Pr{type i} for t = None, by the mixture route."""
-    ((full, coarse),), missed = _mixture_sums(model, i, t)
-    if missed:
-        what = "Pr{type i}" if t is None else "h_i(t)"
-        warnings.warn(_quadrature_note(full, coarse, what), TruncationWarning, stacklevel=3)
-    return full
+def _table_sums(model, i, ts):
+    """(sums, missed) by the table route, with the contract of _mixture_sums.
 
-
-def _failure_series(model, i, levels, density):
-    """sum_n p_n sum_{S=max(0,n-k_i)}^{n-1} V[S] sum_{l=n-S}^{k_i} J_i(l).
-
-    V = levels(nmax) is a level vector: the level pmf at t for the
-    failure density, its time integral G for the failure-type split.
-    The inner sum is the convolution of V with the suffix sums of J_i.
-    nmax doubles from 32 and stops at 512 with a TruncationWarning.
-    For the density the terms past n = N hold only levels S > N - k_i,
-    each with a fatal rate at most J_i = sum_l J_i(l) and a threshold
-    chance at most q_(N+1-k_i), so the sum stops once
-    J_i q_(N+1-k_i) P{total > N - k_i} is below 1e-13 of it; the
-    warning at the cap states that bound.  G has no such bound, so the
-    split reads every term up to q_nmax = 0, where the series ends.  At
-    the cap it warns unless three consecutive terms are below 1e-12 with
-    tails below 1e-8.
+    Each quantity is its weight row w against the level table L, through
+    r = w @ L: L(t) and h_i(t) are sum_m Pois(Lambda^alpha t; m) r[m],
+    and Pr{type i} is sum_m r[m] / Lambda^alpha = w @ G.  w is the tail
+    row q for i = None and w[S] = sum_l J_i(l) (q_S - q_(S+l)) for
+    component i.  sums[k] is entry k's [value, bound] pair, bound
+    capping the mass of the levels past N.  Each w[S] past N is at most
+    W q_(N+1), W = 1 for survival and J_i = sum_l J_i(l) for component
+    i, so at a time t the bound is W q_(N+1) P{total > N}, with
+    P{total <= N} = sum_m Pois(a; m) c[m] and c the column sums of L.
+    A level is visited at most once, so G[S] <= 1 / Lambda^alpha, and
+    the split's bound is W sum_(S>N) q_S / Lambda^alpha, exact for the
+    finite tails of a CustomThreshold.  N doubles from 32 for the
+    entries whose bound is above 1e-13 of their value, up to 512, and
+    missed lists the entries still above it there.  Each t sums its own
+    contiguous row of terms, so its value does not depend on the rest
+    of the grid.
     """
-    suffix = _jump_rates(model.rates, model.alpha)[i][1]
-    ki = len(suffix)
+    rates, alpha, law = model.rates, model.alpha, model.threshold
+    rate = rates.total**alpha
+    if i is None:
+        js, weight = (), 1.0
+    else:
+        js, suffix = _jump_rates(rates, alpha)[i]
+        weight = suffix[0]
+    many = isinstance(ts, list)
+    todo = list(range(len(ts))) if many else [0]
+    sums = [None] * len(todo)
     nmax = _NMAX_START
     while True:
-        tails = _tail_values(model.threshold, nmax)
-        v = levels(nmax)
-        # terms[n - 1] is term n, n = 1..nmax
-        terms = -np.diff(tails) * np.convolve(v, suffix)[:nmax]
-        if density:
-            total = math.fsum(terms)
-            beyond = max(0.0, 1.0 - math.fsum(v[: nmax + 1 - ki]))
-            dropped = suffix[0] * tails[nmax + 1 - ki] * beyond
-            if dropped <= _MASS_TOL * total:
-                return total
-            if nmax >= _NMAX_CAP:
-                warnings.warn(
-                    "threshold series not converged by n=%d: the dropped mass is at "
-                    "most %.3g of h_i(t)"
-                    % (_NMAX_CAP, dropped / total if total else math.inf),
-                    TruncationWarning,
-                    stacklevel=3,
-                )
-                return total
-        elif tails[-1] == 0.0:
-            # no threshold passes nmax: the series has ended
-            return math.fsum(terms)
-        elif nmax >= _NMAX_CAP:
-            small = (np.abs(terms) < _TERM_TOL) & (tails[1:] < _TAIL_TOL)
-            if not np.any(small[:-2] & small[1:-1] & small[2:]):
-                warnings.warn(
-                    "threshold series not converged by n=%d" % nmax,
-                    TruncationWarning,
-                    stacklevel=3,
-                )
-            return math.fsum(terms)
-        nmax = min(2 * nmax, _NMAX_CAP)
-
-
-def _table_survival(model, ts):
-    """(L, notes) at the times ts >= 0 by the table route.
-
-    L(t) = sum_n q_n P{total = n at t} = sum_m Pois(a; m) r_m, with
-    a = Lambda^alpha t and r_m = sum_n q_n L[n, m] the chance that the threshold outlasts m
-    level jumps: the level pmf L @ Pois(a) summed against the tails in
-    the other order.  The sum over n <= N drops at most
-    q_(N+1) P{total > N}, since the tails do not increase, and
-    P{total <= N} = sum_m Pois(a; m) c_m with c the column sums of L.
-    N doubles from 32 for the t whose bound is not yet below 1e-13 L(t),
-    so each table size takes one Poisson-weight matrix and one product
-    of it with the two table rows r and c.  Past n = 512 a sum stops
-    with a TruncationWarning that states the bound.  Where even the
-    bound exceeds the sum, as when the level pmf has moved past n = 512
-    (large t), the value is unknown: a ValueError naming t.  notes
-    holds (k, category, message) for each t k that did not converge.
-    """
-    a = model.rates.total**model.alpha * ts
-    # at t = 0 no shock has come: L(0) = q_0 = 1 with nothing dropped
-    values = np.ones(a.size)
-    dropped = np.zeros(a.size)
-    todo = np.flatnonzero(a > 0.0)
-    nmax = _NMAX_START
-    while todo.size:
-        table, _ = _tables(model.rates, model.alpha, nmax)
-        tails = _tail_values(model.threshold, nmax + 1)
-        rows = np.stack((tails[:-1] @ table, table.sum(axis=0)))
-        # each t sums its own contiguous row of terms, so its value does
-        # not depend on the rest of the grid
-        pois = _poisson_weights(a[todo], nmax).T[:, None]
-        values[todo], kept = np.multiply(pois, rows, order="C").sum(axis=2).T
-        dropped[todo] = tails[-1] * np.maximum(0.0, 1.0 - kept)
-        todo = todo[dropped[todo] > _MASS_TOL * values[todo]]
-        if nmax >= _NMAX_CAP:
-            break
-        nmax = min(2 * nmax, _NMAX_CAP)
-    notes = []
-    for k, (total, drop) in enumerate(zip(values.tolist(), dropped.tolist())):
-        if drop <= _MASS_TOL * total:
-            continue
-        if drop > total:
-            notes.append((
-                k,
-                ValueError,
-                "the levels up to n = %d give %.6g, and the mass past them may be up to %.6g"
-                % (_NMAX_CAP, total, drop),
-            ))
+        table, g = _tables(rates, alpha, nmax)
+        tails = _tail_values(law, nmax + max(len(js), 1))
+        row = tails[: nmax + 1]
+        if js:
+            row = sum(j * (row - tails[l : l + nmax + 1]) for l, j in enumerate(js, 1))
+        if ts is None:
+            pairs = [[float(row @ g), weight * math.fsum(law.q[nmax + 1 :]) / rate]]
         else:
-            notes.append((
-                k,
-                TruncationWarning,
-                "threshold series not converged by n=%d: the dropped mass is at "
-                "most %.3g of L(t)" % (_NMAX_CAP, drop / total),
-            ))
-    return values.tolist(), notes
+            a = rate * np.array([ts[k] for k in todo] if many else [ts])
+            pois = _poisson_weights(a, nmax).T[:, None]
+            rows = np.stack((row @ table, table.sum(axis=0)))
+            values, kept = np.multiply(pois, rows, order="C").sum(axis=2).T
+            bounds = weight * tails[nmax + 1] * np.maximum(0.0, 1.0 - kept)
+            pairs = np.stack((values, bounds), axis=1).tolist()
+        missed = []
+        for k, pair in zip(todo, pairs):
+            sums[k] = pair
+            value, bound = pair
+            if bound > _MASS_TOL * value:
+                missed.append(k)
+        if not missed or nmax >= _NMAX_CAP:
+            return sums, missed
+        todo = missed
+        nmax = min(2 * nmax, _NMAX_CAP)
 
 
-def _mixture_survival(model, ts):
-    """(L, notes) at the float times ts >= 0 by the mixture route.
+def _evaluate(model, i, ts):
+    """One quantity by the threshold's route; entries that did not converge warn or raise.
 
-    L(t) = int exp(-t c(x)^alpha) mu(dx) for each t > 0, the whole grid
-    in one exponential per rule; L(0) = 1.  A sum that rounding lifts
-    above 1 is clamped to 1.  notes holds (k, category, message) for
-    each t k left above its error bound at the finest step.
+    i = None with a list ts is L(t) over a grid, i with a number t is
+    h_i(t) and i with ts = None is Pr{type i}.  A grid is read up to its
+    first t that is negative or not finite; L(0) = 1 exactly, and a sum
+    that rounding lifts above 1 is clamped to 1.  An entry left above
+    its bound warns with the route's estimate.  Where a table-route
+    bound exceeds its value the value is unknown, and the call raises a
+    ValueError naming t.  Errors and warnings come in grid order and
+    name the caller of the public function.
     """
-    values = [1.0] * len(ts)
-    todo = [k for k, t in enumerate(ts) if t > 0.0]
-    sums, missed = _mixture_sums(model, None, [ts[k] for k in todo])
-    for k, (full, _) in zip(todo, sums):
-        values[k] = min(full, 1.0)
-    notes = [(todo[k], TruncationWarning, _quadrature_note(*sums[k], "L(t)")) for k in missed]
-    return values, notes
-
-
-def _survival(model, ts):
-    """[L(t) for t in ts]: a whole grid, by the threshold's route.
-
-    Errors and warnings come in grid order and name the caller of the
-    public function.
-    """
-    bad = next((k for k, t in enumerate(ts) if not 0 <= t < math.inf), len(ts))
-    good = [float(t) for t in ts[:bad]]
-    if model._mixed:
-        values, notes = _mixture_survival(model, good)
+    grid = isinstance(ts, list)
+    if grid:
+        bad = next((k for k, t in enumerate(ts) if not 0 <= t < math.inf), len(ts))
+        good = [float(t) for t in ts[:bad]]
+        todo = [k for k, t in enumerate(good) if t > 0.0]
+        times = [good[k] for k in todo]
     else:
-        values, notes = _table_survival(model, np.array(good))
-    for k, category, message in notes:
-        if category is ValueError:
+        times = ts
+    mixed = model._mixed
+    sums, missed = (_mixture_sums if mixed else _table_sums)(model, i, times)
+    for k in missed:
+        value, error = sums[k]
+        what = "L(t)" if grid else "h_i(t)" if ts is not None else "Pr{type i}"
+        if mixed:
+            message = _quadrature_note(value, error, what)
+        elif error > value:
+            t = ts[todo[k]] if grid else ts
+            where = "Pr{type i} is out of reach" if t is None else "t = %r is too large" % (t,)
             raise ValueError(
-                "t = %r is too large for the threshold series: %s" % (ts[k], message)
+                "%s for the threshold series: the levels up to n = %d give %.6g, and the mass "
+                "past them may be up to %.6g" % (where, _NMAX_CAP, value, error)
             )
-        warnings.warn(message, category, stacklevel=3)
+        else:
+            message = (
+                "threshold series not converged by n=%d: the dropped mass is at most %.3g of %s"
+                % (_NMAX_CAP, error / value, what)
+            )
+        warnings.warn(message, TruncationWarning, stacklevel=3)
+    if not grid:
+        return sums[0][0]
+    values = [1.0] * len(good)
+    for k, (value, _) in zip(todo, sums):
+        values[k] = min(value, 1.0)
     if bad < len(ts):
         raise ValueError("t must be non-negative and finite, got t = %r" % (ts[bad],))
     return values
@@ -844,7 +781,7 @@ def reliability(model, t):
     stops with a TruncationWarning that states the bound, and where the
     bound exceeds the sum (large t) it raises a ValueError naming t.
     """
-    return _survival(model, [t])[0]
+    return _evaluate(model, None, [t])[0]
 
 
 def failure_density(model, i, t):
@@ -854,15 +791,15 @@ def failure_density(model, i, t):
              * sum_{l=n-S}^{k_i} J_i(l),
     counting every fatal jump size, not only the exact crossing.  A
     named threshold law takes it as int G_t(x) sum_l J_i(l)(1 - x^l)
-    mu(dx), a CustomThreshold by the table route.
+    mu(dx), a CustomThreshold by the table route, as
+    sum_S P_S(t) sum_l J_i(l) (q_S - q_(S+l)) with reliability's stop
+    rule at the bound J_i q_(N+1) P{total > N}.
     """
     rates = model.rates
     i = _check_index(i, 0, rates.q - 1, "component index")
     if not 0 < t < math.inf:
         raise ValueError("t must be positive and finite, got t = %r" % (t,))
-    if model._mixed:
-        return _mixture_failure(model, i, t)
-    return _failure_series(model, i, lambda nmax: _level_pmf(model, t, nmax), True)
+    return _evaluate(model, i, t)
 
 
 def prob_failure_type(model, i):
@@ -871,15 +808,13 @@ def prob_failure_type(model, i):
     The time integral of each failure-density term is analytic
     (int e^(-a) a^x dt = x! / lam^alpha), so this is failure_density
     integrated over (0, inf) termwise: for a named threshold law
-    int sum_l J_i(l)(1 - x^l) / c(x)^alpha mu(dx).
+    int sum_l J_i(l)(1 - x^l) / c(x)^alpha mu(dx), for a CustomThreshold
+    sum_S G[S] sum_l J_i(l) (q_S - q_(S+l)), which stops once
+    J_i sum_(S>N) q_S / Lambda^alpha is below 1e-13 of it.
     """
     rates = model.rates
     i = _check_index(i, 0, rates.q - 1, "component index")
-    if model._mixed:
-        return _mixture_failure(model, i, None)
-    return _failure_series(
-        model, i, lambda nmax: _tables(rates, model.alpha, nmax)[1], False
-    )
+    return _evaluate(model, i, None)
 
 
 _FIG_FAMILY = {
@@ -920,4 +855,4 @@ def reliability_curve(model, t_grid, case="general"):
                 "%s pairs with the %s threshold" % (case, family.__name__)
             )
     ts = [float(t) for t in t_grid]
-    return list(zip(ts, _survival(model, ts)))
+    return list(zip(ts, _evaluate(model, None, ts)))

@@ -5,18 +5,19 @@ a Levy clock, optionally run at inverse beta-stable time, and every
 formula here follows from that clock.  A Levy clock with Laplace
 exponent f gives the pgf exp(-t f(w)), the holding rate f(Lambda),
 constant transition rates and an atomic Levy measure; at inverse-stable
-time the pgf becomes E_beta(-t^beta f(w)) and only pmf, pgf and
-codifference remain.
+time the pgf becomes E_beta(-t^beta f(w)) and pmf, pgf and codifference
+remain, with covariance for Mgfcp.
 
 Every pmf and transition rate here is a sum over the jump compositions
 of the state that depends on them only through the total jump count z;
 compositions.jump_profile collapses it to a sum over z.  The profile
 depends on the rates and the state only, so one memoised profile serves
 every variant and time, and each pmf weighs it with the law q_t(z) of
-the total jump count (_law).  Every Levy clock, the identity clock of
-the base process included, has atoms nu_1(k), the rates at which it
-fires k base jumps at once (_clock_atoms): the transition rates read
-them directly, and Panjer's recursion on them gives q_t.  The paper's
+the total jump count (_law, memoised per variant by _cell_law).  Every
+Levy clock, the identity clock of the base process included, has atoms
+nu_1(k), the rates at which it fires k base jumps at once
+(_clock_atoms): the transition rates read them directly, and Panjer's
+recursion on them gives q_t.  The paper's
 composition sum of the base process, gcp.mgcp_pmf, stays the
 independent side of that route.  At inverse-stable time q_t is the
 Cauchy integral of the pgf on a circle (_cauchy_law); the paper's
@@ -322,16 +323,15 @@ def _saddle_law(beta, x, size):
     return q
 
 
-@lru_cache(maxsize=64)
 def _law(clock, beta, lam, t, size):
     """(q, lg) with q_t(z) = q[z] exp(lg), z = 0..size: the jump-count law a pmf reads.
 
-    Every cell of a box at one clock, beta, Lambda = lam and t reads the
-    same law.  size is compositions._table_size of the cell's deepest
-    jump count, so the order in which cells come never changes a value.
-    A Levy clock (beta = 1) takes _jump_count_law on its atoms, cut
-    short where it leaves double range; inverse-stable time (beta < 1)
-    takes _cauchy_law, with lg = 0.
+    Every cell of a box at one variant, Lambda = lam and t reads the
+    same law through _cell_law.  size is compositions._table_size of the
+    cell's deepest jump count, so the order in which cells come never
+    changes a value.  A Levy clock (beta = 1) takes _jump_count_law on
+    its atoms, cut short where it leaves double range; inverse-stable
+    time (beta < 1) takes _cauchy_law, with lg = 0.
     """
     if beta == 1.0:
         q, lg = _jump_count_law(_clock_atoms(clock, lam, size), t, clock.exponent(lam), size)
@@ -360,7 +360,7 @@ def _kernel_sum(profile, nbar, ktilde):
         ) from exc
 
 
-# at most this many laws keep their scale factor (_cell_law), as many as _law holds
+# at most this many laws keep their scale factor (_cell_law)
 _CELL_LAW_ENTRIES = 64
 
 
@@ -368,14 +368,13 @@ _CELL_LAW_ENTRIES = 64
 def _cell_law(v, lam, t, size):
     """(q, lg, scale): _law of the variant's clock, and _exp_scale(lg).
 
-    scale is None where lg is out of _exp_scale's range, and a cell then
-    takes _times_exp.  A warm cell hashes the variant once and reads one
-    entry; the split and the law stay memoised on their own (_split,
-    _law), so the entry shares their objects.  An entry keeps its law's
-    tuple of at most size + 1 floats alive after _law drops it, about 32
-    bytes a float, so the memo holds about _CELL_LAW_ENTRIES * 32 *
-    (size + 1) bytes of laws of its own: 68 kB at the smallest table
-    size, 32, and 64 * 32 * 2^k bytes at size 2^k.
+    The one memo of the jump-count laws, one entry per variant, Lambda,
+    t and table size.  scale is None where lg is out of _exp_scale's
+    range, and a cell then takes _times_exp.  A warm cell hashes the
+    variant once and reads one entry.  An entry holds a tuple of at most
+    size + 1 floats, about 32 bytes a float, so the memo holds about
+    _CELL_LAW_ENTRIES * 32 * (size + 1) bytes: 68 kB at the smallest
+    table size, 32, and 64 * 32 * 2^k bytes at size 2^k.
     """
     clock, beta = _split(v)
     q, lg = _law(clock, beta, lam, t, size)
@@ -410,9 +409,8 @@ def variant_pmf(v, rates, nbar, t):
     (_cell_law, an lru_cache of _CELL_LAW_ENTRIES laws), shared by every
     cell of a box.  It then takes one correctly rounded dot product and
     one multiply.  A cold _cell_law entry reads the variant's clock
-    (_split, an lru_cache of _SPLIT_ENTRIES variants) and the law
-    (_law, an lru_cache of 64 laws per clock, beta, Lambda, t and table
-    size), so variants with one clock share one law.
+    (_split, an lru_cache of _SPLIT_ENTRIES variants) and computes its
+    law (_law).
 
     The entries of nbar may be of any integer type (int, bool, numpy
     integers, as sample_variant_many draws them); anything else raises

@@ -9,6 +9,12 @@ x.  The inner sum over x alternates, so in doubles the route is only
 good while Lambda^alpha t stays small (t <= 10 or so); mp_level_pmf
 evaluates the same formula in mpmath, with alpha y formed in mpf.
 
+table_level_pmf is the level pmf the table route reads, assembled in
+the tests from its two pieces: the level table of shock._tables times
+the Poisson weights of shock._poisson_weights at one time.  It is the
+side of the table route that the signed formula and the state sums
+check, not an independent route.
+
 convolution_level_table is the nonnegative level table built one column
 at a time, each column the last one convolved with the level-jump law:
 the independent side of the Toeplitz doubling of shock._tables.
@@ -53,6 +59,7 @@ from scipy.special import gammaln
 
 from mgcp.compositions import enumerate_compositions, jump_profile
 from mgcp.gcp import RateMatrix
+from mgcp.shock import _poisson_weights, _tables
 from mgcp.subordinators import Stable
 from mgcp.variants import _clock_atoms
 
@@ -100,6 +107,12 @@ def signed_level_pmf(rates, alpha, t, nmax):
     xs = np.arange(nmax + 1)
     pois = np.exp(-a + xs * np.log(a) - gammaln(xs + 1))
     return b @ (pois @ d)
+
+
+def table_level_pmf(model, t, nmax):
+    """P[n] = P{total shock count = n at t}, n <= nmax, t > 0: L @ Pois(Lambda^alpha t)."""
+    a = model.rates.total**model.alpha * t
+    return _tables(model.rates, model.alpha, nmax)[0] @ _poisson_weights(np.array([a]), nmax)[:, 0]
 
 
 def signed_level_integrals(rates, alpha, nmax):

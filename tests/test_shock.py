@@ -39,7 +39,6 @@ from mgcp.shock import (
     reliability_curve,
     threshold_pmf,
     threshold_tail,
-    _level_pmf,
     _poisson_weights,
     _tables,
 )
@@ -186,7 +185,7 @@ def test_shock_model_validation():
 def test_level_pmf_matches_state_sums():
     """The cached table route vs brute enumeration of states by total."""
     t = 1.0
-    plevel = _level_pmf(MODEL, t, 32)
+    plevel = oracles.table_level_pmf(MODEL, t, 32)
     for n in range(9):
         direct = sum(
             variant_pmf(Mgsfcp(MODEL.alpha), FIG1, (n1, n - n1), t)
@@ -203,14 +202,14 @@ def test_poisson_weights_match_mpmath(a):
         want = np.array(
             [float(mpmath.exp(-x) * x**n / mpmath.factorial(n)) for n in range(513)]
         )
-    got = _poisson_weights(a, 512)
+    got = _poisson_weights(np.array([a]), 512)[:, 0]
     # the weights that carry the mass; at a = 244.9 the log-space form
     # exp(-a + n log a - log n!) is 4e-13 off there
     top = want >= 1e-3 * want.max()
     assert_allclose(got[top], want[top], rtol=2e-14)
     assert_allclose(got, want, rtol=1e-12, atol=1e-300)
     # below 15 levels the tabulated Stirling remainders alone are read
-    np.testing.assert_array_equal(_poisson_weights(a, 8), got[:9])
+    np.testing.assert_array_equal(_poisson_weights(np.array([a]), 8)[:, 0], got[:9])
 
 
 def test_poisson_weight_columns_are_the_scalar_weights():
@@ -218,12 +217,14 @@ def test_poisson_weight_columns_are_the_scalar_weights():
     cols = _poisson_weights(np.array(a), 512)
     assert cols.shape == (513, 4)
     for k, x in enumerate(a):
-        want = _poisson_weights(x, 512)
+        want = _poisson_weights(np.array([x]), 512)[:, 0]
         assert np.all(np.abs(cols[:, k] - want) <= np.spacing(want))
 
 
 def test_level_pmf_normalizes_at_zero_time():
-    plevel = _level_pmf(MODEL, 0.0, 32)
+    # at t = 0 no level jump has come: the level pmf is column 0 of the
+    # table, the unit mass at n = 0
+    plevel = _tables(FIG1, 0.9, 32)[0][:, 0]
     assert plevel[0] == 1.0
     assert_allclose(plevel[1:], 0.0, atol=1e-15)
 
@@ -237,7 +238,7 @@ class TestLevelTables:
         for t in (0.5, 2.0, 10.0):
             model = ShockModel(FIG1, alpha, Geometric(0.5))
             want = oracles.signed_level_pmf(FIG1, alpha, t, 32)
-            assert_allclose(_level_pmf(model, t, 32), want, rtol=1e-10)
+            assert_allclose(oracles.table_level_pmf(model, t, 32), want, rtol=1e-10)
 
     @pytest.mark.parametrize("alpha", (0.3, 0.5, 0.9))
     def test_integrals_match_the_signed_formula(self, alpha):
@@ -249,7 +250,7 @@ class TestLevelTables:
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
             want = [float(p) for p in oracles.mp_level_pmf(mpmath, FIG1, alpha, t, 32)]
-        got = _level_pmf(ShockModel(FIG1, alpha, Geometric(0.5)), t, 32)
+        got = oracles.table_level_pmf(ShockModel(FIG1, alpha, Geometric(0.5)), t, 32)
         assert_allclose(got, want, rtol=1e-13)
         if alpha == 0.05:
             # the signed route in doubles cancels: 1.1e-3 off at level 32
@@ -451,7 +452,7 @@ class TestReliability:
         # P{total = n - 1} (component 0 has k_0 = 1) at t = 50, against the
         # mixture route
         model = ShockModel(FIG1, 0.5, Geometric(0.5))
-        plevel = _level_pmf(model, 50.0, 512)
+        plevel = oracles.table_level_pmf(model, 50.0, 512)
         jump = variant_transition_rate(Mgsfcp(0.5), FIG1, (1, 0))
         want = jump * math.fsum(
             threshold_pmf(model.threshold, n) * plevel[n - 1] for n in range(1, 514)
@@ -463,14 +464,21 @@ class TestReliability:
 class TestFailureSplit:
     def test_density_integrates_to_type_probability(self):
         """Two independent routes: time quadrature vs the analytic
-        termwise integral."""
-        for i in (0, 1):
-            want = prob_failure_type(MODEL, i)
-            got, err = integrate.quad(
-                lambda t: failure_density(MODEL, i, t), 0.0, np.inf, limit=100
-            )
-            assert err < 1e-8
-            assert_allclose(got, want, atol=1e-6)
+        termwise integral, the kernel 1 / c(x)^alpha of the mixture route
+        and 1 / Lambda^alpha of the table route."""
+        models = (
+            MODEL,
+            ShockModel(FIG1, 0.9, CustomThreshold((1.0, 0.6, 0.2))),
+            ShockModel(FIG1, 0.9, twin(Logarithmic(0.5), 300)),
+        )
+        for model in models:
+            for i in (0, 1):
+                want = prob_failure_type(model, i)
+                got, err = integrate.quad(
+                    lambda t: failure_density(model, i, t), 0.0, np.inf, limit=100
+                )
+                assert err < 1e-8
+                assert_allclose(got, want, atol=1e-6)
 
     def test_type_probabilities_sum_below_one(self):
         # simultaneous multi-component jumps carry the missing mass, so
@@ -849,11 +857,27 @@ class TestTableRouteStops:
         assert got == pytest.approx(4.972787835102395e-22, rel=1e-10, abs=0.0)
 
     def test_density_warns_with_its_bound_at_the_cap(self):
-        # q_512 of geometric(1e-4) is 0.95: the bound cannot fall
+        # the tails of IncGamma(0, 1) fall like 1/n: at n = 513 the bound
+        # J_0 q_513 P{total > 512} is 1e-3 of h_0(2), above 1e-13 of it
+        # but below the value, so the sum stops there with a warning
+        model = ShockModel(FIG1, 0.5, twin(IncGamma(0.0, 1.0)))
+        with pytest.warns(TruncationWarning, match=r"at most 0.00108 of h_i\(t\)"):
+            got = failure_density(model, 0, 2.0)
+        named = failure_density(ShockModel(FIG1, 0.5, IncGamma(0.0, 1.0)), 0, 2.0)
+        assert 0.0 < got <= named
+        assert named - got <= 0.00108 * got
+
+    def test_a_bound_above_its_value_raises(self):
+        # q_n of geometric(1e-4) is still 0.95 at n = 513: past the 512
+        # levels J_0 sum_(S>512) q_S / Lambda^alpha may add 24.7 to a split
+        # of 0.00646, and J_0 q_513 P{total > 512} more than the density
         model = ShockModel(FIG1, 0.9, twin(Geometric(1e-4)))
-        with pytest.warns(TruncationWarning, match=r"at most .* of h_i\(t\)"):
-            got = failure_density(model, 0, 1.0)
-        assert got > 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"Pr\{type i\} is out of reach .* up to 24\.6"):
+                prob_failure_type(model, 0)
+            with pytest.raises(ValueError, match=r"t = 1\.0 is too large for the threshold series"):
+                failure_density(model, 0, 1.0)
 
     def test_split_of_a_finite_threshold_is_exact(self):
         # q_n = 0 from n = 3 on: the series has three terms, read whole

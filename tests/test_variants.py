@@ -372,7 +372,7 @@ def test_identity_clock_law_is_linear_in_the_jump_count():
     t = 16000 / 0.7
     with mpmath.workdps(40):
         want = _mp_poisson(mpmath, 0.7, 16000, t)
-    variants_module._law.cache_clear()
+    variants_module._cell_law.cache_clear()
     start = time.perf_counter()
     got = variant_pmf(Mgcp(), RateMatrix([[0.7]]), (16000,), t)
     assert time.perf_counter() - start < 1.0
@@ -735,7 +735,6 @@ def test_inverse_stable_route_switch(v, monkeypatch):
     monkeypatch.setattr(
         variants_module, "_cauchy_law", lambda *a: taken.append(a[-2]) or cauchy(*a)
     )
-    variants_module._law.cache_clear()
     variants_module._cell_law.cache_clear()
     t_switch = _t_at_reach(v, specfun_module._CONTOUR_FROM)
     times = (1.0, 0.99 * t_switch, 1.01 * t_switch, 20.0)
@@ -1003,7 +1002,7 @@ def test_route_sweep_matches_mpmath(v, reach, n, want):
 @pytest.mark.parametrize("t", [1.0, 20.0])
 @pytest.mark.parametrize("v", ALL_VARIANTS, ids=vid)
 def test_box_does_not_depend_on_call_order(v, t):
-    """Every cell reads one law per route, clock, Lambda, t and table
+    """Every cell reads one law per variant, Lambda, t and table
     size, so the order in which a box is filled changes no value.  The
     two deep cells read a larger table than the 12 x 12 box."""
     states = list(itertools.product(range(13), range(13))) + [(20, 20), (30, 30)]
@@ -1014,10 +1013,10 @@ def test_box_does_not_depend_on_call_order(v, t):
             cells = {n: variant_pmf(v, FIG1, n, t) for n in order}
         return [cells[n].hex() for n in states]
 
-    variants_module._law.cache_clear()
+    variants_module._cell_law.cache_clear()
     shallow = box(sorted(states, key=sum))
     deep = box(sorted(states, key=sum, reverse=True))
-    variants_module._law.cache_clear()
+    variants_module._cell_law.cache_clear()
     assert shallow == deep == box(states)
 
 
@@ -1026,7 +1025,6 @@ def _clear_memos():
         compositions_module._profile,
         compositions_module._column,
         compositions_module._powers,
-        variants_module._law,
         variants_module._cell_law,
         variants_module._clock_atoms,
         variants_module._split,
@@ -1726,8 +1724,8 @@ class TestWarmCellLaw:
     @pytest.mark.parametrize("rates, box", [(FIG1, (12, 12)), (Q3, (5, 5, 5))], ids=["fig1", "q3"])
     @pytest.mark.parametrize("v", [Mgsfcp(1.0), Tempered(1.0, 0.9), Tempered(1.0, 7.0)], ids=repr)
     def test_identity_clock_variants_give_the_base_box(self, v, rates, box, t):
-        # each has its own _cell_law entry, and each reads the identity
-        # clock's one law
+        # each computes the identity clock's law in its own _cell_law
+        # entry
         states = list(itertools.product(*(range(b + 1) for b in box)))
         for order in (states, states[::-1]):
             _clear_memos()
