@@ -264,7 +264,7 @@ def _cmd_moments(args):
             [i, mgcp_mean(rates, i, args.t), mgcp_component_variance(rates, i, args.t)]
             for i in range(rates.q)
         ]
-    elif args.variant in ("mgfcp", "tempered"):
+    else:
         v = _build_variant(args)
         header = ["i", "l", "covariance"]
         rows = [
@@ -272,8 +272,6 @@ def _cmd_moments(args):
             for i in range(rates.q)
             for l in range(rates.q)
         ]
-    else:
-        raise ValueError("moments supports mgcp, mgfcp and tempered")
     return header, rows, {"model": rates.to_dict(), "t": args.t}
 
 

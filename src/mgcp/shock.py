@@ -674,8 +674,9 @@ def _table_sums(model, i, ts):
     i, so at a time t the bound is W q_(N+1) P{total > N}, with
     P{total <= N} = sum_m Pois(a; m) c[m] and c the column sums of L.
     A level is visited at most once, so G[S] <= 1 / Lambda^alpha, and
-    the split's bound is W sum_(S>N) q_S / Lambda^alpha, exact for the
-    finite tails of a CustomThreshold.  N doubles from 32 for the
+    the split's bound is sum_(S>N) w[S] / Lambda^alpha = sum_(j<=k_i)
+    suffix[j - 1] q_(N+j) / Lambda^alpha, since q_S - q_(S+l) telescopes
+    over S > N to q_(N+1) + ... + q_(N+l).  N doubles from 32 for the
     entries whose bound is above 1e-13 of their value, up to 512, and
     missed lists the entries still above it there.  Each t sums its own
     contiguous row of terms, so its value does not depend on the rest
@@ -699,7 +700,8 @@ def _table_sums(model, i, ts):
         if js:
             row = sum(j * (row - tails[l : l + nmax + 1]) for l, j in enumerate(js, 1))
         if ts is None:
-            pairs = [[float(row @ g), weight * math.fsum(law.q[nmax + 1 :]) / rate]]
+            dropped = math.fsum(s * q for s, q in zip(suffix, tails[nmax + 1 :].tolist()))
+            pairs = [[float(row @ g), dropped / rate]]
         else:
             a = rate * np.array([ts[k] for k in todo] if many else [ts])
             pois = _poisson_weights(a, nmax).T[:, None]

@@ -37,50 +37,6 @@ _MAX_TERMS = 2000
 _CANCELLATION_WARN_RATIO = 1e8
 
 
-class _Accumulator:
-    """Sums series terms under the module's truncation policy.
-
-    Leading exact-zero terms (reciprocal-gamma poles) do not count
-    toward the three-small-terms stop; trailing ones do.
-    """
-
-    def __init__(self, label):
-        self.label = label
-        self.total = 0.0
-        self.largest = 0.0
-        self._small_run = 0
-        self._seen_nonzero = False
-        self.converged = False
-
-    def add(self, term):
-        """Accumulate one term; True means the stop rule fired."""
-        self.total = self.total + term
-        mag = abs(term)
-        if mag > self.largest:
-            self.largest = mag
-        if mag != 0.0:
-            self._seen_nonzero = True
-        if self._seen_nonzero and mag < _REL_TOL * abs(self.total):
-            self._small_run += 1
-            if self._small_run >= 3:
-                self.converged = True
-                return True
-        else:
-            self._small_run = 0
-        return False
-
-    def flags(self):
-        """(label, converged, cancellation ratio): what finish() warns about."""
-        denom = abs(self.total)
-        if denom == 0.0:
-            denom = math.ulp(0.0)
-        return self.label, self.converged, self.largest / denom
-
-    def finish(self):
-        _warn_flags(*self.flags(), stacklevel=3)
-        return self.total
-
-
 def _warn_flags(label, converged, ratio, stacklevel=2):
     """Emit the NumericsWarnings of a finished series from its flags."""
     if not converged:
@@ -283,10 +239,13 @@ def wright_1_1(a, alpha_a, b, beta_b, x):
     """
     if x == 0:
         return _gamma_ratio(a, b)
-    acc = _Accumulator("wright_1_1")
     logax = math.log(abs(x))
     sgnx = 1.0 if x > 0 else -1.0
     sign_r = 1.0
+    total = largest = 0.0
+    # leading exact-zero terms (reciprocal-gamma poles) do not count
+    # toward the three-small-terms stop; trailing ones do
+    seen_nonzero, small_run = False, 0
     for r in range(_MAX_TERMS):
         u = a + alpha_a * r
         v = b + beta_b * r
@@ -296,10 +255,16 @@ def wright_1_1(a, alpha_a, b, beta_b, x):
         else:
             logmag = _lgamma(u) - lv + r * logax - math.lgamma(r + 1.0)
             term = _gammasgn(u) * _gammasgn(v) * sign_r * math.exp(logmag)
-        if acc.add(term):
+        total += term
+        mag = abs(term)
+        largest = max(largest, mag)
+        seen_nonzero = seen_nonzero or mag != 0.0
+        small_run = small_run + 1 if seen_nonzero and mag < _REL_TOL * abs(total) else 0
+        if small_run >= 3:
             break
         sign_r *= sgnx
-    return acc.finish()
+    _warn_flags("wright_1_1", small_run >= 3, largest / (abs(total) or math.ulp(0.0)))
+    return total
 
 
 def incomplete_beta(x, p, q):

@@ -3,8 +3,10 @@
 Each clock is a small frozen dataclass that carries what the other
 layers ask of it.  A Levy clock carries its Laplace exponent f at real
 or complex w (exponent), the rates nu_1(k) at which it fires k jumps of
-a rate-lam base process at once (atoms) and an exact sampler (sample);
-one with a Levy density carries density and singularity_exponent too.
+a rate-lam base process at once (atoms), an exact sampler (sample), and
+f'(0) = E[D(1)] and f''(0) = -Var D(1) (mean_rate and curvature, None
+where infinite); one with a Levy density carries density and
+singularity_exponent too.
 InverseStableTime, not a Levy process, carries a sampler only.  The
 public functions check their inputs and ask the clock.  Samplers draw
 single-time marginals only and take an explicit numpy Generator; use
@@ -29,6 +31,8 @@ class Identity:
     """The clock D(t) = t of the base process: alpha = 1 stable, one atom, no density."""
 
     alpha = 1.0
+    mean_rate = 1.0
+    curvature = 0.0
 
     def exponent(self, w):
         return w
@@ -52,6 +56,16 @@ class _Tempered:
     def density(self, s):
         a = self.alpha
         return a / math.gamma(1.0 - a) * s ** (-1.0 - a) * math.exp(-self.theta * s)
+
+    @property
+    def mean_rate(self):
+        # f'(0) = alpha theta^(alpha - 1), infinite at theta = 0
+        return self.alpha * self.theta ** (self.alpha - 1.0) if self.theta else None
+
+    @property
+    def curvature(self):
+        a = self.alpha
+        return -a * (1.0 - a) * self.theta ** (a - 2.0) if self.theta else None
 
     @property
     def singularity_exponent(self):
@@ -102,6 +116,14 @@ class GammaSub:
         if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
             raise ValueError("a and b must be positive and finite")
 
+    @property
+    def mean_rate(self):
+        return self.b / self.a
+
+    @property
+    def curvature(self):
+        return -self.b / self.a**2
+
     def exponent(self, w):
         if isinstance(w, complex):
             return self.b * cmath.log(1.0 + w / self.a)
@@ -130,6 +152,14 @@ class InverseGaussian:
     def __post_init__(self):
         if not (0.0 < self.delta < math.inf and 0.0 < self.gamma < math.inf):
             raise ValueError("delta and gamma must be positive and finite")
+
+    @property
+    def mean_rate(self):
+        return self.delta / self.gamma
+
+    @property
+    def curvature(self):
+        return -self.delta / self.gamma**3
 
     def exponent(self, w):
         sqrt = cmath.sqrt if isinstance(w, complex) else math.sqrt

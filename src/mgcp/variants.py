@@ -6,7 +6,8 @@ formula here follows from that clock.  A Levy clock with Laplace
 exponent f gives the pgf exp(-t f(w)), the holding rate f(Lambda),
 constant transition rates and an atomic Levy measure; at inverse-stable
 time the pgf becomes E_beta(-t^beta f(w)) and pmf, pgf and codifference
-remain, with covariance for Mgfcp.
+remain.  Covariance reads the clock's mean_rate and curvature, and
+exists wherever the clock's mean is finite.
 
 Every pmf and transition rate here is a sum over the jump compositions
 of the state that depends on them only through the total jump count z;
@@ -465,7 +466,8 @@ def _pmf_series(v, rates, nbar, t):
 
 def _wright_series(v, rates, nbar, t):
     clock, beta = _split(v)
-    if beta != 1.0 or isinstance(v, (GammaTC, IgTC)):
+    # the form needs the tempered-stable family's alpha and theta
+    if beta != 1.0 or not hasattr(clock, "alpha"):
         raise ValueError("Wright form exists only for Mgsfcp and Tempered")
     if clock.alpha == 1.0:
         return mgcp_pmf(rates, nbar, t)
@@ -551,11 +553,16 @@ def variant_levy_measure(v, rates, nbar):
 
 
 def covariance(v, rates, i, l, t):
-    """Cov(N_i(t), N_l(t)) for the time-fractional and tempered variants.
+    """Cov(N_i(t), N_l(t)) for every variant whose clock has a finite mean.
 
-    Tempered note: the conditional-moment route (law of total
-    covariance with the exact tempered-clock cumulants E[D]=t a th^(a-1),
-    Var[D]=t a (1-a) th^(a-2)) gives
+    The law of total covariance, conditioning on the clock D(t), gives
+    1{i=l} E[D] sum_j j^2 lam_ij + Var[D] m_i m_l, m_i = sum_j j lam_ij.
+    A Levy clock with exponent f run at E_t has E[D] = f'(0) E[E_t] and
+    Var[D] = -f''(0) E[E_t] + f'(0)^2 Var[E_t], E_t = t at beta = 1.  A
+    stable clock (f'(0) = inf) and t = inf raise ValueError.
+
+    Tempered note: with the tempered clock's E[D] = t a th^(a-1) and
+    Var[D] = t a (1-a) th^(a-2) this gives
 
         1{i=l} * t a th^(a-1) * sum_j j^2 lam_ij
         + t a (1-a) th^(a-2) * (sum_j j lam_ij)(sum_j j lam_lj),
@@ -570,23 +577,21 @@ def covariance(v, rates, i, l, t):
     l = _check_index(l, 0, rates.q - 1, "component index")
     if not t >= 0:
         raise ValueError("t must be non-negative")
-    if not isinstance(v, (Mgfcp, Tempered)):
-        raise ValueError("covariance formula exists only for Mgfcp and Tempered")
-    m_i = rates.mean_rate(i)
-    m_l = rates.mean_rate(l)
-    clock, b = _split(v)
-    if clock.alpha == 1.0:
-        # the identity clock at inverse b-stable time, b = 1 for plain time
-        bracket = 2.0 / math.gamma(2.0 * b + 1.0) - 1.0 / math.gamma(b + 1.0) ** 2
-        out = m_i * m_l * t ** (2.0 * b) * bracket
-        if i == l:
-            out += rates.second_moment_rate(i) * t**b / math.gamma(b + 1.0)
-        return out
-    a, th = clock.alpha, clock.theta
-    out = t * a * (1.0 - a) * th ** (a - 2.0) * m_i * m_l
-    if i == l:
-        out += t * a * th ** (a - 1.0) * rates.second_moment_rate(i)
-    return out
+    if t == math.inf:
+        raise ValueError("t = inf has no finite covariance")
+    clock, beta = _split(v)
+    rate = clock.mean_rate
+    if rate is None:
+        raise ValueError("%r has no covariance: its clock %r has an infinite mean" % (v, clock))
+    if beta == 1.0:
+        mean, var = t, 0.0
+    else:
+        g = math.gamma(beta + 1.0)
+        mean = t**beta / g
+        var = t ** (2.0 * beta) * (2.0 / math.gamma(2.0 * beta + 1.0) - 1.0 / g**2)
+    var_d = -clock.curvature * mean + rate**2 * var
+    own = rate * mean * rates.second_moment_rate(i) if i == l else 0.0
+    return own + var_d * rates.mean_rate(i) * rates.mean_rate(l)
 
 
 def codifference(v, rates, i, l, t):
@@ -600,8 +605,6 @@ def codifference(v, rates, i, l, t):
     l = _check_index(l, 0, rates.q - 1, "component index")
     if not t >= 0:
         raise ValueError("t must be non-negative")
-    if not isinstance(v, (Mgfcp, Mgstfcp, Tempered)):
-        raise ValueError("codifference formula exists only for Mgfcp, Mgstfcp, Tempered")
     if t == math.inf:
         raise ValueError("t = inf has no finite codifference")
     w_i = complex(component_symbol(rates.rows[i], cmath.exp(1j)))

@@ -47,6 +47,10 @@ of montecarlo._ecf_moments, which builds them from real cos and sin rows.
 caputo_derivative_numeric is a Grunwald-Letnikov Caputo derivative from
 tabulated samples, for the residual checks of the fractional pgf
 equation.
+
+mp_clock_exponent is a Levy clock's Laplace exponent as an mpmath
+function of s, written from the clock's parameters alone: the
+independent side of each clock's mean_rate f'(0) and curvature f''(0).
 """
 
 import bisect
@@ -60,7 +64,7 @@ from scipy.special import gammaln
 from mgcp.compositions import enumerate_compositions, jump_profile
 from mgcp.gcp import RateMatrix
 from mgcp.shock import _poisson_weights, _tables
-from mgcp.subordinators import Stable
+from mgcp.subordinators import GammaSub, Identity, InverseGaussian, Stable, TemperedStable
 from mgcp.variants import _clock_atoms
 
 
@@ -356,3 +360,19 @@ def caputo_derivative_numeric(samples, beta, t_eval, step):
         w *= 1.0 - (beta + 1.0) / j
         acc += w * (f_at(t_eval - j * step) - f0)
     return acc / step**beta
+
+
+def mp_clock_exponent(mpmath, clock):
+    """f(s) of a Levy clock in mpmath, from its parameters."""
+    if isinstance(clock, Identity):
+        return lambda s: s
+    if isinstance(clock, (Stable, TemperedStable)):
+        a, th = mpmath.mpf(clock.alpha), mpmath.mpf(clock.theta)
+        return lambda s: (s + th) ** a - th**a
+    if isinstance(clock, GammaSub):
+        a, b = mpmath.mpf(clock.a), mpmath.mpf(clock.b)
+        return lambda s: b * mpmath.log(1 + s / a)
+    if isinstance(clock, InverseGaussian):
+        d, g = mpmath.mpf(clock.delta), mpmath.mpf(clock.gamma)
+        return lambda s: d * (mpmath.sqrt(2 * s + g**2) - g)
+    raise ValueError("no exponent for %r" % (clock,))

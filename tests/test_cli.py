@@ -219,13 +219,13 @@ class TestMomentsCommand:
             assert float(row[2]) == covariance(Mgfcp(0.8), FIG1, i, l, 1.0)
 
     def test_unsupported_variant_exits_2(self, capsys):
+        # the stable clock's mean is infinite, and so is the covariance
         code, _, err = run(
             capsys,
-            ["moments", "--model", MODEL, "--variant", "gamma", "--a", "1.0",
-             "--b", "1.0"],
+            ["moments", "--model", MODEL, "--variant", "mgsfcp", "--alpha", "0.7"],
         )
         assert code == 2
-        assert "moments supports" in err
+        assert "infinite mean" in err
 
 
 class TestSimulateCommand:

@@ -539,6 +539,12 @@ class TestEstimateCovariance:
         assert printed == pytest.approx(0.70711, abs=5e-5)
         assert (est - printed) / se > 4.0
 
+    @pytest.mark.parametrize("seed", [11, 12])
+    @pytest.mark.parametrize("v", [Mgcp(), GammaTC(1.0, 2.0), IgTC(1.0, 1.5)], ids=repr)
+    def test_finite_mean_clocks(self, v, seed):
+        for i, l in [(0, 1), (1, 1)]:
+            assert estimate_covariance(v, FIG1, i, l, 1.0, 200_000, seed).passed
+
     def test_validation(self):
         with pytest.raises(ValueError):
             estimate_covariance(Mgfcp(0.8), FIG1, 0, 1, 1.0, 5000, seed=1)
@@ -560,6 +566,14 @@ class TestEstimateCodifference:
             Mgstfcp(0.7, 0.6), FIG1, 1, 1, 0.9, n_samples=100000, seed=56
         )
         assert report.passed
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    @pytest.mark.parametrize(
+        "v", [Mgcp(), Mgsfcp(0.7), GammaTC(1.0, 2.0), IgTC(1.0, 1.5)], ids=repr
+    )
+    def test_every_clock(self, v, seed):
+        for i, l in [(0, 1), (1, 1)]:
+            assert estimate_codifference(v, FIG1, i, l, 1.0, 200_000, seed).passed
 
     @pytest.mark.filterwarnings("ignore")
     def test_degenerate_ecf_raises(self):

@@ -869,15 +869,32 @@ class TestTableRouteStops:
 
     def test_a_bound_above_its_value_raises(self):
         # q_n of geometric(1e-4) is still 0.95 at n = 513: past the 512
-        # levels J_0 sum_(S>512) q_S / Lambda^alpha may add 24.7 to a split
-        # of 0.00646, and J_0 q_513 P{total > 512} more than the density
+        # levels J_0(1) q_513 / Lambda^alpha may add 0.285 to a split of
+        # 0.00646, and J_0 q_513 P{total > 512} more than the density
         model = ShockModel(FIG1, 0.9, twin(Geometric(1e-4)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"Pr\{type i\} is out of reach .* up to 24\.6"):
+            with pytest.raises(ValueError, match=r"Pr\{type i\} is out of reach .* up to 0\.284997"):
                 prob_failure_type(model, 0)
             with pytest.raises(ValueError, match=r"t = 1\.0 is too large for the threshold series"):
                 failure_density(model, 0, 1.0)
+
+    def test_split_bound_is_the_telescoped_tail(self):
+        # past N = 512 the split's weights sum to suffix[0] q_513 + ... +
+        # suffix[k_i - 1] q_(512 + k_i): 5.63e-12 of either split for the
+        # first 600 tails of geometric(0.05), where J_i sum_(S>512) q_S
+        # read 1.1e-10 and 7.5e-11; a 640-level table holds every tail,
+        # and the mass it adds stays under the bound
+        model = ShockModel(FIG1, 0.95, twin(Geometric(0.05)))
+        _, g = _tables(FIG1, 0.95, 640)
+        q = np.zeros(650)
+        q[:600] = model.threshold.q
+        for i in (0, 1):
+            with pytest.warns(TruncationWarning, match=r"at most 5\.63e-12 of Pr\{type i\}"):
+                got = prob_failure_type(model, i)
+            js = shock._jump_rates(FIG1, 0.95)[i][0]
+            w = sum(j * (q[:641] - q[l : l + 641]) for l, j in enumerate(js, 1))
+            assert 0.0 < float(w @ g) - got <= 5.63e-12 * got
 
     def test_split_of_a_finite_threshold_is_exact(self):
         # q_n = 0 from n = 3 on: the series has three terms, read whole

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
 from mgcp import subordinators as subs
+from oracles import mp_clock_exponent
 from mgcp.specfun import mittag_leffler
 from mgcp.subordinators import (
     GammaSub,
@@ -548,3 +549,40 @@ def test_tempered_slices_drawn_in_blocks_keep_the_law():
     var = t * spec.alpha * (1.0 - spec.alpha) * spec.theta ** (spec.alpha - 2.0)
     assert abs(draws.mean() - mean) < 5.0 * math.sqrt(var / size)
     assert draws.var(ddof=1) == pytest.approx(var, rel=0.15)
+
+
+@pytest.mark.parametrize(
+    "clock",
+    [
+        Identity(),
+        TemperedStable(0.6, 1.0),
+        TemperedStable(0.3, 2.5),
+        GammaSub(1.0, 2.0),
+        GammaSub(3.0, 0.5),
+        InverseGaussian(1.0, 1.5),
+        InverseGaussian(2.0, 0.7),
+    ],
+    ids=repr,
+)
+def test_clock_moments_are_the_exponent_derivatives(clock):
+    mpmath = pytest.importorskip("mpmath")
+    f = mp_clock_exponent(mpmath, clock)
+    with mpmath.workdps(40):
+        first, second = (float(mpmath.diff(f, 0, n)) for n in (1, 2))
+    assert clock.mean_rate == pytest.approx(first, rel=1e-14, abs=0.0)
+    assert clock.curvature == pytest.approx(second, rel=1e-14, abs=1e-300)
+
+
+def test_stable_clock_moments_are_infinite():
+    # f(s) = s^alpha has an infinite slope at 0
+    assert Stable(0.7).mean_rate is None
+    assert Stable(0.7).curvature is None
+
+
+def test_clock_moments_are_not_fields():
+    # equality, hash and repr key the clock memos, and stay as they were
+    assert repr(GammaSub(1.0, 2.0)) == "GammaSub(a=1.0, b=2.0)"
+    assert repr(TemperedStable(0.6, 1.0)) == "TemperedStable(alpha=0.6, theta=1.0)"
+    assert repr(InverseGaussian(1.0, 1.5)) == "InverseGaussian(delta=1.0, gamma=1.5)"
+    assert repr(Identity()) == "Identity()"
+

@@ -22,7 +22,7 @@ from scipy import integrate
 from oracles import fractional_poisson_law, negative_binomial_law, space_time_fractional_law
 from mgcp.bernstein import Named, g_lambda_u
 from mgcp.compositions import enumerate_compositions, jump_profile
-from mgcp.gcp import RateMatrix, component_symbol, mgcp_pmf
+from mgcp.gcp import RateMatrix, component_symbol, mgcp_component_variance, mgcp_pmf
 from mgcp.montecarlo import sample_variant_many
 from mgcp.specfun import NumericsWarning, mittag_leffler
 from mgcp.subordinators import (
@@ -1344,6 +1344,36 @@ class TestCovariance:
         with pytest.raises(ValueError):
             covariance(Mgsfcp(0.7), FIG1, 0, 0, 1.0)
 
+    @pytest.mark.parametrize(
+        "v, box",
+        [(GammaTC(1.0, 2.0), (60, 90)), (IgTC(1.0, 1.5), (40, 60)), (Tempered(0.6, 1.0), (50, 75))],
+        ids=repr,
+    )
+    def test_matches_the_pmf_moments(self, v, box):
+        # independent side: E[N_i N_l] - E[N_i] E[N_l] summed over a box
+        # of the pmf that holds all but 1e-14 of its mass
+        cells = [(n, variant_pmf(v, FIG1, n, 1.0)) for n in itertools.product(*map(range, box))]
+        assert abs(1.0 - math.fsum(p for _, p in cells)) <= 1e-14
+        mean = [math.fsum(p * n[k] for n, p in cells) for k in range(2)]
+        for i, l in [(0, 0), (0, 1), (1, 1)]:
+            want = math.fsum(p * n[i] * n[l] for n, p in cells) - mean[i] * mean[l]
+            assert_allclose(covariance(v, FIG1, i, l, 1.0), want, rtol=1e-9)
+
+    def test_base_process_is_its_component_variance(self):
+        for t in (0.3, 1.0, 2.0):
+            for i in range(2):
+                assert covariance(Mgcp(), FIG1, i, i, t) == mgcp_component_variance(FIG1, i, t)
+            assert covariance(Mgcp(), FIG1, 0, 1, t) == 0.0
+
+    @pytest.mark.parametrize("v", [Mgsfcp(0.7), Mgstfcp(0.7, 0.8)], ids=repr)
+    def test_an_infinite_clock_mean_raises(self, v):
+        with pytest.raises(ValueError, match="infinite mean"):
+            covariance(v, FIG1, 0, 0, 1.0)
+
+    def test_infinite_time_raises(self):
+        with pytest.raises(ValueError, match="t = inf"):
+            covariance(GammaTC(1.0, 2.0), FIG1, 0, 0, math.inf)
+
     def test_component_indices_of_any_integer_type(self):
         v = Tempered(0.5, 2.0)
         want = covariance(v, FIG1, 0, 1, 1.3)
@@ -1425,8 +1455,8 @@ class TestCodifference:
         )
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            codifference(Mgcp(), FIG1, 0, 1, 1.0)
+        # the base process's components are independent
+        assert abs(codifference(Mgcp(), FIG1, 0, 1, 1.0)) <= 1e-15
         with pytest.raises(ValueError):
             codifference(Mgfcp(0.8), FIG1, 0, 5, 1.0)
 
