@@ -203,19 +203,28 @@ def _emit(args, header, rows, extra, quality):
             out.close()
 
 
-def _box_states(box):
-    """Every state n with 0 <= n_i <= box[i], the last component fastest."""
+def _box(args, rates, default=None):
+    """The --box maxima, else default, else default_box at --t; checked."""
+    box = _parse_ints(args.box) if args.box else default or default_box(rates, args.t)
+    if len(box) != rates.q:
+        raise ValueError("box length must equal the number of components")
     if any(b < 0 for b in box):
         raise ValueError("box entries must be non-negative")
+    # range(b + 1) has a length only below sys.maxsize
+    if any(b >= sys.maxsize for b in box):
+        raise ValueError("box entries must be below %d" % sys.maxsize)
+    return box
+
+
+def _box_states(box):
+    """Every state n with 0 <= n_i <= box[i], the last component fastest."""
     return itertools.product(*(range(b + 1) for b in box))
 
 
 def _cmd_pmf(args):
     rates = _parse_model(_req(args, "model"))
     v = _build_variant(args)
-    box = _parse_ints(args.box) if args.box else default_box(rates, args.t)
-    if len(box) != rates.q:
-        raise ValueError("box length must equal the number of components")
+    box = _box(args, rates)
     header = ["n%d" % (i + 1) for i in range(rates.q)] + ["p"]
     rows = [
         list(n) + [variants.variant_pmf(v, rates, n, args.t)]
@@ -238,9 +247,7 @@ def _cmd_pgf(args):
 def _cmd_levy(args):
     rates = _parse_model(_req(args, "model"))
     v = _build_variant(args)
-    box = _parse_ints(args.box) if args.box else tuple([4] * rates.q)
-    if len(box) != rates.q:
-        raise ValueError("box length must equal the number of components")
+    box = _box(args, rates, (4,) * rates.q)
     header = ["n%d" % (i + 1) for i in range(rates.q)] + ["mass"]
     rows = []
     for n in _box_states(box):
@@ -293,7 +300,7 @@ def _cmd_estimate(args):
     rates = _parse_model(_req(args, "model"))
     v = _build_variant(args)
     if args.stat == "pmf":
-        box = _parse_ints(args.box) if args.box else default_box(rates, args.t)
+        box = _box(args, rates)
         report = montecarlo.estimate_pmf(
             v, rates, args.t, box, args.samples, args.seed, args.workers
         )

@@ -7,11 +7,12 @@ prod (c lambda_ij)^x / x! and the total jump count Z; jump_profile
 collapses that sum to a sum over Z.  Its profile is the law of the
 state given Z jumps, so a pmf is also sum_z S[z] P{Z_t = z} wherever
 the law of Z_t is known.  The profile depends on the rates and the
-state only, so it is memoised, at most _PROFILE_ENTRIES states, each
-joined from the memoised profile of its leading components: a box
-joins each prefix once, and every variant and time shares one profile
-per state.  enumerate_compositions and joint_compositions list the sets
-themselves, for tests and callers that need them.
+state only, so it is memoised, at most _PROFILE_ENTRIES states and
+single components, each state joined from the memoised profiles of its
+leading components and of its last one: a box joins each prefix once,
+and every variant and time shares one profile per state.
+enumerate_compositions and joint_compositions list the sets themselves,
+for tests and callers that need them.
 """
 
 import itertools
@@ -80,15 +81,6 @@ def _powers(probs, zmax):
     return lo, hi, tuple(powers)
 
 
-@lru_cache(maxsize=4096)
-def _column(row, n):
-    """(z0, v) with S[n, z0 + m] = v[m], the row's own rates as probabilities."""
-    total = math.fsum(row)
-    lo, hi, powers = _powers(tuple(x / total for x in row), _table_size(n))
-    z0, z1 = -(-n // hi), n // lo
-    return z0, tuple(powers[z].item(n - z * lo) for z in range(z0, z1 + 1))
-
-
 # at most this many profiles are kept (_profile)
 _PROFILE_ENTRIES = 2048
 
@@ -116,18 +108,24 @@ def jump_profile(rates, nbar):
 def _profile(rows, nbar):
     """jump_profile of the state nbar under the rate rows, memoised.
 
-    The last component's column joins the memoised profile of the leading
-    ones, so a box joins each prefix once.  Each column comes from the
-    table of its own row; columns join by the binomial convolution
+    One row's profile is a column of its table (_powers), the row's own
+    rates as probabilities.  More rows join the last row's profile to
+    that of the leading ones, both read from this memo, so a box joins
+    each prefix once and one memo holds every profile.  Profiles join by
+    the binomial convolution
     S[z] = sum_y C(z, y) p^(z-y) (1-p)^y S_a[z-y] S_b[y], p the rate share
     of the leading rows, whose weights are the table of the two-size row
     (p, 1-p).  An entry holds at most 1 + n_1 + ... + n_q floats at 32
     bytes each, so the memo's worst case is _PROFILE_ENTRIES * 32 * (N + 1)
     bytes for states of total N: 11 MB at N = 170.
     """
-    c0, col = _column(rows[-1], nbar[-1])
     if len(rows) == 1:
-        return c0, col
+        (row,), (n,) = rows, nbar
+        total = math.fsum(row)
+        lo, hi, powers = _powers(tuple(x / total for x in row), _table_size(n))
+        z0, z1 = -(-n // hi), n // lo
+        return z0, tuple(powers[z].item(n - z * lo) for z in range(z0, z1 + 1))
+    c0, col = _profile(rows[-1:], nbar[-1:])
     z0, out = _profile(rows[:-1], nbar[:-1])
     mass = 0.0
     for row in rows[:-1]:

@@ -314,6 +314,8 @@ _BOX_SIGMAS = 12.0
 
 def default_box(rates, t):
     """Per-component truncation bound: mean + _BOX_SIGMAS * stddev."""
+    if not t < math.inf:
+        raise ValueError("t must be finite for a default box")
     box = []
     for i in range(rates.q):
         m = mgcp_mean(rates, i, t)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import subordinators as subs
+from .gcp import _check_state
 from .variants import clock_spec, codifference, covariance, variant_pmf
 
 _TAIL_MASS = 1e-6
@@ -334,11 +335,10 @@ def estimate_pmf(v, rates, t, box, n_samples, seed, workers=1, sigma=4.0):
     and hence the report, are identical for any workers value at a fixed
     seed: one worker runs the chunks in order in this thread, and more
     run them on a thread pool of that size.  n_samples must be an
-    integer of at least 1000.
+    integer of at least 1000, and the box a state (gcp._check_state).
     """
     n_samples = _sample_count(n_samples, 1000)
-    if len(box) != rates.q or any(b < 0 for b in box):
-        raise ValueError("box must be a state vector")
+    box = _check_state(rates, box)
     if workers < 1:
         raise ValueError("workers must be positive")
     dims = np.asarray(box, dtype=np.int64) + 1

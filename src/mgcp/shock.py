@@ -51,9 +51,9 @@ jumps, which come at rate Lambda^alpha with size law pi.  So the level
 pmf is sum_m Pois(Lambda^alpha t; m) pi^{*m}(n), a sum of nonnegative
 terms.  The table L of the convolution powers pi^{*m} depends only on
 (rates, alpha) and is cached, as are the tails of each threshold law.
-It is built by doubling: pi is one product of the memoised profile
-matrix of the pooled rates with the stable clock's atoms, and once
-column m = pi^{*m} is known, columns m + 1 .. 2m are the lower
+It is built by doubling: pi is one product of the matrix of the pooled
+rates' memoised jump-count profiles with the stable clock's atoms, and
+once column m = pi^{*m} is known, columns m + 1 .. 2m are the lower
 triangular Toeplitz matrix of column m times columns 1 .. m, so a table
 of N levels takes about log2 N matrix products.  Swapping the sums puts
 every quantity in one form, a weight row w against L read through
@@ -313,25 +313,6 @@ def _pooled(rates):
     return [math.fsum(col) for col in itertools.zip_longest(*rates.rows, fillvalue=0.0)]
 
 
-@lru_cache(maxsize=8)
-def _level_profiles(rates, nmax):
-    """S[k, z] for k, z <= nmax: the level jumps' profiles, read-only.
-
-    S[k, z] is the chance that z jumps drawn from the rates pooled by
-    jump size add up to k (compositions.jump_profile).  It does not
-    depend on alpha, so every alpha of one rate matrix and table size
-    shares it.
-    """
-    pooled = RateMatrix([_pooled(rates)])
-    size = nmax + 1
-    profiles = np.zeros((size, size))
-    for k in range(1, size):
-        z0, col = jump_profile(pooled, (k,))
-        profiles[k, z0 : z0 + len(col)] = col
-    profiles.flags.writeable = False
-    return profiles
-
-
 def _toeplitz_product(d, b):
     """T @ b for the lower triangular Toeplitz matrix T[r, s] = d[r - s].
 
@@ -373,8 +354,8 @@ def _tables(rates, alpha, nmax):
     pi(k) = sum_z S[k, z] nu_1(z) / Lambda^alpha: nu_1 the stable clock's
     atoms (z base jumps at once; the variants._clock_atoms table that
     the Mgsfcp pmf and transition rates read) and S the jump-count
-    profiles of the rates pooled by jump size (_level_profiles), so pi
-    is one matrix-vector product.
+    profiles of the rates pooled by jump size (compositions.jump_profile,
+    which keeps them), so pi is one matrix-vector product.
     L[n, m] = pi^{*m}(n) is the chance that m level jumps add up to n,
     zero for m > n, so P{total = n at t} = sum_m L[n, m]
     Pois(Lambda^alpha t; m).  Lower triangular Toeplitz matrices
@@ -389,9 +370,14 @@ def _tables(rates, alpha, nmax):
     """
     rate = rates.total**alpha
     nu = np.array((0.0,) + _clock_atoms(Stable(alpha), rates.total, nmax)) / rate
+    pooled = RateMatrix([_pooled(rates)])
+    profiles = np.zeros((nmax + 1, nmax + 1))
+    for k in range(1, nmax + 1):
+        z0, col = jump_profile(pooled, (k,))
+        profiles[k, z0 : z0 + len(col)] = col
     table = np.zeros((nmax + 1, nmax + 1))
     table[0, 0] = 1.0
-    table[:, 1] = _level_profiles(rates, nmax) @ nu
+    table[:, 1] = profiles @ nu
     m = 1
     while m < nmax:
         k, w = nmax - m, min(m, nmax - m)
@@ -531,9 +517,8 @@ def hazard_rate(model, i, l, nbar, t):
 _Rule = collections.namedtuple("_Rule", "c pairs")
 
 
-@lru_cache(maxsize=64)
 def _mixture_rule(rates, law, level):
-    """A quadrature over the law's mixing measure mu, read-only.
+    """A quadrature over the law's mixing measure mu.
 
     c = c(x) = sum_ij lambda_ij (1 - x^j) at the nodes x, and
     pairs[l] = (w (1 - x^l), w' (1 - x^l)) there, node by node, for
@@ -569,8 +554,6 @@ def _mixture_rule(rates, law, level):
         powers[1:] = -np.expm1(np.multiply.outer(np.arange(1, len(powers)), np.log1p(-gap)))
     c = np.array(_pooled(rates)) @ powers[1:]
     pairs = np.stack((weights * powers, coarse * powers), axis=2).reshape(len(powers), -1)
-    pairs.flags.writeable = False
-    c.flags.writeable = False
     return _Rule(c, pairs)
 
 
@@ -591,8 +574,9 @@ def _weighted_rule(model, level):
     columns, one row per node: survival, the weights (w, w') themselves,
     for L(t), and failure[i], the weights times sum_l J_i(l) (1 - x^l),
     for component i.  All depend on the model and the level alone, so
-    every t and every call of one model shares them.  At the level cap
-    a rule has at most 2381 nodes, so an entry holds at most
+    every t and every call of one model shares them: this is the mixture
+    route's one memo, and a miss builds its nodes afresh.  At the level
+    cap a rule has at most 2381 nodes, so an entry holds at most
     38096 (q + 2) bytes and the memo at most _WEIGHTED_RULE_ENTRIES
     times that: 39 MB at q = 2.
     """

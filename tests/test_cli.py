@@ -146,6 +146,34 @@ class TestPmfCommand:
         assert out == ""
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pmf", "--t", "inf"], "t must be finite"),
+            (["estimate", "--t", "inf"], "t must be finite"),
+            (["pmf", "--t", "1e300"], "box entries must be below"),
+            (["pmf", "--box", "99999999999999999999,1"], "box entries must be below"),
+            (["levy", "--box", "99999999999999999999,1"], "box entries must be below"),
+            (["estimate", "--box", "1,99999999999999999999"], "box entries must be below"),
+            (["levy", "--box", "%d,1" % sys.maxsize], "box entries must be below"),
+        ],
+        ids=["pmf-inf", "estimate-inf", "pmf-1e300", "pmf-huge-box", "levy-huge-box",
+             "estimate-huge-box", "levy-maxsize"],
+    )
+    def test_box_out_of_reach_exits_2(self, capsys, argv, message):
+        # each used to print an OverflowError traceback and exit 1
+        code, out, err = run(
+            capsys, argv[:1] + ["--model", MODEL, "--variant", "mgsfcp", "--alpha", "0.7"] + argv[1:]
+        )
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_estimate_box_length_mismatch_exits_2(self, capsys):
+        code, out, err = run(capsys, ["estimate", "--model", MODEL, "--box", "3"])
+        assert (code, out) == (2, "")
+        assert "box length" in err
+
+
 class TestPgfCommand:
     def test_value(self, capsys):
         code, out, _ = run(

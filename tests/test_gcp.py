@@ -229,6 +229,18 @@ def test_default_box_covers_mass():
     assert total >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan, -math.inf, -1.0])
+def test_default_box_needs_a_finite_time(t):
+    # int(math.ceil(inf)) raised OverflowError, not ValueError
+    with pytest.raises(ValueError, match="finite|non-negative"):
+        default_box(FIG1, t)
+
+
+def test_default_box_at_a_huge_time_is_finite():
+    box = default_box(FIG1, 1e300)
+    assert all(isinstance(b, int) and b > 10**299 for b in box)
+
+
 def test_nan_time_is_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         mgcp_pmf(FIG1, (1, 1), math.nan)

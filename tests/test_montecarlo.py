@@ -459,6 +459,16 @@ class TestEstimatePmf:
         with pytest.raises(ValueError):
             estimate_pmf(Mgcp(), FIG1, 1.0, (3, 3), 2000, seed=1, workers=0)
 
+    @pytest.mark.parametrize("box", [(2.5, 3), (2.0, 3), (2, "3"), (np.float64(2.0), 3)], ids=repr)
+    def test_box_entries_must_be_integers(self, box):
+        # a float entry was truncated, so (2.5, 3) binned on (2, 3)
+        with pytest.raises(ValueError, match="entries must be integers"):
+            estimate_pmf(Mgsfcp(0.7), FIG1, 1.0, box, 2000, 1)
+
+    def test_integer_box_entries_of_any_type(self):
+        want = estimate_pmf(Mgsfcp(0.7), FIG1, 1.0, (2, 3), 2000, 1)
+        assert estimate_pmf(Mgsfcp(0.7), FIG1, 1.0, (np.int64(2), np.uint8(3)), 2000, 1) == want
+
     def test_near_empty_cells_pool_into_tail(self):
         # cell (6,1) expects 0.6 draws, too few for a normal z-score
         report = estimate_pmf(Tempered(0.6, 1.0), FIG1, 1.0, (6, 6), 10**5, seed=41)

@@ -22,7 +22,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 
 import oracles
-from mgcp import shock
+from mgcp import compositions, shock
 from mgcp.gcp import RateMatrix
 from mgcp.shock import (
     CustomThreshold,
@@ -287,7 +287,7 @@ class TestLevelTables:
         # same outputs from each
         first = _tables(Q3, 0.05, nmax)
         shock._tables.cache_clear()
-        shock._level_profiles.cache_clear()
+        compositions._profile.cache_clear()
         second = _tables(Q3, 0.05, nmax)
         assert second is not first
         np.testing.assert_array_equal(second[0], first[0])
@@ -808,7 +808,6 @@ class TestMixtureRoute:
     )
     def test_outputs_repeat_whatever_the_memo_state(self, model, outputs):
         shock._weighted_rule.cache_clear()
-        shock._mixture_rule.cache_clear()
         shock._jump_rates.cache_clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")

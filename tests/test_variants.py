@@ -19,7 +19,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
-from oracles import fractional_poisson_law, negative_binomial_law, space_time_fractional_law
+from memos import clear_memos
+from oracles import (
+    fractional_poisson_law,
+    mp_levy_measure,
+    negative_binomial_law,
+    space_time_fractional_law,
+)
 from mgcp.bernstein import Named, g_lambda_u
 from mgcp.compositions import enumerate_compositions, jump_profile
 from mgcp.gcp import RateMatrix, component_symbol, mgcp_component_variance, mgcp_pmf
@@ -1020,18 +1026,6 @@ def test_box_does_not_depend_on_call_order(v, t):
     assert shallow == deep == box(states)
 
 
-def _clear_memos():
-    for memo in (
-        compositions_module._profile,
-        compositions_module._column,
-        compositions_module._powers,
-        variants_module._cell_law,
-        variants_module._clock_atoms,
-        variants_module._split,
-    ):
-        memo.cache_clear()
-
-
 @pytest.mark.parametrize("t", [1.0, 20.0])
 @pytest.mark.parametrize("rates, box", [(FIG1, (12, 12)), (Q3, (7, 7, 7))], ids=["fig1", "q3"])
 def test_box_does_not_depend_on_the_profile_memo(rates, box, t):
@@ -1049,10 +1043,10 @@ def test_box_does_not_depend_on_the_profile_memo(rates, box, t):
             [cells[v, n].hex() for v in ALL_VARIANTS for n in states],
         )
 
-    _clear_memos()
+    clear_memos()
     forward = bits(states)
     backward = bits(states[::-1])
-    _clear_memos()
+    clear_memos()
     assert forward == backward == bits(states)
 
 
@@ -1230,6 +1224,30 @@ class TestTransitionRates:
                 )
         with pytest.raises(ValueError):
             variant_levy_measure(Mgsfcp(0.7), FIG1, (0, 0))
+
+
+class TestSmallTimeLevyLimit:
+    """p_t(n) / (t Pi(n)) -> 1 at rate O(t) for n != 0, Pi from the Levy densities."""
+
+    @pytest.mark.parametrize(
+        "v, clock",
+        [
+            (Mgsfcp(0.7), Stable(0.7)),
+            (Tempered(0.6, 1.0), TemperedStable(0.6, 1.0)),
+            (GammaTC(1.0, 2.0), GammaSub(1.0, 2.0)),
+            (IgTC(1.0, 1.5), InverseGaussian(1.0, 1.5)),
+        ],
+        ids=lambda x: type(x).__name__,
+    )
+    def test_pmf_over_t_tends_to_the_levy_measure(self, v, clock):
+        mpmath = pytest.importorskip("mpmath")
+        for n in ((3, 5), (1, 0), (0, 2)):
+            with mpmath.workdps(50):
+                pi = float(mp_levy_measure(mpmath, clock, FIG1, n))
+            assert variant_levy_measure(v, FIG1, n) == pytest.approx(pi, rel=1e-13, abs=0.0), n
+            # the gap measured 2.85 t at most, at every t
+            for t in (1e-2, 1e-4, 1e-6):
+                assert abs(variant_pmf(v, FIG1, n, t) / (t * pi) - 1.0) <= 4.0 * t, (n, t)
 
 
 class TestHoldingRate:
@@ -1616,7 +1634,7 @@ class TestClockMemo:
         states = list(itertools.product(range(9), range(9)))
 
         def box(v):
-            _clear_memos()
+            clear_memos()
             return [variant_pmf(v, FIG1, n, t).hex() for n in states]
 
         assert box(ints) == box(floats)
@@ -1630,24 +1648,48 @@ class TestClockMemo:
         assert [variant_pmf(v, FIG1, n, t).hex() for n in states] == warm
 
 
+class TestPmfBoxMemo:
+    """The memos hold the pmf-box traffic: a second read of every box misses nothing."""
+
+    BOXES = [(FIG1, (12, 12), 1.0), (Q3, (7, 7, 7), 1.0), (FIG1, (12, 12), 20.0)]
+
+    def test_a_second_pass_adds_no_miss(self):
+        def sweep():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NumericsWarning)
+                for v in SEVEN:
+                    for rates, box, t in self.BOXES:
+                        for n in itertools.product(*(range(b + 1) for b in box)):
+                            variant_pmf(v, rates, n, t)
+
+        memos = (compositions_module._profile, variants_module._cell_law)
+        clear_memos()
+        sweep()
+        first = [memo.cache_info() for memo in memos]
+        for info in first:
+            assert 0 < info.misses == info.currsize < info.maxsize
+        sweep()
+        assert [memo.cache_info().misses for memo in memos] == [info.misses for info in first]
+
+
 class TestStateEntryTypes:
     """Any integer type is a state entry, memo cold or warm; nothing else is."""
 
     def test_numpy_ints_on_a_cold_memo(self):
         v = Mgsfcp(0.7)
         state = (np.int64(2), np.int64(1))
-        _clear_memos()
+        clear_memos()
         got = variant_pmf(v, FIG1, state, 1.0), variant_transition_rate(v, FIG1, state)
-        _clear_memos()
+        clear_memos()
         assert got == (variant_pmf(v, FIG1, (2, 1), 1.0), variant_transition_rate(v, FIG1, (2, 1)))
 
     @pytest.mark.parametrize("v", SEVEN, ids=vid)
     def test_sampled_states_on_a_cold_memo(self, v):
         states = sample_variant_many(v, FIG1, 1.0, np.random.default_rng(3), 12)
         for state in states:
-            _clear_memos()
+            clear_memos()
             got = variant_pmf(v, FIG1, state, 1.0)
-            _clear_memos()
+            clear_memos()
             assert got == variant_pmf(v, FIG1, tuple(map(int, state)), 1.0), state
 
     @pytest.mark.parametrize("state", [(2.0, 1), (2, 1.0), (np.float64(2.0), 1), ("2", 1)], ids=repr)
@@ -1655,7 +1697,7 @@ class TestStateEntryTypes:
     def test_other_entries_raise_whatever_the_memo_holds(self, state, cold):
         v = Mgsfcp(0.7)
         if cold:
-            _clear_memos()
+            clear_memos()
         else:
             variant_pmf(v, FIG1, (2, 1), 1.0)
             variant_transition_rate(v, FIG1, (2, 1))
@@ -1758,7 +1800,7 @@ class TestWarmCellLaw:
         # entry
         states = list(itertools.product(*(range(b + 1) for b in box)))
         for order in (states, states[::-1]):
-            _clear_memos()
+            clear_memos()
             base = [variant_pmf(Mgcp(), rates, n, t).hex() for n in order]
             assert [variant_pmf(v, rates, n, t).hex() for n in order] == base
 
@@ -1777,7 +1819,7 @@ class TestWarmCellLaw:
     def test_errors_do_not_depend_on_the_memos(self, v, cold):
         for nbar, t, message in self.ERRORS:
             if cold:
-                _clear_memos()
+                clear_memos()
             else:
                 variant_pmf(v, FIG1, (1, 1), 1.0)
             with pytest.raises(ValueError, match=message):
@@ -1785,7 +1827,7 @@ class TestWarmCellLaw:
 
     def test_too_large_t_and_too_deep_states_raise_cold_and_warm(self):
         # the second of each pair reads a warm memo
-        _clear_memos()
+        clear_memos()
         for _ in range(2):
             with pytest.raises(ValueError, match=r"t = 1\.7e\+308 is too large for the jump-count"):
                 variant_pmf(Mgcp(), FIG1, (1, 0), 1.7e308)
