@@ -5,11 +5,12 @@ even when the measure belongs to a named clock with known closed forms.
 That makes tcgcp_transition_rate an independent oracle for the
 per-variant rate formulas instead of a restatement of them.
 
-The integrals all have the shape int_0^inf phi(r) mu(r) dr with mu
-blowing up like r^(-1-rho) at the origin.  On (0, 1] we substitute
-r = u^p with p chosen so the transformed integrand is bounded; on
-[1, inf) the exponential or polynomial decay is left to adaptive
-quadrature.  Custom densities must be safe to call concurrently.
+The integrals all have the shape int_0^inf phi(r) mu(r) dr
+(_measure_integral), with mu blowing up like r^(-1-rho) at the
+origin.  On (0, 1] we substitute r = u^p with p chosen so the
+transformed integrand is bounded; on [1, inf) the exponential or
+polynomial decay is left to adaptive quadrature.  Custom densities
+must be safe to call concurrently.
 
 The module keeps one piece of shared state: a bounded memo of the
 measure atoms nu_1(k) (_measure_atom), keyed by the measure itself, so
@@ -162,6 +163,12 @@ def _integral(fn, exponent, tail_top):
     return val
 
 
+def _measure_integral(m, f, power):
+    """int_0^inf f(r) mu(dr), f(r) ~ r^power at the origin."""
+    mu = m.density
+    return _integral(lambda r: f(r) * mu(r), _origin_exponent(m, power), _tail_top(m))
+
+
 def _substituted(fn, p):
     def g(u):
         if u <= 0.0:
@@ -185,10 +192,7 @@ def bernstein_f(m, s):
         return 0.0
     if isinstance(m, Named):
         return subs.laplace_exponent(m.spec, s)
-    mu = m.density
-    return _integral(
-        lambda r: -math.expm1(-s * r) * mu(r), _origin_exponent(m, 1), _tail_top(m)
-    )
+    return _measure_integral(m, lambda r: -math.expm1(-s * r), 1)
 
 
 def g_lambda_u(rates, m, ubar):
@@ -203,10 +207,7 @@ def g_lambda_u(rates, m, ubar):
     w = _pgf_exponent(rates, ubar)
     if w == 0.0:
         return 0.0
-    mu = m.density
-    return _integral(
-        lambda r: -math.expm1(-w * r) * mu(r), _origin_exponent(m, 1), _tail_top(m)
-    )
+    return _measure_integral(m, lambda r: -math.expm1(-w * r), 1)
 
 
 @lru_cache(maxsize=1024)
@@ -217,10 +218,7 @@ def _measure_atom(m, lam, k):
     total rate lam at once.  Each (measure, lam, k) is integrated on its
     first read only; a k whose quadrature raises is not kept.
     """
-    mu = m.density
-    i_k = _integral(
-        lambda r: math.exp(-lam * r) * r**k * mu(r), _origin_exponent(m, k), _tail_top(m)
-    )
+    i_k = _measure_integral(m, lambda r: math.exp(-lam * r) * r**k, k)
     return i_k * lam**k / math.factorial(k)
 
 
@@ -239,13 +237,11 @@ def tcgcp_transition_rate(rates, m, lbar):
 
 
 def tcgcp_pgf(rates, m, ubar, t):
-    """pgf exp(-t g(lambda; u)); solves dG/dt = -g G, G(0) = 1."""
-    if not t >= 0:
-        raise ValueError("t must be non-negative")
-    g = g_lambda_u(rates, m, ubar)
-    if t == math.inf:
-        return 1.0 if g == 0 else 0.0
-    return math.exp(-t * g)
+    """pgf exp(-t g(lambda; u)); solves dG/dt = -g G, G(0) = 1.
+
+    The time-fractional pgf at beta = 1, where E_1(-t g) = exp(-t g).
+    """
+    return tcgcp_pgf_fractional(rates, m, 1.0, ubar, t)
 
 
 def tcgcp_pgf_fractional(rates, m, beta, ubar, t):

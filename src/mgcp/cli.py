@@ -13,8 +13,6 @@ import os
 import sys
 import warnings
 
-import numpy as np
-
 from . import shock, variants
 from .gcp import (
     RateMatrix,
@@ -118,6 +116,14 @@ def _threshold_echo(d):
     return doc
 
 
+# The largest --box state count and --tgrid point count, checked before
+# anything is built: each state or point is one model evaluation and one
+# output row of about 160 bytes, so 10^6 of them stay near 160 MB, while
+# rows3's default box at t = 60 holds 35316 states.
+_MAX_BOX_STATES = 10**6
+_MAX_GRID_POINTS = 10**6
+
+
 def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
@@ -127,6 +133,8 @@ def _parse_grid(text):
         raise ValueError("tgrid: need finite numbers")
     if step <= 0 or stop < start:
         raise ValueError("tgrid: need stop >= start and step > 0")
+    if (stop - start) / step > _MAX_GRID_POINTS:
+        raise ValueError("tgrid: more than %d points" % _MAX_GRID_POINTS)
     out = []
     k = 0
     while True:
@@ -153,14 +161,10 @@ def _parse_floats(text):
 
 
 def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         # repr of a plain float round-trips; numpy scalars repr as
         # np.float64(...) so strip the wrapper first
         return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
     return str(value)
 
 
@@ -210,9 +214,8 @@ def _box(args, rates, default=None):
         raise ValueError("box length must equal the number of components")
     if any(b < 0 for b in box):
         raise ValueError("box entries must be non-negative")
-    # range(b + 1) has a length only below sys.maxsize
-    if any(b >= sys.maxsize for b in box):
-        raise ValueError("box entries must be below %d" % sys.maxsize)
+    if math.prod(b + 1 for b in box) > _MAX_BOX_STATES:
+        raise ValueError("box spans more than %d states" % _MAX_BOX_STATES)
     return box
 
 

@@ -30,7 +30,7 @@ count.
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -85,24 +85,12 @@ class EstimateReport:
     cells: tuple
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "sigma_level": self.sigma_level,
-            "max_abs_z": self.max_abs_z,
-            "passed": self.passed,
-            "cells": [
-                {
-                    "label": label,
-                    "analytic": analytic,
-                    "estimate": estimate,
-                    "se": se,
-                    "z": z,
-                }
-                for label, analytic, estimate, se, z in self.cells
-            ],
-        }
+        doc = asdict(self)
+        doc["cells"] = [
+            dict(zip(("label", "analytic", "estimate", "se", "z"), cell))
+            for cell in self.cells
+        ]
+        return doc
 
 
 def _report(kind, n, seed, sigma, cells):

@@ -546,9 +546,6 @@ def variant_levy_measure(v, rates, nbar):
     For these subordinated Levy processes the measure is atomic on the
     jump lattice and each atom equals the constant transition rate.
     """
-    nbar = _check_state(rates, nbar)
-    if not any(nbar):
-        raise ValueError("Levy measures exclude the origin")
     return variant_transition_rate(v, rates, nbar)
 
 
@@ -586,6 +583,10 @@ def covariance(v, rates, i, l, t):
     if beta == 1.0:
         mean, var = t, 0.0
     else:
+        # not from inverse_stable_moment: the rounding of its exp(lgamma)
+        # moments survives the cancellation in E[E_t^2] - E[E_t]^2, and
+        # the worst relative error against mpmath grew from 1.3e-14 to
+        # 3.3e-12 over beta in [0.05, 0.999], t in [1e-6, 1e6]
         g = math.gamma(beta + 1.0)
         mean = t**beta / g
         var = t ** (2.0 * beta) * (2.0 / math.gamma(2.0 * beta + 1.0) - 1.0 / g**2)

@@ -414,6 +414,10 @@ def mp_levy_measure(mpmath, clock, rates, nbar):
     integrand is singular at s = 0 like s^(Z - 1 - rho), so the quadrature
     splits at 1e-6, 1e-3 and 0.1 as well as at 1 and 10: at 30 digits
     the split moves Pi(1, 0) of the stable clock by 6e-11 of its value.
+    The integrand peaks near s = Z / Lambda, so five more splits span
+    [Z_min / (2 Lambda), 2 Z_max / Lambda] beyond 10: without them one
+    interval to infinity missed the peak of a deep state, and Pi(200, 400)
+    of the stable clock at 30 digits read 4.2e-43 for 3.2e-11.
     """
     rows = [[mpmath.mpf(lam) for lam in row] for row in rates.rows]
     lam = mpmath.fsum(x for row in rows for x in row)
@@ -431,4 +435,7 @@ def mp_levy_measure(mpmath, clock, rates, nbar):
     def integrand(s):
         return mpmath.exp(-lam * s) * mpmath.fsum(cz * s**z for z, cz in c.items()) * density(s)
 
-    return mpmath.quad(integrand, [0, 1e-6, 1e-3, 0.1, 1, 10, mpmath.inf])
+    lo, hi = min(c) / (2 * lam), 2 * max(c) / lam
+    peak = [lo + (hi - lo) * k / 4 for k in range(5)]
+    splits = [0, 1e-6, 1e-3, 0.1, 1, 10] + [s for s in peak if s > 10] + [mpmath.inf]
+    return mpmath.quad(integrand, splits)

@@ -151,11 +151,11 @@ class TestPmfCommand:
         [
             (["pmf", "--t", "inf"], "t must be finite"),
             (["estimate", "--t", "inf"], "t must be finite"),
-            (["pmf", "--t", "1e300"], "box entries must be below"),
-            (["pmf", "--box", "99999999999999999999,1"], "box entries must be below"),
-            (["levy", "--box", "99999999999999999999,1"], "box entries must be below"),
-            (["estimate", "--box", "1,99999999999999999999"], "box entries must be below"),
-            (["levy", "--box", "%d,1" % sys.maxsize], "box entries must be below"),
+            (["pmf", "--t", "1e300"], "box spans more than"),
+            (["pmf", "--box", "99999999999999999999,1"], "box spans more than"),
+            (["levy", "--box", "99999999999999999999,1"], "box spans more than"),
+            (["estimate", "--box", "1,99999999999999999999"], "box spans more than"),
+            (["levy", "--box", "%d,1" % sys.maxsize], "box spans more than"),
         ],
         ids=["pmf-inf", "estimate-inf", "pmf-1e300", "pmf-huge-box", "levy-huge-box",
              "estimate-huge-box", "levy-maxsize"],
@@ -663,3 +663,36 @@ def test_tgrid_must_be_finite():
         )
         assert proc.returncode == 2, bad
         assert proc.stderr == "error: tgrid: need finite numbers\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pmf", "--model", MODEL, "--box", "9223372036854775806,0", "--t", "0"],
+         "error: box spans more than 1000000 states\n"),
+        (["pmf", "--model", MODEL, "--t", "1e9"],
+         "error: box spans more than 1000000 states\n"),
+        (["reliability", "--case", "fig1", "--alpha", "0.9", "--threshold",
+          "geometric:0.5", "--tgrid", "0:1:1e-300"],
+         "error: tgrid: more than 1000000 points\n"),
+    ],
+    ids=["box-near-maxsize", "default-box-at-t-1e9", "tgrid-tiny-step"],
+)
+def test_oversized_input_exits_2_before_allocating(argv, message):
+    # each once allocated its states or grid points until memory ran
+    # out, so each runs in a child under a memory cap and a timeout
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mgcp.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mgcp", *argv], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+
+def test_rows3_default_box_at_t_60_is_within_the_cap():
+    from argparse import Namespace
+
+    from mgcp.cli import _box
+
+    rows3 = RateMatrix([[0.3, 0.3, 0.1], [0.5, 0.2]])
+    assert _box(Namespace(box=None, t=60.0), rows3) == (217, 161)

@@ -151,6 +151,12 @@ def test_wright_frozen_values():
     )
 
 
+def test_wright_at_zero_is_the_gamma_ratio():
+    # only the r = 0 term survives: Gamma(a) / Gamma(b), zero at a pole of b
+    assert wright_1_1(2.5, 0.7, 1.5, 0.3, 0) == pytest.approx(1.5, rel=1e-15)
+    assert wright_1_1(2.5, 0.7, -1.0, 0.3, 0) == 0.0
+
+
 def test_truncation_warning_and_flag():
     # at beta = 0.1 the terms 2^r / Gamma(0.1 r + 1) still grow at the
     # 2000-term cap: the series kernel returns the partial sum, with the

@@ -285,6 +285,13 @@ def test_wright_route_agrees(v):
         )
 
 
+@pytest.mark.parametrize("v", [Mgsfcp(1.0), Tempered(1.0, 2.0)], ids=vid)
+def test_wright_route_at_alpha_one_is_the_mgcp_pmf(v):
+    # an alpha = 1 clock, stable or tempered, is D(t) = t, so the Wright
+    # route returns mgcp_pmf itself
+    assert variant_pmf_wright(v, FIG1, (2, 3), 1.3) == mgcp_pmf(FIG1, (2, 3), 1.3)
+
+
 def test_wright_route_only_for_stable_family():
     with pytest.raises(ValueError):
         variant_pmf_wright(Mgfcp(0.6), FIG1, (1, 1), 1.0)
@@ -1248,6 +1255,34 @@ class TestSmallTimeLevyLimit:
             # the gap measured 2.85 t at most, at every t
             for t in (1e-2, 1e-4, 1e-6):
                 assert abs(variant_pmf(v, FIG1, n, t) / (t * pi) - 1.0) <= 4.0 * t, (n, t)
+
+
+class TestDeepStateLevyLimit:
+    """p_t(n) / (t Pi(n)) -> 1 as |n| -> inf at fixed t, for a stable clock.
+
+    The largest jump carries the tail of a subexponential compound
+    Poisson law (Embrechts, Goldie and Veraverbeke 1979), so the limit
+    holds for Mgsfcp; Tempered has a light tail and no such limit.
+    """
+
+    def test_levy_measure_matches_the_oracle_at_a_deep_state(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            pi = float(mp_levy_measure(mpmath, Stable(0.7), FIG1, (200, 400)))
+        got = variant_levy_measure(Mgsfcp(0.7), FIG1, (200, 400))
+        assert got == pytest.approx(pi, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("t", [0.1, 1.0])
+    def test_pmf_over_t_tends_to_the_levy_measure_along_a_ray(self, t):
+        v = Mgsfcp(0.7)
+        gaps = []
+        for m in (10, 50, 200, 600):
+            n = (m, 2 * m)
+            gap = abs(variant_pmf(v, FIG1, n, t) / (t * variant_levy_measure(v, FIG1, n)) - 1.0)
+            # a measured envelope: the gap read 0.69 to 0.81 of t m^(-3/4)
+            assert gap <= t * m**-0.75, (m, gap)
+            gaps.append(gap)
+        assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
 
 
 class TestHoldingRate:
